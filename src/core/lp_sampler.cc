@@ -31,6 +31,13 @@ constexpr double kResidualInflation = 1.35;
 // the log n dyadic levels bounded.
 constexpr int kDefaultDyadicRows = 5;
 
+// LpSampler walks every batch in chunks of this many updates, so the
+// per-round scratch (and the count-sketch and dyadic-level scratch below
+// it) never outgrows one chunk, however large a batch arrives. Each
+// sketch still sees the updates in stream order, so the state is
+// unchanged wherever the batch kernels are bit-identical.
+constexpr size_t kBatchChunk = 4096;
+
 }  // namespace
 
 LpSamplerParams LpSampler::Resolve(LpSamplerParams params) {
@@ -244,16 +251,23 @@ void LpSampler::UpdateBatch(const stream::ScaledUpdate* updates,
   for (size_t t = 0; t < count; ++t) {
     LPS_CHECK(updates[t].index < params_.n);
   }
-  norm_.UpdateBatch(updates, count);
-  for (auto& round : rounds_) round.UpdateBatch(updates, count);
+  for (size_t start = 0; start < count; start += kBatchChunk) {
+    const size_t chunk = std::min(kBatchChunk, count - start);
+    norm_.UpdateBatch(updates + start, chunk);
+    for (auto& round : rounds_) round.UpdateBatch(updates + start, chunk);
+  }
 }
 
 void LpSampler::UpdateBatch(const stream::Update* updates, size_t count) {
-  scaled_.resize(count);
-  for (size_t t = 0; t < count; ++t) {
-    scaled_[t] = {updates[t].index, static_cast<double>(updates[t].delta)};
+  for (size_t start = 0; start < count; start += kBatchChunk) {
+    const size_t chunk = std::min(kBatchChunk, count - start);
+    scaled_.resize(chunk);
+    for (size_t t = 0; t < chunk; ++t) {
+      scaled_[t] = {updates[start + t].index,
+                    static_cast<double>(updates[start + t].delta)};
+    }
+    UpdateBatch(scaled_.data(), chunk);
   }
-  UpdateBatch(scaled_.data(), count);
 }
 
 double LpSampler::NormEstimate() const { return norm_.Estimate2Approx(); }

@@ -191,8 +191,9 @@ class LpSampler : public LinearSketch {
   /// Processes one stream update (i, u); delegates to the batch path.
   void Update(uint64_t i, double delta);
 
-  /// Processes a batch of updates in one pass: the shared norm sketch and
-  /// every round consume the batch through their own fast paths.
+  /// Processes a batch of updates in fixed-size chunks: the shared norm
+  /// sketch and every round consume each chunk through their own fast
+  /// paths, so batch scratch stays bounded by the chunk, not the batch.
   /// Bit-identical to calling Update once per element in stream order.
   void UpdateBatch(const stream::Update* updates, size_t count) override;
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <tuple>
 
+#include "src/kernels/kernels.h"
 #include "src/util/bits.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
@@ -27,54 +32,149 @@ core::LpSamplerParams L1Params(uint64_t n, double delta, int repetitions,
   return params;
 }
 
-// The reduction's initialization / its cancellation as one batch, so the
-// constructor, Reset, and Merge all go through the vectorized fast path.
-stream::UpdateStream ConstantStream(uint64_t n, int64_t delta) {
-  stream::UpdateStream updates(n);
-  for (uint64_t i = 0; i < n; ++i) updates[i] = {i, delta};
-  return updates;
+bool SameParams(const DuplicateFinder::Params& a,
+                const DuplicateFinder::Params& b) {
+  return a.n == b.n && a.delta == b.delta && a.repetitions == b.repetitions &&
+         a.seed == b.seed;
+}
+bool SameParams(const SparseDuplicateFinder::Params& a,
+                const SparseDuplicateFinder::Params& b) {
+  return a.n == b.n && a.s == b.s && a.delta == b.delta &&
+         a.repetitions == b.repetitions && a.seed == b.seed;
 }
 
+// The sampler half of each finder kind (the sparse finder's gets a halved
+// delta budget and its own seed; see its constructor).
+core::LpSamplerParams SamplerParams(const DuplicateFinder::Params& params) {
+  return L1Params(params.n, params.delta, params.repetitions, params.seed);
+}
+core::LpSamplerParams SamplerParams(
+    const SparseDuplicateFinder::Params& params) {
+  // The DENSE fallback only guarantees a 2/5 positive fraction (vs
+  // Theorem 3's > 1/2), so the sampler gets a halved delta budget —
+  // i.e. ~50% more rounds — to hold the overall failure at delta.
+  return L1Params(params.n, params.delta / 2, params.repetitions,
+                  Mix64(params.seed ^ 0xdead6ULL));
+}
+recovery::SparseRecovery MakeRecovery(
+    const SparseDuplicateFinder::Params& params) {
+  return recovery::SparseRecovery(params.n,
+                                  std::max<uint64_t>(2, 5 * params.s),
+                                  Mix64(params.seed ^ 0xdead5ULL));
+}
+
+// Feeds the reduction's initialization (i, -1) for every i < n, one
+// fixed-size chunk at a time so the feed never holds n updates.
 template <typename Sink>
 void FeedInitialMinusOnes(uint64_t n, Sink* sink) {
-  const stream::UpdateStream init = ConstantStream(n, -1);
-  sink->UpdateBatch(init.data(), init.size());
+  constexpr uint64_t kChunk = 4096;
+  stream::UpdateStream chunk;
+  for (uint64_t start = 0; start < n; start += kChunk) {
+    chunk.clear();
+    for (uint64_t i = start; i < std::min(n, start + kChunk); ++i) {
+      chunk.push_back({i, -1});
+    }
+    sink->UpdateBatch(chunk.data(), chunk.size());
+  }
+}
+
+// Process-wide cache of init sketches. It holds weak references, so an
+// entry lives exactly as long as some finder shares it; concurrent
+// requests for one key build the sketch once. The key includes the
+// active kernel backend because the SIMD p = 1 rows are query-equivalent,
+// not bit-identical, to the scalar ones.
+template <typename Key, typename Sketch>
+class InitCache {
+ public:
+  template <typename Build>
+  std::shared_ptr<const Sketch> Get(const Key& key, Build build) {
+    std::shared_ptr<Slot> slot;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = slots_.find(key);
+      if (it != slots_.end()) slot = it->second.lock();
+      if (slot == nullptr) {
+        for (auto e = slots_.begin(); e != slots_.end();) {
+          e = e->second.expired() ? slots_.erase(e) : std::next(e);
+        }
+        slot = std::make_shared<Slot>();
+        slots_[key] = slot;
+      }
+    }
+    std::call_once(slot->once, [&] { slot->sketch.emplace(build()); });
+    return std::shared_ptr<const Sketch>(slot, &*slot->sketch);
+  }
+
+ private:
+  struct Slot {
+    std::once_flag once;
+    std::optional<Sketch> sketch;
+  };
+  std::mutex mu_;
+  std::map<Key, std::weak_ptr<Slot>> slots_;
+};
+
+std::shared_ptr<const core::LpSampler> SharedSamplerInit(
+    const core::LpSamplerParams& params) {
+  using Key = std::tuple<uint64_t, double, double, double, int, uint64_t,
+                         kernels::Backend>;
+  static auto* cache = new InitCache<Key, core::LpSampler>();
+  const Key key(params.n, params.p, params.eps, params.delta,
+                params.repetitions, params.seed, kernels::ActiveBackend());
+  return cache->Get(key, [&params] {
+    core::LpSampler fed(params);
+    FeedInitialMinusOnes(params.n, &fed);
+    // Keep the counters without the chunk of batch scratch `fed` retains.
+    core::LpSampler init(params);
+    init.Merge(fed);
+    return init;
+  });
+}
+
+std::shared_ptr<const recovery::SparseRecovery> SharedRecoveryInit(
+    const SparseDuplicateFinder::Params& params) {
+  using Key = std::tuple<uint64_t, uint64_t, uint64_t, kernels::Backend>;
+  static auto* cache = new InitCache<Key, recovery::SparseRecovery>();
+  const Key key(params.n, params.s, params.seed, kernels::ActiveBackend());
+  return cache->Get(key, [&params] {
+    recovery::SparseRecovery init = MakeRecovery(params);
+    FeedInitialMinusOnes(params.n, &init);
+    return init;
+  });
 }
 
 }  // namespace
 
 DuplicateFinder::DuplicateFinder(Params params)
     : params_(params),
-      sampler_(L1Params(params.n, params.delta, params.repetitions,
-                        params.seed)) {
-  FeedInitialMinusOnes(params.n, &sampler_);
+      sampler_(SamplerParams(params)),
+      init_(SharedSamplerInit(SamplerParams(params))) {
+  sampler_.Merge(*init_);
+}
+
+const core::LpSampler& DuplicateFinder::Init() {
+  if (init_ == nullptr) init_ = SharedSamplerInit(SamplerParams(params_));
+  return *init_;
 }
 
 void DuplicateFinder::Merge(const LinearSketch& other) {
   const auto* o = dynamic_cast<const DuplicateFinder*>(&other);
   LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n && o->params_.delta == params_.delta &&
-            o->params_.repetitions == params_.repetitions &&
-            o->params_.seed == params_.seed);
+  LPS_CHECK(SameParams(o->params_, params_));
+  // (init + lettersA) + (init + lettersB) - init.
   sampler_.Merge(o->sampler_);
-  // Both replicas fed the (i, -1) initialization at construction; cancel
-  // the second copy so the merged vector is init + lettersA + lettersB.
-  const stream::UpdateStream cancel = ConstantStream(params_.n, +1);
-  sampler_.UpdateBatch(cancel.data(), cancel.size());
+  sampler_.MergeNegated(Init());
 }
 
 void DuplicateFinder::MergeNegated(const LinearSketch& other) {
   const auto* o = dynamic_cast<const DuplicateFinder*>(&other);
   LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n && o->params_.delta == params_.delta &&
-            o->params_.repetitions == params_.repetitions &&
-            o->params_.seed == params_.seed);
+  LPS_CHECK(SameParams(o->params_, params_));
+  // (init + lettersA) - (init + lettersB) + init: again a well-formed
+  // finder over the subtracted letter multiset (for a window, exactly
+  // the letters the window saw).
   sampler_.MergeNegated(o->sampler_);
-  // The two (i, -1) initialization feeds cancel in the subtraction, so
-  // re-feed one copy: the difference is again init + (lettersA - lettersB)
-  // — a well-formed finder over the subtracted letter multiset (for a
-  // window, exactly the letters the window saw).
-  FeedInitialMinusOnes(params_.n, &sampler_);
+  sampler_.Merge(Init());
 }
 
 void DuplicateFinder::Serialize(BitWriter* writer) const {
@@ -93,18 +193,18 @@ void DuplicateFinder::Deserialize(BitReader* reader) {
   params.delta = reader->ReadDouble();
   params.repetitions = static_cast<int>(reader->ReadBits(32));
   params.seed = reader->ReadU64();
-  // Rebuild the sampler directly instead of through the constructor: the
-  // (i, -1) initialization it would feed is overwritten by the restored
-  // counters anyway, and skipping it keeps load O(state), not O(n).
+  // The restored counters already include the initialization, so the
+  // init sketch is only fetched when a later Merge/Reset needs it; a held
+  // one stays valid if the parameters did not change.
+  if (!SameParams(params, params_)) init_.reset();
   params_ = params;
-  sampler_ = core::LpSampler(
-      L1Params(params.n, params.delta, params.repetitions, params.seed));
+  sampler_ = core::LpSampler(SamplerParams(params));
   DeserializeCounters(reader);
 }
 
 void DuplicateFinder::Reset() {
   sampler_.Reset();
-  FeedInitialMinusOnes(params_.n, &sampler_);
+  sampler_.Merge(Init());
 }
 
 Result<uint64_t> DuplicateFinder::Find() const {
@@ -123,15 +223,24 @@ Result<uint64_t> DuplicateFinder::Find() const {
 
 SparseDuplicateFinder::SparseDuplicateFinder(Params params)
     : params_(params),
-      recovery_(params.n, std::max<uint64_t>(2, 5 * params.s),
-                Mix64(params.seed ^ 0xdead5ULL)),
-      // The DENSE fallback only guarantees a 2/5 positive fraction (vs
-      // Theorem 3's > 1/2), so the sampler gets a halved delta budget —
-      // i.e. ~50% more rounds — to hold the overall failure at delta.
-      sampler_(L1Params(params.n, params.delta / 2, params.repetitions,
-                        Mix64(params.seed ^ 0xdead6ULL))) {
-  FeedInitialMinusOnes(params.n, &recovery_);
-  FeedInitialMinusOnes(params.n, &sampler_);
+      recovery_(MakeRecovery(params)),
+      sampler_(SamplerParams(params)),
+      recovery_init_(SharedRecoveryInit(params)),
+      sampler_init_(SharedSamplerInit(SamplerParams(params))) {
+  recovery_.Merge(*recovery_init_);
+  sampler_.Merge(*sampler_init_);
+}
+
+const recovery::SparseRecovery& SparseDuplicateFinder::RecoveryInit() {
+  if (recovery_init_ == nullptr) recovery_init_ = SharedRecoveryInit(params_);
+  return *recovery_init_;
+}
+
+const core::LpSampler& SparseDuplicateFinder::SamplerInit() {
+  if (sampler_init_ == nullptr) {
+    sampler_init_ = SharedSamplerInit(SamplerParams(params_));
+  }
+  return *sampler_init_;
 }
 
 void SparseDuplicateFinder::ProcessItem(uint64_t letter) {
@@ -148,31 +257,24 @@ void SparseDuplicateFinder::UpdateBatch(const stream::Update* updates,
 void SparseDuplicateFinder::Merge(const LinearSketch& other) {
   const auto* o = dynamic_cast<const SparseDuplicateFinder*>(&other);
   LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n && o->params_.s == params_.s &&
-            o->params_.delta == params_.delta &&
-            o->params_.repetitions == params_.repetitions &&
-            o->params_.seed == params_.seed);
+  LPS_CHECK(SameParams(o->params_, params_));
+  // Subtract the duplicated initialization (see DuplicateFinder::Merge).
   recovery_.Merge(o->recovery_);
+  recovery_.MergeNegated(RecoveryInit());
   sampler_.Merge(o->sampler_);
-  // Cancel the duplicated (i, -1) initialization (see DuplicateFinder).
-  const stream::UpdateStream cancel = ConstantStream(params_.n, +1);
-  recovery_.UpdateBatch(cancel.data(), cancel.size());
-  sampler_.UpdateBatch(cancel.data(), cancel.size());
+  sampler_.MergeNegated(SamplerInit());
 }
 
 void SparseDuplicateFinder::MergeNegated(const LinearSketch& other) {
   const auto* o = dynamic_cast<const SparseDuplicateFinder*>(&other);
   LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n && o->params_.s == params_.s &&
-            o->params_.delta == params_.delta &&
-            o->params_.repetitions == params_.repetitions &&
-            o->params_.seed == params_.seed);
+  LPS_CHECK(SameParams(o->params_, params_));
+  // Add back the initialization the subtraction removed (see
+  // DuplicateFinder::MergeNegated).
   recovery_.MergeNegated(o->recovery_);
+  recovery_.Merge(RecoveryInit());
   sampler_.MergeNegated(o->sampler_);
-  // The initialization feeds cancelled in the subtraction; re-feed one
-  // copy (see DuplicateFinder::MergeNegated).
-  FeedInitialMinusOnes(params_.n, &recovery_);
-  FeedInitialMinusOnes(params_.n, &sampler_);
+  sampler_.Merge(SamplerInit());
 }
 
 void SparseDuplicateFinder::Serialize(BitWriter* writer) const {
@@ -194,25 +296,24 @@ void SparseDuplicateFinder::Deserialize(BitReader* reader) {
   params.delta = reader->ReadDouble();
   params.repetitions = static_cast<int>(reader->ReadBits(32));
   params.seed = reader->ReadU64();
-  // As in DuplicateFinder::Deserialize: skip the constructor's O(n)
-  // initialization feed, which the restored counters would overwrite.
-  // Member construction mirrors the constructor's seed derivation.
+  // As in DuplicateFinder::Deserialize: the init sketches are fetched
+  // lazily, and held ones survive an unchanged parameter set.
+  if (!SameParams(params, params_)) {
+    recovery_init_.reset();
+    sampler_init_.reset();
+  }
   params_ = params;
-  recovery_ = recovery::SparseRecovery(params.n,
-                                       std::max<uint64_t>(2, 5 * params.s),
-                                       Mix64(params.seed ^ 0xdead5ULL));
-  sampler_ = core::LpSampler(L1Params(params.n, params.delta / 2,
-                                      params.repetitions,
-                                      Mix64(params.seed ^ 0xdead6ULL)));
+  recovery_ = MakeRecovery(params);
+  sampler_ = core::LpSampler(SamplerParams(params));
   recovery_.DeserializeCounters(reader);
   sampler_.DeserializeCounters(reader);
 }
 
 void SparseDuplicateFinder::Reset() {
   recovery_.Reset();
+  recovery_.Merge(RecoveryInit());
   sampler_.Reset();
-  FeedInitialMinusOnes(params_.n, &recovery_);
-  FeedInitialMinusOnes(params_.n, &sampler_);
+  sampler_.Merge(SamplerInit());
 }
 
 SparseDuplicateFinder::Outcome SparseDuplicateFinder::Find() const {

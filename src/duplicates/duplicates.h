@@ -4,6 +4,14 @@
 // reduction of Theorem 3: x_i = (#occurrences of i) - 1, materialized by
 // updates (i, -1) for every i followed by (letter, +1) per stream item.
 //
+// The sketch of that all-(-1) vector — the *init sketch* — depends only on
+// the parameters and seed, so it is built once per parameter set (and
+// kernel backend) and shared, immutable, by every live finder with those
+// parameters. Construction and Reset are zeroed counters plus init; Merge
+// is add(other) minus init; MergeNegated is subtract(other) plus init —
+// each O(state), never O(n). Like the hash coefficients, the init sketch
+// is derived from the seed, so SpaceBits does not count it.
+//
 //   - DuplicateFinder (Theorem 3): stream length n+1. sum_i x_i = 1, so a
 //     perfect L1 sample is positive with probability > 1/2; an L1 sampler
 //     round with constant relative error that returns a positive estimate
@@ -59,6 +67,8 @@ class DuplicateFinder : public LinearSketch {
   /// have low probability (the sampled estimate would need the wrong sign).
   Result<uint64_t> Find() const;
 
+  /// The sampler's counters; the shared init sketch is seed-derived state
+  /// (like the hash coefficients) and is not counted.
   size_t SpaceBits(int bits_per_counter) const {
     return sampler_.SpaceBits(bits_per_counter);
   }
@@ -73,11 +83,13 @@ class DuplicateFinder : public LinearSketch {
     sampler_.DeserializeCounters(reader);
   }
 
-  // LinearSketch contract. Merge accounts for the (i, -1) initialization
-  // both replicas fed at construction: after adding the replica's state it
-  // cancels the duplicated initialization, so the merged sketch holds
-  // exactly init + lettersA + lettersB (up to floating-point
-  // reassociation in the scaled counters).
+  // LinearSketch contract. Both replicas hold the (i, -1) initialization,
+  // so Merge adds the replica's state and subtracts the shared init
+  // sketch: the merged sketch holds exactly init + lettersA + lettersB (up
+  // to floating-point reassociation in the scaled counters). MergeNegated
+  // subtracts and adds init back; Reset is zeroed counters plus init.
+  // Deserialize stays O(state): it fetches the init sketch only when a
+  // later Merge, MergeNegated or Reset first needs it.
   void Merge(const LinearSketch& other) override;
   void MergeNegated(const LinearSketch& other) override;
   void Serialize(BitWriter* writer) const override;
@@ -89,8 +101,12 @@ class DuplicateFinder : public LinearSketch {
   const Params& params() const { return params_; }
 
  private:
+  /// The shared init sketch, fetched on first use after Deserialize.
+  const core::LpSampler& Init();
+
   Params params_;
   core::LpSampler sampler_;
+  std::shared_ptr<const core::LpSampler> init_;  // null until needed
 };
 
 /// Theorem 4: stream of length n - s.
@@ -120,11 +136,16 @@ class SparseDuplicateFinder : public LinearSketch {
 
   Outcome Find() const;
 
+  /// Recovery plus sampler counters; the init sketches are not counted.
   size_t SpaceBits(int bits_per_counter) const;
 
-  // LinearSketch contract; Merge cancels the duplicated (i, -1)
-  // initialization exactly as in DuplicateFinder (field-exact on the
-  // recovery side).
+  /// The two halves, read-only.
+  const recovery::SparseRecovery& recovery() const { return recovery_; }
+  const core::LpSampler& sampler() const { return sampler_; }
+
+  // LinearSketch contract; Merge, MergeNegated, Reset and Deserialize
+  // handle the shared init sketch exactly as in DuplicateFinder, with a
+  // field-exact SparseRecovery half next to the sampler half.
   void Merge(const LinearSketch& other) override;
   void MergeNegated(const LinearSketch& other) override;
   void Serialize(BitWriter* writer) const override;
@@ -136,9 +157,15 @@ class SparseDuplicateFinder : public LinearSketch {
   }
 
  private:
+  /// The shared init sketches, fetched on first use after Deserialize.
+  const recovery::SparseRecovery& RecoveryInit();
+  const core::LpSampler& SamplerInit();
+
   Params params_;
   recovery::SparseRecovery recovery_;
   core::LpSampler sampler_;
+  std::shared_ptr<const recovery::SparseRecovery> recovery_init_;
+  std::shared_ptr<const core::LpSampler> sampler_init_;
 };
 
 /// Section 3, stream length n + s (s >= 1): strategy auto-selection between

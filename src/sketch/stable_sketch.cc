@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <mutex>
 
 #include "src/kernels/kernels.h"
 #include "src/kernels/stable_transform.h"
@@ -22,7 +23,13 @@ double StableMedianAbs(double p) {
   LPS_CHECK(p > 0 && p <= 2);
   if (p == 1.0) return 1.0;  // median |Cauchy| = tan(pi/4)
   if (p == 2.0) return 0.6744897501960817;  // Phi^{-1}(0.75)
+  // Sketches are constructed on many threads at once (server connection
+  // readers, idle-tenant rehydration, epoch folds), so the cache is
+  // guarded; holding the lock through the calibration also computes each
+  // p once.
+  static std::mutex mu;
   static std::map<double, double> cache;
+  std::lock_guard<std::mutex> lock(mu);
   auto it = cache.find(p);
   if (it != cache.end()) return it->second;
   // Deterministic offline calibration with a fixed seed; 200001 samples give

@@ -106,9 +106,10 @@ class LinearSketch {
   /// (stream::WindowManager builds on this). Exactness matches Merge's
   /// taxonomy: bit-exact for integer-valued-double and GF(2^61-1) counter
   /// families, FP-reassociation-exact for genuinely real-scaled ones. The
-  /// duplicates finders cancel their duplicated (i,-1) initialization and
-  /// re-feed one copy, so the difference is again a well-formed finder
-  /// over the subtracted letter multiset.
+  /// duplicates finders lose their (i,-1) initialization in the
+  /// subtraction and add back their shared init sketch (O(state)), so the
+  /// difference is again a well-formed finder over the subtracted letter
+  /// multiset.
   virtual void MergeNegated(const LinearSketch& other) = 0;
 
   /// Full reconstructible state: versioned header, parameters, seed,

@@ -49,7 +49,8 @@ WindowManager::WindowManager(LinearSketch* live, Options options)
   // The attach-time state is the position-0 prefix. For a freshly
   // constructed sketch the snapshot is all-zero counters (subtracting it
   // is the identity); for the duplicates finders it carries their
-  // (i, -1) initialization, which MergeNegated cancels and re-feeds.
+  // (i, -1) initialization, which MergeNegated subtracts and then adds
+  // back from the shared init sketch.
   Seal();
 }
 

@@ -28,8 +28,8 @@
 // BIT-IDENTICAL to a sketch fed only the window's updates; for genuinely
 // real-scaled counters (p-stable rows, the Lp sampler's t_i^{-1/p}
 // scaling) it agrees up to floating-point reassociation, which the
-// samplers' index selection tolerates. The duplicates finders re-feed
-// their (i, -1) initialization inside MergeNegated, so a materialized
+// samplers' index selection tolerates. The duplicates finders add their
+// shared (i, -1) init sketch back inside MergeNegated, so a materialized
 // window behaves as a finder that saw exactly the window's letters.
 //
 // Composition with the parallel runtime: when ingestion flows through a

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <thread>
 #include <vector>
 
+#include "src/core/lp_sampler.h"
 #include "src/duplicates/duplicates.h"
 #include "src/duplicates/positive_finder.h"
 #include "src/stream/generators.h"
+#include "src/util/serialize.h"
 
 namespace lps::duplicates {
 namespace {
@@ -98,6 +102,69 @@ TEST(SparseDuplicateFinder, DenseCaseFallsBackToSampler) {
     }
   }
   EXPECT_GE(found, trials * 2 / 3);
+}
+
+std::vector<uint64_t> StateWords(const LinearSketch& sketch) {
+  BitWriter writer;
+  sketch.Serialize(&writer);
+  return writer.words();
+}
+
+TEST(DuplicateFinder, FreshStateIsTheReductionsInitialization) {
+  // A fresh finder's counters are the sketch of x = (-1, ..., -1): exactly
+  // what an L1 sampler fed (i, -1) for every i holds. n spans several
+  // init chunks.
+  const uint64_t n = 9000;
+  const DuplicateFinder finder(DuplicateFinder::Params{n, 0.25, 4, 31});
+  core::LpSamplerParams params;
+  params.n = n;
+  params.p = 1.0;
+  params.eps = 0.5;
+  params.delta = 0.25;
+  params.repetitions = 4;
+  params.seed = 31;
+  core::LpSampler direct(params);
+  stream::UpdateStream init;
+  for (uint64_t i = 0; i < n; ++i) init.push_back({i, -1});
+  direct.UpdateBatch(init.data(), init.size());
+  BitWriter want, got;
+  direct.SerializeCounters(&want);
+  finder.SerializeCounters(&got);
+  EXPECT_EQ(want.words(), got.words());
+}
+
+TEST(DuplicateFinder, ConcurrentConstructionIsBitIdentical) {
+  // Same-params finders built at once on four threads share one init
+  // sketch through the process-wide cache and must hold identical state;
+  // so must a finder built after they are gone, when the cache rebuilds.
+  DuplicateFinder::Params dense{6000, 0.25, 4, 32};
+  SparseDuplicateFinder::Params sparse;
+  sparse.n = 6000;
+  sparse.s = 8;
+  sparse.repetitions = 4;
+  sparse.seed = 33;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<uint64_t>> dense_words(kThreads);
+  std::vector<std::vector<uint64_t>> sparse_words(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const DuplicateFinder finder(dense);
+      const SparseDuplicateFinder sparse_finder(sparse);
+      dense_words[static_cast<size_t>(t)] = StateWords(finder);
+      sparse_words[static_cast<size_t>(t)] = StateWords(sparse_finder);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const auto dense_after = StateWords(DuplicateFinder(dense));
+  const auto sparse_after = StateWords(SparseDuplicateFinder(sparse));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(dense_words[static_cast<size_t>(t)], dense_after) << t;
+    EXPECT_EQ(sparse_words[static_cast<size_t>(t)], sparse_after) << t;
+  }
 }
 
 TEST(OversampledDuplicateFinder, PicksStrategyByCrossover) {

@@ -2,12 +2,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "src/core/lp_sampler.h"
 #include "src/stats/stats.h"
 #include "src/stream/exact_vector.h"
 #include "src/stream/generators.h"
+#include "src/util/serialize.h"
 
 namespace lps::core {
 namespace {
@@ -255,6 +258,53 @@ TEST(LpSampler, CountersSerializeRoundTrip) {
     EXPECT_EQ(sa.value().index, sb.value().index);
     EXPECT_DOUBLE_EQ(sa.value().estimate, sb.value().estimate);
   }
+}
+
+std::vector<uint64_t> CounterWords(const LpSampler& sampler) {
+  BitWriter writer;
+  sampler.SerializeCounters(&writer);
+  return writer.words();
+}
+
+TEST(LpSampler, BatchLargerThanChunkMatchesPerUpdatePath) {
+  // The sampler walks a batch in fixed-size chunks; a batch spanning
+  // several chunks must land where per-update ingestion does. p != 1
+  // keeps every kernel backend on the exact scalar stable transform.
+  auto params = BaseParams(4096, 1.5, 0.5, 91);
+  params.repetitions = 2;
+  const auto stream = stream::UniformTurnstile(params.n, 10000, 50, 92);
+  LpSampler per_update(params), batched(params);
+  for (const auto& u : stream) {
+    per_update.Update(u.index, static_cast<double>(u.delta));
+  }
+  batched.UpdateBatch(stream.data(), stream.size());
+  EXPECT_EQ(CounterWords(per_update), CounterWords(batched));
+}
+
+// Resident set size of this process in KiB, or -1 without procfs.
+long ResidentKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(LpSampler, LargeBatchRetainsBoundedScratch) {
+  // Batch scratch lives in every round, its flat count-sketch and each of
+  // its log n + 1 dyadic levels, and is kept for the next batch. Sized to
+  // the batch, one 2^16-update batch here would retain ~300 MB; sized to
+  // the sampler's fixed chunk it retains ~20 MB.
+  auto params = BaseParams(uint64_t{1} << 20, 1.5, 0.5, 93);
+  params.repetitions = 12;
+  LpSampler sampler(params);
+  const auto batch = stream::UniformTurnstile(params.n, 1 << 16, 50, 94);
+  const long before = ResidentKiB();
+  if (before < 0) GTEST_SKIP() << "VmRSS unavailable without procfs";
+  sampler.UpdateBatch(batch.data(), batch.size());
+  const long growth_mib = (ResidentKiB() - before) / 1024;
+  EXPECT_LT(growth_mib, 64) << "retained batch scratch, MiB";
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 // assert identical query/sample results and ULP-scale state agreement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/core/fis_l0_sampler.h"
@@ -337,6 +339,131 @@ TEST(MergeEquivalence, DuplicateFinderFindAgreement) {
       EXPECT_EQ(want.value(), got.value());
     }
   }
+}
+
+/// Double counters (the SerializeCounters stream) of a finder or sampler.
+template <typename T>
+std::vector<double> CounterDoubles(const T& sketch) {
+  BitWriter writer;
+  sketch.SerializeCounters(&writer);
+  BitReader reader(writer);
+  std::vector<double> counters(writer.bit_count() / 64);
+  for (double& counter : counters) counter = reader.ReadDouble();
+  return counters;
+}
+
+/// Largest counter deviation of `got` from `want`, relative to the
+/// counter's scale: the larger of its solo and initial magnitudes (the
+/// init sketch's terms are the big summands a merge adds and subtracts).
+double WorstRelativeDeviation(const std::vector<double>& got,
+                              const std::vector<double>& want,
+                              const std::vector<double>& init) {
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_EQ(init.size(), want.size());
+  double worst = 0;
+  for (size_t c = 0; c < std::min(got.size(), want.size()); ++c) {
+    const double scale = std::max({1.0, std::abs(want[c]), std::abs(init[c])});
+    worst = std::max(worst, std::abs(got[c] - want[c]) / scale);
+  }
+  return worst;
+}
+
+UpdateStream Letters(uint64_t n, uint64_t extras, uint64_t seed) {
+  UpdateStream stream;
+  for (uint64_t l : stream::DuplicateStream(n, extras, seed)) {
+    stream.push_back({l, +1});
+  }
+  return stream;
+}
+
+TEST(MergeEquivalence, DuplicateFinderCountersMatchSolo) {
+  // n spans two init chunks. Merge subtracts the shared init sketch, so
+  // the merged counters must be solo's init + letters up to
+  // floating-point reassociation.
+  const uint64_t n = 5000;
+  const UpdateStream stream = Letters(n, 40, 50);
+  const duplicates::DuplicateFinder::Params params{n, 0.2, 6, 51};
+  auto make = [&params] { return duplicates::DuplicateFinder(params); };
+  const auto init = CounterDoubles(make());
+  auto solo = make();
+  solo.UpdateBatch(stream.data(), stream.size());
+  const auto want = CounterDoubles(solo);
+  for (int k : {2, 3, 8}) {
+    for (auto partition : {ShardedDriver::Partition::kByIndex,
+                           ShardedDriver::Partition::kRoundRobin}) {
+      auto merged = ShardedIngest<duplicates::DuplicateFinder>(
+          make, stream, k, partition);
+      EXPECT_LE(WorstRelativeDeviation(CounterDoubles(merged), want, init),
+                1e-9)
+          << "k=" << k << " partition=" << static_cast<int>(partition);
+    }
+  }
+}
+
+TEST(MergeEquivalence, SparseDuplicateFinderCountersMatchSolo) {
+  // The recovery half lives in GF(2^61 - 1), so adding and subtracting
+  // its init sketch is exact: bit-identical to solo. The sampler half
+  // agrees up to reassociation.
+  const uint64_t n = 5000;
+  const UpdateStream stream = Letters(n, 40, 52);
+  duplicates::SparseDuplicateFinder::Params params;
+  params.n = n;
+  params.s = 8;
+  params.delta = 0.2;
+  params.repetitions = 6;
+  params.seed = 53;
+  auto make = [&params] { return duplicates::SparseDuplicateFinder(params); };
+  const auto init = CounterDoubles(make().sampler());
+  auto solo = make();
+  solo.UpdateBatch(stream.data(), stream.size());
+  const auto want = CounterDoubles(solo.sampler());
+  for (int k : {2, 3, 8}) {
+    for (auto partition : {ShardedDriver::Partition::kByIndex,
+                           ShardedDriver::Partition::kRoundRobin}) {
+      auto merged = ShardedIngest<duplicates::SparseDuplicateFinder>(
+          make, stream, k, partition);
+      EXPECT_TRUE(StateOf(merged.recovery()) == StateOf(solo.recovery()))
+          << "k=" << k << " partition=" << static_cast<int>(partition);
+      EXPECT_LE(
+          WorstRelativeDeviation(CounterDoubles(merged.sampler()), want, init),
+          1e-9)
+          << "k=" << k << " partition=" << static_cast<int>(partition);
+    }
+  }
+}
+
+/// Serializes a used finder, lets it (and with it every holder of its
+/// init sketch) go, restores it, and Resets the restored copy: the Reset
+/// has to build the init sketch afresh on the lazy path. The result must
+/// be bit-identical to a finder constructed afterwards.
+template <typename Finder>
+void ExpectRestoredResetMatchesFresh(const typename Finder::Params& params) {
+  std::unique_ptr<LinearSketch> restored;
+  {
+    Finder used(params);
+    const UpdateStream letters = Letters(params.n, 9, 54);
+    used.UpdateBatch(letters.data(), letters.size());
+    BitWriter writer;
+    used.Serialize(&writer);
+    BitReader reader(writer);
+    restored = DeserializeAnySketch(&reader);
+  }
+  ASSERT_NE(restored, nullptr);
+  restored->Reset();
+  const Finder fresh(params);
+  EXPECT_TRUE(StateOf(*restored) == StateOf(fresh));
+}
+
+TEST(MergeEquivalence, DeserializedFinderResetMatchesFresh) {
+  ExpectRestoredResetMatchesFresh<duplicates::DuplicateFinder>(
+      duplicates::DuplicateFinder::Params{5000, 0.2, 6, 55});
+  duplicates::SparseDuplicateFinder::Params sparse;
+  sparse.n = 5000;
+  sparse.s = 8;
+  sparse.delta = 0.2;
+  sparse.repetitions = 6;
+  sparse.seed = 56;
+  ExpectRestoredResetMatchesFresh<duplicates::SparseDuplicateFinder>(sparse);
 }
 
 // ----------------------------------------------------------- edge cases --

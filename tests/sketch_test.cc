@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "src/kernels/kernels.h"
@@ -197,6 +199,42 @@ TEST(AmsF2, ResidualRemovesSparseComponent) {
   const double res = ams.EstimateResidualL2({{5, 300.0}});
   EXPECT_LT(res, 100.0);
   EXPECT_NEAR(ams.EstimateResidualL2({{5, 300.0}, {700, 40.0}}), 0.0, 1e-9);
+}
+
+TEST(StableSketch, ConcurrentConstructionAgreesOnNormalizer) {
+  // StableMedianAbs caches its calibration process-wide, and servers build
+  // sketches on many threads at once. Every thread must read the same
+  // normalizer. 0.625 and 1.375 are used by no other test, so their first
+  // calibration happens here under contention whatever the test order.
+  const std::vector<double> ps = {0.5, 1.5, 0.625, 1.375};
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> norms(
+      kThreads, std::vector<double>(ps.size(), 0.0));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (size_t i = 0; i < ps.size(); ++i) {
+        // Threads walk the p values in rotated orders so every value is
+        // first touched by several threads at once.
+        const size_t k = (i + static_cast<size_t>(t)) % ps.size();
+        StableSketch sketch(ps[k], 9, 77);
+        sketch.Update(3, 1.0);
+        norms[static_cast<size_t>(t)][k] = sketch.EstimateNorm();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (size_t k = 0; k < ps.size(); ++k) {
+    StableSketch reference(ps[k], 9, 77);
+    reference.Update(3, 1.0);
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(norms[static_cast<size_t>(t)][k], reference.EstimateNorm())
+          << "p=" << ps[k] << " thread=" << t;
+    }
+  }
 }
 
 TEST(StableSketch, CauchyAndGaussianClosedForms) {

@@ -557,6 +557,79 @@ TEST(WindowManagerTest, EpochAlignmentWithParallelPipeline) {
   }
 }
 
+TEST(WindowManagerTest, DuplicateFinderWindowMatchesWindowLetters) {
+  // Materializing a finder window subtracts a checkpoint and adds the
+  // shared init sketch back: the window is a finder over exactly the
+  // window's letters, with the same Find answer as one fed only those.
+  const uint64_t n = 512;
+  const UpdateStream letters = LetterStream(n, 400, 105);
+  const duplicates::DuplicateFinder::Params params{n, 0.2, 8, 106};
+  duplicates::DuplicateFinder live(params);
+  WindowManager::Options options;
+  options.checkpoint_interval = 128;
+  WindowManager wm(&live, options);
+  wm.Drive(letters);
+  int found = 0;  // the comparison must not be FAIL == FAIL throughout
+  for (uint64_t w : {128u, 384u, 640u}) {
+    const auto window = wm.WindowSketch(w);
+    ASSERT_GE(window.length, w);
+    duplicates::DuplicateFinder solo(params);
+    solo.UpdateBatch(letters.data() + window.start,
+                     static_cast<size_t>(window.length));
+    const auto want = solo.Find();
+    const auto got =
+        dynamic_cast<const duplicates::DuplicateFinder&>(*window.sketch)
+            .Find();
+    ASSERT_EQ(want.ok(), got.ok()) << "w=" << w;
+    if (want.ok()) {
+      EXPECT_EQ(want.value(), got.value()) << "w=" << w;
+      ++found;
+    }
+  }
+  EXPECT_GT(found, 0);
+}
+
+TEST(WindowManagerTest, SparseDuplicateFinderWindowMatchesWindowLetters) {
+  // As above; the recovery half is field-exact, so it is bit-identical to
+  // the solo finder's.
+  const uint64_t n = 512;
+  const UpdateStream letters = LetterStream(n, 400, 107);
+  duplicates::SparseDuplicateFinder::Params params;
+  params.n = n;
+  params.s = 4;
+  params.delta = 0.2;
+  params.repetitions = 8;
+  params.seed = 108;
+  duplicates::SparseDuplicateFinder live(params);
+  WindowManager::Options options;
+  options.checkpoint_interval = 128;
+  WindowManager wm(&live, options);
+  wm.Drive(letters);
+  int found = 0;
+  for (uint64_t w : {128u, 384u, 640u}) {
+    const auto window = wm.WindowSketch(w);
+    ASSERT_GE(window.length, w);
+    duplicates::SparseDuplicateFinder solo(params);
+    solo.UpdateBatch(letters.data() + window.start,
+                     static_cast<size_t>(window.length));
+    const auto& got =
+        dynamic_cast<const duplicates::SparseDuplicateFinder&>(*window.sketch);
+    EXPECT_TRUE(StateOf(got.recovery()) == StateOf(solo.recovery()))
+        << "w=" << w;
+    const auto want_outcome = solo.Find();
+    const auto got_outcome = got.Find();
+    EXPECT_EQ(static_cast<int>(want_outcome.kind),
+              static_cast<int>(got_outcome.kind))
+        << "w=" << w;
+    EXPECT_EQ(want_outcome.duplicate, got_outcome.duplicate) << "w=" << w;
+    if (want_outcome.kind ==
+        duplicates::SparseDuplicateFinder::Kind::kDuplicate) {
+      ++found;
+    }
+  }
+  EXPECT_GT(found, 0);
+}
+
 TEST(WindowManagerTest, RingEvictionClampsToOldestCheckpoint) {
   sketch::CountSketch live(5, 24, 99);
   WindowManager::Options options;
