@@ -136,9 +136,11 @@ struct BackendRow {
 
 /// The tentpole perf gate: with the AVX2 backend dispatched, batched
 /// ingestion must clear its speedup floor over the per-update path —
-/// 3x on count_sketch, 1.5x on stable_sketch (which additionally must
-/// never fall below 1.0x: the pre-kernel batch path was a 0.98x
-/// *regression* there, and this gate keeps it from coming back).
+/// 3x on count_sketch, 1.5x on stable_sketch at p = 1 (which additionally
+/// must never fall below 1.0x: the pre-kernel batch path was a 0.98x
+/// *regression* there, and this gate keeps it from coming back), and 2x
+/// on stable_sketch at p = 1.5, which fails if the four-lane
+/// Chambers-Mallows-Stuck twin ever falls back to the scalar transform.
 /// Skips (logged, never silent) when the host has no AVX2 backend or the
 /// build is sanitizer-instrumented.
 bool CheckKernelSpeedups(const std::vector<ResultRow>& rows,
@@ -160,7 +162,8 @@ bool CheckKernelSpeedups(const std::vector<ResultRow>& rows,
     double floor;
   };
   const Target targets[] = {{"count_sketch[17x96]", 3.0},
-                            {"stable_sketch[p=1,96]", 1.5}};
+                            {"stable_sketch[p=1,96]", 1.5},
+                            {"stable_sketch[p=1.5,96]", 2.0}};
   const bool dispatched_avx2 =
       lps::kernels::ActiveBackend() == lps::kernels::Backend::kAvx2;
   bool ok = true;
@@ -456,6 +459,11 @@ int main(int argc, char** argv) {
         Measure("stable_sketch[p=1,96]", short_stream, passes, &a, &b));
   }
   {
+    lps::sketch::StableSketch a(1.5, 96, 4), b(1.5, 96, 4);
+    rows.push_back(
+        Measure("stable_sketch[p=1.5,96]", short_stream, passes, &a, &b));
+  }
+  {
     lps::sketch::DyadicCountMin a(16, 9, 64, 14), b(16, 9, 64, 14);
     rows.push_back(
         Measure("dyadic_count_min[16 lvl]", long_stream, passes, &a, &b));
@@ -499,7 +507,7 @@ int main(int argc, char** argv) {
         Measure("cs_heavy_hitters[phi=.05]", long_stream, passes, &a, &b));
   }
 
-  // Per-backend forced sweep: the two speedup-gated structures re-measured
+  // Per-backend forced sweep: the speedup-gated structures re-measured
   // under every compiled-in kernel backend, so the JSON carries the full
   // scalar/sse4/avx2 trajectory (and the scalar rows document what the
   // LPS_KERNELS=scalar escape hatch costs).
@@ -518,6 +526,12 @@ int main(int argc, char** argv) {
         lps::sketch::StableSketch a(1.0, 96, 4), b(1.0, 96, 4);
         backend_sweep.push_back(
             {backend_name, Measure("stable_sketch[p=1,96]", short_stream,
+                                   passes, &a, &b)});
+      }
+      {
+        lps::sketch::StableSketch a(1.5, 96, 4), b(1.5, 96, 4);
+        backend_sweep.push_back(
+            {backend_name, Measure("stable_sketch[p=1.5,96]", short_stream,
                                    passes, &a, &b)});
       }
     }

@@ -14,12 +14,16 @@
 //     integer, results are canonical elements of [0, p), and
 //     count_rows_apply scatters in stream order, so whole-sketch state is
 //     bit-identical no matter which backend ran.
-//   - cauchy_pow_batch is exact-scalar for p != 1 on every backend; the
-//     AVX2/SSE4.2 p = 1 (Cauchy) path replaces libm's tan with a
+//   - cauchy_pow_batch is EXACT for p != 1 on every backend. The
+//     reference is the scalar backend's portable Chambers-Mallows-Stuck
+//     transform (stable_transform.h); AVX2 runs a four-lane twin of it
+//     that performs the same IEEE operations in the same order and adds
+//     the products to the row one at a time, in stream order, and SSE4.2
+//     calls the scalar kernel. p = 2 (Box-Muller) is scalar everywhere.
+//     The AVX2/SSE4.2 p = 1 (Cauchy) path replaces libm's tan with a
 //     polynomial sin(pi x) ratio and a vectorized accumulation order, so
 //     it is query-equivalent (relative error ~1e-15, ULP-bounded by the
-//     tests) but not bit-identical to scalar. The scalar backend is always
-//     bit-identical to the pre-kernel-layer code.
+//     tests) but not bit-identical to scalar.
 //
 // Backend selection: the first call to Active() probes the CPU
 // (__builtin_cpu_supports) and picks the widest compiled-in backend;
@@ -83,11 +87,12 @@ struct KernelTable {
 
   /// The stable-sketch row inner product: returns
   ///   init + sum_t Stable_p(row_base, keys[t]) * deltas[t]
-  /// where Stable_p regenerates the (row, i) p-stable variate from
-  /// Mix64(row_base ^ key) exactly like StableSketch::StableAtKeyed.
-  /// Scalar backend: bit-identical to the historical loop. SIMD backends:
-  /// p = 1 uses a vectorized Cauchy transform (query-equivalent, see the
-  /// taxonomy above); p != 1 falls back to the exact scalar loop.
+  /// where Stable_p regenerates the (row, i) p-stable variate from two
+  /// splitmix64 uniforms seeded by Mix64(row_base ^ key), and the sum runs
+  /// left to right from init. p != 1 is EXACT on every backend (the AVX2
+  /// twin of the scalar transform keeps that order); p = 1 uses a
+  /// vectorized Cauchy transform on the SIMD backends (query-equivalent,
+  /// see the taxonomy above).
   double (*cauchy_pow_batch)(double p, uint64_t row_base, const uint64_t* keys,
                              const double* deltas, size_t count, double init);
 };

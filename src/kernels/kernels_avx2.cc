@@ -12,20 +12,26 @@
 // gf61::Mul. ScaleToRange and Horner evaluation build on the same pieces,
 // so bucket indices and hash values match the scalar backend exactly.
 //
-// The Cauchy path (cauchy_pow_batch, p = 1) vectorizes the splitmix64
-// finalizer with an emulated 64-bit low multiply, converts the 53-bit
-// uniforms with the 2^52/2^84 magic-constant trick (exact), and evaluates
-// tan(pi t) = sinpi(t) / sinpi(0.5 - |t|) with a degree-23 odd Taylor
-// polynomial (truncation < 1e-19 on |t| <= 0.5). This path is
-// query-equivalent, not bit-identical: libm's tan differs in the last few
-// ULPs and the four-lane accumulation reassociates the sum. p != 1 calls
-// the scalar reference and stays bit-identical.
+// cauchy_pow_batch vectorizes the splitmix64 finalizer with an emulated
+// 64-bit low multiply and converts the 53-bit uniforms with the 2^52/2^84
+// magic-constant trick (exact), then per p:
+//   - p = 1: tan(pi t) = sinpi(t) / sinpi(0.5 - |t|) with a degree-23 odd
+//     Taylor polynomial (truncation < 1e-19 on |t| <= 0.5), accumulated
+//     four lanes wide. Query-equivalent, not bit-identical: libm's tan
+//     differs in the last few ULPs and the lane sums reassociate.
+//   - p = 2: the scalar reference (Box-Muller needs libm log/cos).
+//   - otherwise: CmsStableAvx2, a lane-for-lane twin of the scalar
+//     reference's Chambers-Mallows-Stuck body (same IEEE operations, same
+//     order; the kernel sources build with -ffp-contract=off), with the
+//     four products added to the row one at a time in stream order.
+//     Bit-identical to scalar at every batch size.
 #include "src/kernels/backends.h"
 
 #if defined(__AVX2__) && !defined(LPS_DISABLE_SIMD)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -129,36 +135,188 @@ inline __m256d U64ToDouble(__m256i v) {
   return _mm256_add_pd(hi_part, _mm256_castsi256_pd(lo));
 }
 
-/// Odd Taylor coefficients of sin(pi x): x * (c[0] + c[1] x^2 + ...).
-/// Truncation after x^23 is < 1e-19 on |x| <= 0.5.
-struct SinPiCoeffs {
-  double c[12];
-};
-
-const SinPiCoeffs& SinPiTable() {
-  static const SinPiCoeffs table = [] {
-    SinPiCoeffs t;
-    constexpr double kPi = 3.141592653589793238462643383279502884;
-    double coef = kPi;
-    t.c[0] = coef;
-    for (int k = 1; k < 12; ++k) {
-      coef *= -kPi * kPi / static_cast<double>((2 * k) * (2 * k + 1));
-      t.c[k] = coef;
-    }
-    return t;
-  }();
-  return table;
+/// The 53-bit uniform in (0, 1] of a splitmix64 output word, exactly as
+/// the scalar (w >> 11 + 1) * 2^-53.
+inline __m256d UniformVec(__m256i w) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d mantissa = U64ToDouble(_mm256_srli_epi64(w, 11));
+  return _mm256_mul_pd(_mm256_add_pd(mantissa, one), _mm256_set1_pd(0x1.0p-53));
 }
 
 /// sin(pi x) for |x| <= 0.5 (odd polynomial, so the sign is inherent).
 inline __m256d SinPiVec(__m256d x) {
-  const SinPiCoeffs& k = SinPiTable();
   const __m256d x2 = _mm256_mul_pd(x, x);
-  __m256d acc = _mm256_set1_pd(k.c[11]);
+  __m256d acc = _mm256_set1_pd(kSinPiCoeffs[11]);
   for (int i = 10; i >= 0; --i) {
-    acc = _mm256_add_pd(_mm256_mul_pd(acc, x2), _mm256_set1_pd(k.c[i]));
+    acc = _mm256_add_pd(_mm256_mul_pd(acc, x2),
+                        _mm256_set1_pd(kSinPiCoeffs[i]));
   }
   return _mm256_mul_pd(acc, x);
+}
+
+// The p != 1 transform. Each function below is the lane-for-lane twin of
+// a scalar helper in kernels_scalar.cc (SinPiEstrinVec of SinPiEstrin,
+// LogVec of Log, ExpVec of Exp, CmsStableAvx2 of CmsStable): keep each
+// pair in step, operation for operation. IEEE + and * commute exactly,
+// so only the operation sequence has to match, not the operand order.
+
+/// a + x * b, rounded twice (a separate multiply and add, never an FMA).
+inline __m256d MulAddRounded(__m256d a, __m256d x, __m256d b) {
+  return _mm256_add_pd(a, _mm256_mul_pd(x, b));
+}
+
+/// c0 + x * c1 for two scalar coefficients.
+inline __m256d Linear(double c0, __m256d x, double c1) {
+  return MulAddRounded(_mm256_set1_pd(c0), x, _mm256_set1_pd(c1));
+}
+
+inline __m256d SinPiEstrinVec(__m256d x) {
+  const double* c = kSinPiCoeffs;
+  const __m256d x2 = _mm256_mul_pd(x, x);
+  const __m256d x4 = _mm256_mul_pd(x2, x2);
+  const __m256d x8 = _mm256_mul_pd(x4, x4);
+  const __m256d b0 = MulAddRounded(Linear(c[0], x2, c[1]), x4,
+                                   Linear(c[2], x2, c[3]));
+  const __m256d b1 = MulAddRounded(Linear(c[4], x2, c[5]), x4,
+                                   Linear(c[6], x2, c[7]));
+  const __m256d b2 = MulAddRounded(Linear(c[8], x2, c[9]), x4,
+                                   Linear(c[10], x2, c[11]));
+  return _mm256_mul_pd(MulAddRounded(b0, x8, MulAddRounded(b1, x8, b2)), x);
+}
+
+inline __m256d LogVec(__m256d x) {
+  using namespace cms;
+  const __m256i bits = _mm256_castpd_si256(x);
+  const __m256i mantissa = _mm256_and_si256(bits, Set1(0x000fffffffffffffULL));
+  const __m256i half = _mm256_and_si256(
+      _mm256_add_epi64(mantissa, Set1(0x95f64ULL << 32)), Set1(1ULL << 52));
+  const __m256i reduced =
+      _mm256_or_si256(mantissa, _mm256_xor_si256(half, Set1(0x3ffULL << 52)));
+  const __m256d f =
+      _mm256_sub_pd(_mm256_castsi256_pd(reduced), _mm256_set1_pd(1.0));
+  // k + 1023 rides in the low mantissa bits of kRoundMagic; subtracting
+  // both offsets leaves k exactly, as the scalar int -> double cast does.
+  const __m256i biased = _mm256_add_epi64(_mm256_srli_epi64(bits, 52),
+                                          _mm256_srli_epi64(half, 52));
+  const __m256d k = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_add_epi64(biased, Set1(kRoundMagicBits))),
+      _mm256_set1_pd(kRoundMagic + 1023.0));
+  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
+  const __m256d z = _mm256_mul_pd(s, s);
+  const __m256d w = _mm256_mul_pd(z, z);
+  const __m256d w2 = _mm256_mul_pd(w, w);
+  const __m256d t1 = _mm256_mul_pd(
+      w, MulAddRounded(Linear(kLg2, w, kLg4), w2, _mm256_set1_pd(kLg6)));
+  const __m256d t2 = _mm256_mul_pd(
+      z, MulAddRounded(Linear(kLg1, w, kLg3), w2, Linear(kLg5, w, kLg7)));
+  const __m256d r = _mm256_add_pd(t2, t1);
+  const __m256d hfsq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), f), f);
+  const __m256d tail =
+      _mm256_add_pd(_mm256_mul_pd(s, _mm256_add_pd(hfsq, r)),
+                    _mm256_mul_pd(k, _mm256_set1_pd(kLn2Lo)));
+  const __m256d body = _mm256_sub_pd(_mm256_sub_pd(hfsq, tail), f);
+  return _mm256_sub_pd(_mm256_mul_pd(k, _mm256_set1_pd(kLn2Hi)), body);
+}
+
+inline __m256d ExpVec(__m256d y) {
+  using namespace cms;
+  const __m256d kd = _mm256_add_pd(_mm256_mul_pd(y, _mm256_set1_pd(kInvLn2)),
+                                   _mm256_set1_pd(kRoundMagic));
+  const __m256d kf = _mm256_sub_pd(kd, _mm256_set1_pd(kRoundMagic));
+  // k + 2048 > 0, so a logical shift halves it: k1 + 1024 = floor(k / 2)
+  // + 1024, and the biased exponents are k1 + 1023 and k - k1 + 1023.
+  const __m256i k_off = _mm256_add_epi64(
+      _mm256_sub_epi64(_mm256_castpd_si256(kd), Set1(kRoundMagicBits)),
+      Set1(2048));
+  const __m256i k1_off = _mm256_srli_epi64(k_off, 1);
+  const __m256i e1 = _mm256_sub_epi64(k1_off, Set1(1));
+  const __m256i e2 = _mm256_sub_epi64(_mm256_sub_epi64(k_off, k1_off), Set1(1));
+  const __m256d hi =
+      _mm256_sub_pd(y, _mm256_mul_pd(kf, _mm256_set1_pd(kLn2Hi)));
+  const __m256d lo = _mm256_mul_pd(kf, _mm256_set1_pd(kLn2Lo));
+  const __m256d r = _mm256_sub_pd(hi, lo);
+  const __m256d t = _mm256_mul_pd(r, r);
+  const __m256d t2 = _mm256_mul_pd(t, t);
+  const __m256d poly = MulAddRounded(
+      Linear(kP1, t, kP2), t2,
+      MulAddRounded(Linear(kP3, t, kP4), t2, _mm256_set1_pd(kP5)));
+  const __m256d c = _mm256_sub_pd(r, _mm256_mul_pd(t, poly));
+  const __m256d ratio = _mm256_div_pd(_mm256_mul_pd(r, c),
+                                      _mm256_sub_pd(_mm256_set1_pd(2.0), c));
+  const __m256d er = _mm256_sub_pd(
+      _mm256_set1_pd(1.0), _mm256_sub_pd(_mm256_sub_pd(lo, ratio), hi));
+  const __m256d scaled =
+      _mm256_mul_pd(er, _mm256_castsi256_pd(_mm256_slli_epi64(e1, 52)));
+  return _mm256_mul_pd(scaled, _mm256_castsi256_pd(_mm256_slli_epi64(e2, 52)));
+}
+
+inline __m256d CmsStableAvx2(__m256d p, __m256d inv_p, __m256d q, __m256d u1,
+                             __m256d u2) {
+  using namespace cms;
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d t = _mm256_sub_pd(u1, _mm256_set1_pd(0.5));
+  const __m256d pt = _mm256_mul_pd(p, t);
+  const __m256d abs_pt = _mm256_andnot_pd(sign, pt);
+  // The folded sine is >= +0, so OR-ing in pt's sign bit is copysign.
+  const __m256d folded = _mm256_min_pd(abs_pt, _mm256_sub_pd(one, abs_pt));
+  const __m256d sin_pt =
+      _mm256_or_pd(SinPiEstrinVec(folded), _mm256_and_pd(sign, pt));
+  const __m256d cos_arg = _mm256_min_pd(u1, _mm256_sub_pd(one, u1));
+  const __m256d cos_t =
+      _mm256_max_pd(SinPiEstrinVec(cos_arg), _mm256_set1_pd(kCosHalfPi));
+  const __m256d abs_qt = _mm256_andnot_pd(sign, _mm256_mul_pd(q, t));
+  const __m256d cos_qt =
+      SinPiEstrinVec(_mm256_sub_pd(_mm256_set1_pd(0.5), abs_qt));
+  const __m256d neg_log_u2 = _mm256_sub_pd(_mm256_setzero_pd(), LogVec(u2));
+  const __m256d w =
+      _mm256_max_pd(neg_log_u2, _mm256_set1_pd(kMinExponential));
+  const __m256d log_ratio = LogVec(_mm256_div_pd(cos_qt, w));
+  const __m256d y = _mm256_mul_pd(
+      _mm256_sub_pd(_mm256_mul_pd(q, log_ratio), LogVec(cos_t)), inv_p);
+  const __m256d clamped =
+      _mm256_min_pd(_mm256_max_pd(y, _mm256_set1_pd(kExpArgMin)),
+                    _mm256_set1_pd(kExpArgMax));
+  return _mm256_mul_pd(sin_pt, ExpVec(clamped));
+}
+
+constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ULL;  // splitmix64 increment
+
+/// cauchy_pow_batch for p in (0, 2) \ {1}: bit-identical to the scalar
+/// loop at every count, because each lane runs the scalar transform's
+/// operations and the row takes the products one at a time, in order.
+double CmsPowBatchAvx2(double p, uint64_t row_base, const uint64_t* keys,
+                       const double* deltas, size_t count, double init) {
+  const __m256i vbase = Set1(row_base);
+  const __m256i vgamma = Set1(kGamma);
+  const __m256d vp = _mm256_set1_pd(p);
+  const __m256d vinv_p = _mm256_set1_pd(1.0 / p);
+  const __m256d vq = _mm256_set1_pd(1.0 - p);
+  alignas(32) double x[4];
+  double acc = init;
+  for (size_t t = 0; t < count; t += 4) {
+    const size_t lanes = std::min<size_t>(4, count - t);
+    __m256i key;
+    if (lanes == 4) {
+      key = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + t));
+    } else {
+      // A short tail repeats its first key in the spare lanes. Those
+      // lanes are never added: a variate may be +-inf, and 0 * inf = NaN.
+      alignas(32) uint64_t tail[4] = {keys[t], keys[t], keys[t], keys[t]};
+      for (size_t j = 1; j < lanes; ++j) tail[j] = keys[t + j];
+      key = _mm256_load_si256(reinterpret_cast<const __m256i*>(tail));
+    }
+    // base = Mix64(row_base ^ key); then two SplitMix64 steps from it.
+    const __m256i base =
+        Mix64Fin(_mm256_add_epi64(_mm256_xor_si256(key, vbase), vgamma));
+    const __m256i s1 = _mm256_add_epi64(base, vgamma);
+    const __m256i w1 = Mix64Fin(s1);
+    const __m256i w2 = Mix64Fin(_mm256_add_epi64(s1, vgamma));
+    _mm256_store_pd(
+        x, CmsStableAvx2(vp, vinv_p, vq, UniformVec(w1), UniformVec(w2)));
+    for (size_t j = 0; j < lanes; ++j) acc += x[j] * deltas[t + j];
+  }
+  return acc;
 }
 
 void KWiseHornerBatchAvx2(const uint64_t* coeffs, size_t k, const uint64_t* xs,
@@ -266,17 +424,19 @@ void Gf61SyndromeBatchAvx2(uint64_t* syndromes, size_t n, uint64_t power[4],
 double CauchyPowBatchAvx2(double p, uint64_t row_base, const uint64_t* keys,
                           const double* deltas, size_t count, double init) {
   if (p != 1.0) {
-    // Gaussian / Chambers-Mallows-Stuck need libm log/cos/pow; keep those
-    // families on the exact scalar reference.
-    return ScalarTable()->cauchy_pow_batch(p, row_base, keys, deltas, count,
-                                           init);
+    // p = 2 keeps libm's Box-Muller. A lone key (the per-update path)
+    // costs less as one scalar transform than as a four-lane step.
+    if (p == 2.0 || count < 2) {
+      return ScalarTable()->cauchy_pow_batch(p, row_base, keys, deltas, count,
+                                             init);
+    }
+    return CmsPowBatchAvx2(p, row_base, keys, deltas, count, init);
   }
-  constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ULL;  // splitmix64 increment
   const __m256i vbase = Set1(row_base);
   const __m256i vgamma = Set1(kGamma);
   // Clamping the polynomial cos at cos(pi/2) as rounded by libm keeps the
   // u1 -> 1 pole's magnitude aligned with what scalar tan produces there.
-  const __m256d cos_floor = _mm256_set1_pd(6.123233995736766e-17);
+  const __m256d cos_floor = _mm256_set1_pd(kCosHalfPi);
   __m256d acc = _mm256_setzero_pd();
   size_t t = 0;
   for (; t + 4 <= count; t += 4) {
@@ -286,10 +446,7 @@ double CauchyPowBatchAvx2(double p, uint64_t row_base, const uint64_t* keys,
     const __m256i base = Mix64Fin(_mm256_add_epi64(x, vgamma));
     // Only w1 feeds the Cauchy transform; w2 is never consumed at p = 1.
     const __m256i w1 = Mix64Fin(_mm256_add_epi64(base, vgamma));
-    const __m256d u1 = _mm256_mul_pd(
-        _mm256_add_pd(U64ToDouble(_mm256_srli_epi64(w1, 11)),
-                      _mm256_set1_pd(1.0)),
-        _mm256_set1_pd(0x1.0p-53));
+    const __m256d u1 = UniformVec(w1);
     const __m256d targ = _mm256_sub_pd(u1, _mm256_set1_pd(0.5));
     const __m256d abs_t =
         _mm256_andnot_pd(_mm256_set1_pd(-0.0), targ);

@@ -2,7 +2,8 @@
 // derivation there) on __m128i/__m128d. SSE4.2 is the floor because the
 // canonicalizing compare needs _mm_cmpgt_epi64. Exactness taxonomy is
 // identical to AVX2: all integer/GF kernels are bit-identical to scalar,
-// the p = 1 Cauchy path is query-equivalent, p != 1 delegates to scalar.
+// the p = 1 Cauchy path is query-equivalent, and p != 1 calls the scalar
+// reference (no two-lane Chambers-Mallows-Stuck twin), so it is exact.
 #include "src/kernels/backends.h"
 
 #if defined(__SSE4_2__) && !defined(LPS_DISABLE_SIMD)
@@ -94,31 +95,11 @@ inline __m128d U64ToDouble(__m128i v) {
   return _mm_add_pd(hi_part, _mm_castsi128_pd(lo));
 }
 
-struct SinPiCoeffs {
-  double c[12];
-};
-
-const SinPiCoeffs& SinPiTable() {
-  static const SinPiCoeffs table = [] {
-    SinPiCoeffs t;
-    constexpr double kPi = 3.141592653589793238462643383279502884;
-    double coef = kPi;
-    t.c[0] = coef;
-    for (int k = 1; k < 12; ++k) {
-      coef *= -kPi * kPi / static_cast<double>((2 * k) * (2 * k + 1));
-      t.c[k] = coef;
-    }
-    return t;
-  }();
-  return table;
-}
-
 inline __m128d SinPiVec(__m128d x) {
-  const SinPiCoeffs& k = SinPiTable();
   const __m128d x2 = _mm_mul_pd(x, x);
-  __m128d acc = _mm_set1_pd(k.c[11]);
+  __m128d acc = _mm_set1_pd(kSinPiCoeffs[11]);
   for (int i = 10; i >= 0; --i) {
-    acc = _mm_add_pd(_mm_mul_pd(acc, x2), _mm_set1_pd(k.c[i]));
+    acc = _mm_add_pd(_mm_mul_pd(acc, x2), _mm_set1_pd(kSinPiCoeffs[i]));
   }
   return _mm_mul_pd(acc, x);
 }
@@ -225,7 +206,7 @@ double CauchyPowBatchSse4(double p, uint64_t row_base, const uint64_t* keys,
   constexpr uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
   const __m128i vbase = Set1(row_base);
   const __m128i vgamma = Set1(kGamma);
-  const __m128d cos_floor = _mm_set1_pd(6.123233995736766e-17);
+  const __m128d cos_floor = _mm_set1_pd(kCosHalfPi);
   __m128d acc = _mm_setzero_pd();
   size_t t = 0;
   for (; t + 2 <= count; t += 2) {

@@ -35,14 +35,6 @@ bool GetVarint(const std::vector<uint8_t>& in, size_t* pos, uint64_t* out) {
 
 size_t ByteLength(size_t bits) { return ((bits + 63) / 64) * 8; }
 
-std::vector<uint8_t> WordsToBytes(const std::vector<uint64_t>& words,
-                                  size_t bits) {
-  std::vector<uint8_t> bytes(ByteLength(bits), 0);
-  LPS_CHECK(words.size() * 8 >= bytes.size());
-  if (!bytes.empty()) std::memcpy(bytes.data(), words.data(), bytes.size());
-  return bytes;
-}
-
 std::vector<uint64_t> BytesToWords(const std::vector<uint8_t>& bytes) {
   std::vector<uint64_t> words(bytes.size() / 8, 0);
   if (!bytes.empty()) std::memcpy(words.data(), bytes.data(), bytes.size());

@@ -13,9 +13,9 @@
 namespace lps::sketch {
 
 double StableFromUniforms(double p, double u1, double u2) {
-  // The transform itself lives in the kernel layer (the batch kernels'
-  // p != 1 fallback is this exact function); this wrapper keeps the
-  // historical sketch-level API for queries, calibration and tests.
+  // The transform itself lives in the kernel layer, where every backend's
+  // cauchy_pow_batch reproduces it (bit for bit at p != 1); this wrapper
+  // keeps the sketch-level API for queries, calibration and tests.
   return kernels::StableFromUniformsImpl(p, u1, u2);
 }
 
@@ -55,28 +55,11 @@ StableSketch::StableSketch(double p, int rows, uint64_t seed)
 }
 
 namespace {
-// Key mixing multipliers of the (seed, row, i) hash behind StableAt.
+// Key mixing multipliers of the (seed, row, i) hash: row j's variate for
+// coordinate i is Stable_p(Mix64(seed ^ j * kRowMul ^ i * kKeyMul)).
 constexpr uint64_t kRowMul = 0x9e3779b97f4a7c15ULL;
 constexpr uint64_t kKeyMul = 0xc2b2ae3d27d4eb4fULL;
 }  // namespace
-
-double StableSketch::StableAt(int row, uint64_t i) const {
-  return StableAtKeyed(row, i * kKeyMul);
-}
-
-double StableSketch::StableAtKeyed(int row, uint64_t key) const {
-  // Two independent uniforms in (0,1] from a hash of (seed, row, i). The
-  // same (row, i) always yields the same stable value, keeping the sketch
-  // linear. `key` is i * kKeyMul, precomputed once per batch item.
-  const uint64_t base =
-      Mix64(seed_ ^ (static_cast<uint64_t>(row) * kRowMul) ^ key);
-  uint64_t s = base;
-  const uint64_t w1 = SplitMix64(s);
-  const uint64_t w2 = SplitMix64(s);
-  const double u1 = (static_cast<double>(w1 >> 11) + 1.0) * 0x1.0p-53;
-  const double u2 = (static_cast<double>(w2 >> 11) + 1.0) * 0x1.0p-53;
-  return StableFromUniforms(p_, u1, u2);
-}
 
 void StableSketch::Update(uint64_t i, double delta) {
   const stream::ScaledUpdate u{i, delta};
@@ -96,11 +79,11 @@ void StableSketch::ApplyBatch(const U* updates, size_t count) {
   }
   const kernels::KernelTable& kernel = kernels::Active();
   for (int j = 0; j < rows_; ++j) {
-    // The whole row inner product is one CauchyPowBatch call: the kernel
-    // regenerates Stable_p(row, i) from row_base ^ key exactly like
-    // StableAtKeyed and accumulates against the deltas. The scalar
-    // backend is bit-identical to the historical loop; SIMD backends
-    // vectorize the p = 1 Cauchy transform (query-equivalent).
+    // The whole row inner product is one cauchy_pow_batch call: the
+    // kernel regenerates Stable_p(row, i) from row_base ^ key and
+    // accumulates against the deltas. Every backend is bit-identical to
+    // the scalar one except at p = 1, whose vectorized Cauchy transform
+    // is query-equivalent.
     const uint64_t row_base =
         seed_ ^ (static_cast<uint64_t>(j) * kRowMul);
     y_[static_cast<size_t>(j)] = kernel.cauchy_pow_batch(

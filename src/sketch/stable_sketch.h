@@ -13,9 +13,11 @@
 // mergeable without storing any per-coordinate state).
 //
 // General-p variables use the Chambers-Mallows-Stuck transform; p = 1
-// (Cauchy) and p = 2 (Gaussian) use their closed forms. The normalizing
+// (Cauchy) and p = 2 (Gaussian) use their closed forms. All three live in
+// the kernel layer (src/kernels/stable_transform.h), whose portable
+// general-p body every backend reproduces bit for bit. The normalizing
 // constant median(|Stable(p)|) is computed once per p by a deterministic
-// offline simulation and cached.
+// offline simulation over that same transform and cached.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,8 @@ namespace lps::sketch {
 double StableMedianAbs(double p);
 
 /// Draws the standard p-stable value determined by two uniforms
-/// u1, u2 in (0,1); deterministic in its inputs.
+/// u1, u2 in (0,1]; deterministic in its inputs, and the very variate the
+/// sketch rows accumulate (kernels::StableFromUniformsImpl).
 double StableFromUniforms(double p, double u1, double u2);
 
 class StableSketch : public LinearSketch {
@@ -72,10 +75,6 @@ class StableSketch : public LinearSketch {
   size_t SpaceBits(int bits_per_counter) const;
 
  private:
-  double StableAt(int row, uint64_t i) const;
-  /// StableAt with the per-item key product (i * kKeyMul) precomputed.
-  double StableAtKeyed(int row, uint64_t key) const;
-
   template <typename U>
   void ApplyBatch(const U* updates, size_t count);
 

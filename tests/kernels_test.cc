@@ -5,7 +5,8 @@
 //     field edge values) under every available backend. Integer/GF kernels
 //     must be bit-exact; cauchy_pow_batch is tolerance-bounded at p = 1
 //     (the one query-equivalent kernel) and bit-exact for p != 1, where
-//     SIMD backends delegate to scalar.
+//     AVX2 runs a lane-for-lane twin of the scalar transform and SSE4.2
+//     calls the scalar one.
 //  2. Whole-sketch: every SketchKind driven through the same stream under
 //     each forced backend and its serialized state compared. The
 //     exact-arithmetic kinds must land bit-identical; the kinds embedding
@@ -244,26 +245,48 @@ TEST(Kernels, CauchyPowBatchToleranceBoundedAtP1) {
 }
 
 TEST(Kernels, CauchyPowBatchBitExactForPNotOne) {
-  // p != 1 delegates to the scalar kernel on every backend (the
-  // exponentiation path has no vector form yet) — bit-identical, not
-  // merely close.
+  // p != 1 is bit-identical on every backend: AVX2 runs a lane-for-lane
+  // twin of the scalar transform and adds the products in stream order,
+  // SSE4.2 calls the scalar kernel — bit-identical, not merely close.
   const size_t kCount = 143;
   const auto keys = FieldInputs(kCount, 666);
   Rng rng(777);
   std::vector<double> deltas(kCount);
   for (double& d : deltas) d = rng.NextDouble() * 4.0 - 2.0;
-  for (double p : {0.5, 1.5, 2.0}) {
-    double want;
-    {
-      ScopedBackend pin(Backend::kScalar);
-      want = Active().cauchy_pow_batch(p, 42, keys.data(), deltas.data(),
-                                       kCount, 1.25);
+  for (double p : {0.25, 0.5, 0.9, 1.1, 1.5, 1.75, 2.0}) {
+    // Counts 1-9 reach every AVX2 tail length, alone and after full quads.
+    for (size_t count : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                         size_t{5}, size_t{6}, size_t{7}, size_t{8},
+                         size_t{9}, kCount}) {
+      double want;
+      {
+        ScopedBackend pin(Backend::kScalar);
+        want = Active().cauchy_pow_batch(p, 42, keys.data(), deltas.data(),
+                                         count, 1.25);
+      }
+      for (Backend bk : SimdBackends()) {
+        ScopedBackend pin(bk);
+        const double got = Active().cauchy_pow_batch(
+            p, 42, keys.data(), deltas.data(), count, 1.25);
+        ASSERT_EQ(want, got) << BackendName(bk) << " p=" << p
+                             << " count=" << count;
+      }
     }
-    for (Backend bk : SimdBackends()) {
+    // One batch fed as two calls, the first's result carried in as the
+    // second's init, lands where the single call does at every split.
+    for (Backend bk : AvailableBackends()) {
       ScopedBackend pin(bk);
-      const double got = Active().cauchy_pow_batch(
+      const double whole = Active().cauchy_pow_batch(
           p, 42, keys.data(), deltas.data(), kCount, 1.25);
-      ASSERT_EQ(want, got) << BackendName(bk) << " p=" << p;
+      for (size_t split = 0; split <= 8; ++split) {
+        const double head = Active().cauchy_pow_batch(
+            p, 42, keys.data(), deltas.data(), split, 1.25);
+        const double got = Active().cauchy_pow_batch(
+            p, 42, keys.data() + split, deltas.data() + split,
+            kCount - split, head);
+        ASSERT_EQ(whole, got) << BackendName(bk) << " p=" << p
+                              << " split=" << split;
+      }
     }
   }
 }

@@ -268,8 +268,9 @@ std::vector<uint64_t> CounterWords(const LpSampler& sampler) {
 
 TEST(LpSampler, BatchLargerThanChunkMatchesPerUpdatePath) {
   // The sampler walks a batch in fixed-size chunks; a batch spanning
-  // several chunks must land where per-update ingestion does. p != 1
-  // keeps every kernel backend on the exact scalar stable transform.
+  // several chunks must land where per-update ingestion does. At p != 1
+  // every kernel backend reproduces the scalar stable transform bit for
+  // bit, so the comparison is exact whichever backend dispatched.
   auto params = BaseParams(4096, 1.5, 0.5, 91);
   params.repetitions = 2;
   const auto stream = stream::UniformTurnstile(params.n, 10000, 50, 92);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/kernels/kernels.h"
@@ -244,6 +245,55 @@ TEST(StableSketch, CauchyAndGaussianClosedForms) {
   const double m05 = StableMedianAbs(0.5);
   EXPECT_GT(m05, 0.0);
   EXPECT_DOUBLE_EQ(StableMedianAbs(0.5), m05);
+}
+
+// Chambers-Mallows-Stuck in long double, with cos(theta) taken as
+// sin(pi (1/2 - |t|)) so the reference keeps full precision at the
+// u1 -> 0 and u1 -> 1 poles, where cos(pi t) of a rounded pi t would not.
+long double CmsReference(long double p, long double u1, long double u2) {
+  const long double pi = 3.141592653589793238462643383279502884L;
+  const long double t = u1 - 0.5L;
+  const long double cos_theta = std::sin(pi * (0.5L - std::abs(t)));
+  const long double w = -std::log(u2);
+  return std::sin(p * pi * t) / std::pow(cos_theta, 1.0L / p) *
+         std::pow(std::cos((1.0L - p) * pi * t) / w, (1.0L - p) / p);
+}
+
+TEST(StableSketch, GeneralPTransformMatchesLongDoubleReference) {
+  // The p != 1 variate the sketches accumulate, against an independent
+  // extended-precision CMS: hashed uniforms the way the kernels draw them,
+  // plus the tails of both uniforms.
+  std::vector<std::pair<double, double>> uniforms;
+  for (uint64_t i = 0; i < 100000; ++i) {
+    uint64_t s = Mix64(i);
+    const uint64_t w1 = SplitMix64(s);
+    const uint64_t w2 = SplitMix64(s);
+    uniforms.emplace_back((static_cast<double>(w1 >> 11) + 1.0) * 0x1.0p-53,
+                          (static_cast<double>(w2 >> 11) + 1.0) * 0x1.0p-53);
+  }
+  for (double u1 : {0x1.0p-53, 1e-6, 1.0 - 1e-8, 1.0 - 0x1.0p-53}) {
+    for (double u2 : {0x1.0p-53, 0.5, 1.0 - 0x1.0p-53}) {
+      uniforms.emplace_back(u1, u2);
+    }
+  }
+  for (double p : {0.25, 0.5, 0.9, 1.1, 1.5, 1.75}) {
+    double worst = 0.0, worst_u1 = 0.0, worst_u2 = 0.0;
+    for (const auto& [u1, u2] : uniforms) {
+      const long double want = CmsReference(p, u1, u2);
+      const double got = StableFromUniforms(p, u1, u2);
+      ASSERT_TRUE(std::isfinite(got)) << "p=" << p << " u1=" << u1;
+      const double err =
+          want == 0.0L ? std::abs(got)
+                       : static_cast<double>(std::abs((got - want) / want));
+      if (err > worst) {
+        worst = err;
+        worst_u1 = u1;
+        worst_u2 = u2;
+      }
+    }
+    EXPECT_LE(worst, 1e-12) << "p=" << p << " worst at u1=" << worst_u1
+                            << " u2=" << worst_u2;
+  }
 }
 
 class StableSketchNorm : public ::testing::TestWithParam<double> {};
