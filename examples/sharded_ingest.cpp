@@ -9,7 +9,7 @@
 // a bounded ring. At query time the replicas merge coordinate-wise into
 // one structure whose answers match single-stream ingestion — the final
 // state is bit-identical for ANY worker count, including the inline
-// threads=0 ShardedDriver mode — then the merged state round-trips
+// threads=0 mode — then the merged state round-trips
 // through a file, the way a shard would ship its summary to an
 // aggregator.
 //
@@ -19,6 +19,7 @@
 
 #include "src/core/lp_sampler.h"
 #include "src/heavy/heavy_hitters.h"
+#include "src/io/bits_io.h"
 #include "src/stream/generators.h"
 #include "src/stream/parallel_pipeline.h"
 #include "src/util/serialize.h"
@@ -95,7 +96,7 @@ int main() {
   hh_replicas[0].Serialize(&writer);
   const char* path = "sharded_heavy.lps";
   if (lps::WriteBitsToFile(writer, path).ok()) {
-    auto reader = lps::ReadBitsFromFile(path);
+    auto reader = lps::io::ReadBitsStreamed(path);
     lps::heavy::CsHeavyHitters::Params empty;
     empty.n = 1;
     lps::heavy::CsHeavyHitters restored(empty);

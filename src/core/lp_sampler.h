@@ -202,7 +202,7 @@ class LpSampler : public LinearSketch {
   /// Logically const but NOT safe to call concurrently on the same object
   /// (per-round snapshot caching + in-place residual estimation; see
   /// LpSamplerRound::Recover). Concurrent deployments query disjoint
-  /// replicas — the ShardedDriver topology — or serialize queries.
+  /// replicas — one per shard — or serialize queries.
   Result<SampleResult> Sample() const;
 
   /// The shared Lemma 2 estimate r (exposed for experiments).

@@ -41,118 +41,65 @@ Result<server::EpochAck> EpochShipper::Ship(const server::EpochBlob& blob) {
 
 Result<std::unique_ptr<Worker>> Worker::Create(Options options) {
   const server::SketchConfig& config = options.config;
-  if (config.shards < 1 || config.shards > 1024) {
-    return Status::InvalidArgument("shards must be in [1, 1024]");
-  }
-  if (config.threads < 0 || config.threads > 1024) {
-    return Status::InvalidArgument("threads must be in [0, 1024]");
-  }
-  const Status valid = ValidateSpec(config.spec);
-  if (!valid.ok()) return valid;
-  std::vector<std::unique_ptr<LinearSketch>> replicas;
-  replicas.reserve(size_t(config.shards));
-  for (int32_t s = 0; s < config.shards; ++s) {
-    auto replica = MakeSketch(config.spec);
-    if (replica == nullptr) {
-      return Status::InvalidArgument("unknown sketch kind");
-    }
-    replicas.push_back(std::move(replica));
-  }
+  // The window lives aggregator-side; its interval only defaults the
+  // epoch length, so aggregator seals align with epoch boundaries.
   uint64_t interval = options.epoch_interval;
   if (interval == 0) interval = config.window_checkpoint;
   if (interval == 0) interval = 8192;
+  stream::StreamState::Options local;
+  local.shards = config.shards;
+  local.threads = config.threads;
+  local.epoch_interval = interval;
+  auto built = stream::StreamState::Create(config.spec, local);
+  if (!built.ok()) return built.status();
   return std::unique_ptr<Worker>(
-      new Worker(std::move(options), interval, std::move(replicas)));
+      new Worker(std::move(options), std::move(built.value())));
 }
 
-Worker::Worker(Options options, uint64_t interval,
-               std::vector<std::unique_ptr<LinearSketch>> replicas)
+Worker::Worker(Options options, std::unique_ptr<stream::StreamState> stream)
     : options_(std::move(options)),
-      interval_(interval),
-      replicas_(std::move(replicas)),
+      stream_(std::move(stream)),
       shipper_(options_.uplink) {
-  const server::SketchConfig& config = options_.config;
-  if (config.shards > 1 || config.threads > 0) {
-    stream::ParallelPipeline::Options pipeline;
-    pipeline.shards = config.shards;
-    pipeline.threads = config.threads;
-    pipeline_ = std::make_unique<stream::ParallelPipeline>(pipeline);
-    std::vector<LinearSketch*> raw;
-    raw.reserve(replicas_.size());
-    for (const auto& replica : replicas_) raw.push_back(replica.get());
-    pipeline_->Add("sketch", std::move(raw));
-  }
+  stream_->set_epoch_hook(
+      [this](uint64_t count) { return ShipEpoch(count, false); });
 }
 
 Status Worker::Push(const stream::Update* updates, size_t count) {
   if (finished_) return Status::Failed("worker already finished");
-  if (const uint64_t bound = EnforcedUniverse(options_.config.spec)) {
-    for (size_t i = 0; i < count; ++i) {
-      if (updates[i].index >= bound) {
-        return Status::InvalidArgument(
-            "update index " + std::to_string(updates[i].index) +
-            " outside universe [0, " + std::to_string(bound) + ")");
-      }
-    }
-  }
-  // Chunk at epoch boundaries so every shipped delta covers exactly
-  // interval_ updates (the same chunking TenantRegistry::Ingest uses to
-  // keep checkpoint positions aligned).
-  const stream::Update* cursor = updates;
-  size_t remaining = count;
-  while (remaining > 0) {
-    const uint64_t room = interval_ - fill_;
-    const size_t chunk = size_t(remaining < room ? remaining : room);
-    if (pipeline_ != nullptr) {
-      pipeline_->Drive(cursor, chunk);
-    } else {
-      replicas_[0]->UpdateBatch(cursor, chunk);
-    }
-    fill_ += chunk;
-    updates_ += chunk;
-    cursor += chunk;
-    remaining -= chunk;
-    if (fill_ == interval_) {
-      const Status shipped = CloseEpoch(/*final_epoch=*/false);
-      if (!shipped.ok()) return shipped;
-    }
-  }
-  return Status::OK();
+  return stream_->Push(updates, count);
 }
 
 Status Worker::Finish() {
   if (finished_) return Status::OK();
   // Ship the partial tail — even an empty one, as the clean-end marker.
-  const Status shipped = CloseEpoch(/*final_epoch=*/true);
+  stream_->Quiesce();
+  const Status shipped = ShipEpoch(stream_->epoch_fill(), true);
   if (!shipped.ok()) return shipped;
   finished_ = true;
   return Status::OK();
 }
 
-Status Worker::CloseEpoch(bool final_epoch) {
-  if (pipeline_ != nullptr) pipeline_->MergeShards();
+Status Worker::ShipEpoch(uint64_t count, bool final_epoch) {
   server::EpochBlob blob;
   blob.tenant = options_.tenant;
   blob.key = options_.key;
   blob.worker_id = options_.worker_id;
   blob.session = options_.session;
   blob.seq = seq_;
-  blob.count = fill_;
+  blob.count = count;
   blob.final_epoch = final_epoch;
   blob.config = options_.config;
   BitWriter state;
-  replicas_[0]->Serialize(&state);
+  stream_->sketch().Serialize(&state);
   blob.state_words = state.words();
   blob.state_bits = state.bit_count();
   // Reset BEFORE shipping: replica 0 must restart from zero so the next
   // epoch is again a pure delta. The blob keeps the serialized bytes,
   // so a reconnect re-send needs no sketch state.
-  replicas_[0]->Reset();
-  fill_ = 0;
+  stream_->sketch().Reset();
   Result<server::EpochAck> acked = shipper_.Ship(blob);
   if (!acked.ok()) return acked.status();
   ++seq_;
-  ++epochs_;
   return Status::OK();
 }
 

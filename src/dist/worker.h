@@ -1,10 +1,9 @@
 // Worker — the ingest half of the distributed aggregation tier.
 //
-// A Worker owns one stream's LOCAL ingestion topology (k identically-
-// seeded replicas, optionally driven by a ParallelPipeline — the same
-// composition TenantRegistry builds server-side) and turns it into a
-// sequence of epoch DELTAS: every `epoch_interval` updates it merges
-// its shards, serializes replica 0, Reset()s it, and ships the
+// A Worker owns one stream's LOCAL ingestion topology (a
+// stream::StreamState, the same one TenantRegistry builds server-side)
+// and turns it into a sequence of epoch DELTAS: at every epoch boundary
+// the state's hook serializes replica 0, Reset()s it, and ships the
 // serialized state upstream as an EpochBlob over the lps_serve frame
 // protocol. Because replica 0 restarts from zero after every ship, each
 // blob carries exactly one epoch's worth of stream, and the aggregator
@@ -29,8 +28,7 @@
 
 #include "src/server/client.h"
 #include "src/server/protocol.h"
-#include "src/stream/linear_sketch.h"
-#include "src/stream/parallel_pipeline.h"
+#include "src/stream/stream_state.h"
 #include "src/stream/update.h"
 #include "src/util/status.h"
 
@@ -88,8 +86,12 @@ class Worker {
   };
 
   /// Validates the spec/topology (same bounds as the server's CREATE)
-  /// and builds the replicas + optional pipeline.
+  /// and builds the local stream.
   static Result<std::unique_ptr<Worker>> Create(Options options);
+
+  // The stream's epoch hook holds `this`.
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
 
   /// Appends updates to the local stream, sealing and shipping an epoch
   /// at every epoch_interval boundary. Fails on an out-of-universe
@@ -105,25 +107,20 @@ class Worker {
   /// ended cleanly). The worker is done afterwards; Push fails.
   Status Finish();
 
-  uint64_t epochs_shipped() const { return epochs_; }
-  uint64_t updates_pushed() const { return updates_; }
+  uint64_t epochs_shipped() const { return seq_; }
+  uint64_t updates_pushed() const { return stream_->updates_seen(); }
 
  private:
-  Worker(Options options, uint64_t interval,
-         std::vector<std::unique_ptr<LinearSketch>> replicas);
+  Worker(Options options, std::unique_ptr<stream::StreamState> stream);
 
-  /// Merge shards, serialize replica 0's delta, Reset it, ship.
-  Status CloseEpoch(bool final_epoch);
+  /// Serializes replica 0's delta of `count` updates (the stream is
+  /// quiesced), Resets it, ships.
+  Status ShipEpoch(uint64_t count, bool final_epoch);
 
   Options options_;
-  uint64_t interval_;
-  std::vector<std::unique_ptr<LinearSketch>> replicas_;
-  std::unique_ptr<stream::ParallelPipeline> pipeline_;  // null = inline
+  std::unique_ptr<stream::StreamState> stream_;
   EpochShipper shipper_;
-  uint64_t fill_ = 0;  ///< updates in the currently open epoch
   uint64_t seq_ = 0;
-  uint64_t epochs_ = 0;
-  uint64_t updates_ = 0;
   bool finished_ = false;
 };
 

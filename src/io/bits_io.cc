@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 namespace lps::io {
@@ -35,6 +36,13 @@ Result<BitReader> ReadBitsStreamed(ByteSource* source) {
         return Status::InvalidArgument("not an lps bit-stream file");
       }
       declared_bits = header[1];
+      // (bits + 63) / 64 wraps to 0 words for bits >= 2^64 - 63, which
+      // would let a 16-byte file reach BitReader's size CHECK.
+      if (declared_bits > ~uint64_t{0} - 63) {
+        return Status::InvalidArgument("bit-stream file declares " +
+                                       std::to_string(declared_bits) +
+                                       " bits");
+      }
       declared_words = static_cast<size_t>((declared_bits + 63) / 64);
       words.reserve(std::min<size_t>(declared_words, size_t{1} << 16));
       have_header = true;

@@ -1,15 +1,14 @@
 // Streamed reader for the on-disk bit-stream container
-// (WriteBitsToFile's magic + bit count + packed words) — the ByteSource
-// replacement for util's ReadBitsFromFile, which slurps the whole file
-// with one fread. Here the container flows through the prefetch ring in
-// bounded chunks, and — unlike the slurp — nothing is allocated from the
-// header's CLAIMED size: the words vector grows with bytes actually
-// delivered and the claim is checked against it, so a corrupt header
-// can neither over-allocate nor walk past the data. The decoded
-// BitReader still owns the full word vector (sketch state is queried in
-// RAM — that residency bound is inherent to the container, see
-// docs/operations.md), but peak transient memory is words + one ring,
-// not words + a second whole-file buffer.
+// (WriteBitsToFile's magic + bit count + packed words) — the one way to
+// load it. The container flows through the prefetch ring in bounded
+// chunks, and nothing is allocated from the header's CLAIMED size: the
+// words vector grows with bytes actually delivered and the claim is
+// checked against it, so a corrupt header can neither over-allocate nor
+// walk past the data. The decoded BitReader still owns the full word
+// vector (sketch state is queried in RAM — that residency bound is
+// inherent to the container, see docs/operations.md), but peak
+// transient memory is words + one ring, not words + a second whole-file
+// buffer.
 #pragma once
 
 #include <string>

@@ -1,6 +1,5 @@
 #include "src/io/stream_feeder.h"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -177,50 +176,10 @@ Result<FeedStats> StreamFeeder::Feed(const BatchSink& sink) {
 
 // ------------------------------------------------------------ PipelineSink --
 
-PipelineSink::PipelineSink(stream::ParallelPipeline* pipeline,
-                           stream::WindowManager* window,
-                           uint64_t epoch_interval)
-    : pipeline_(pipeline), window_(window), interval_(epoch_interval) {
-  LPS_CHECK(pipeline_ != nullptr);
-  // A window manager needs epoch boundaries to seal checkpoints at.
-  LPS_CHECK(window_ == nullptr || interval_ > 0);
-}
-
-void PipelineSink::CloseEpoch(uint64_t count) {
-  pipeline_->MergeShards();
-  if (window_ != nullptr) window_->SealEpoch(count);
-}
-
 void PipelineSink::operator()(const stream::Update* updates, size_t count) {
-  while (count > 0) {
-    size_t take = count;
-    if (interval_ > 0) {
-      take = static_cast<size_t>(
-          std::min<uint64_t>(count, interval_ - fill_));
-    }
-    pipeline_->PushBatch(updates, take);
-    updates += take;
-    count -= take;
-    updates_ += take;
-    if (interval_ > 0) {
-      fill_ += take;
-      if (fill_ == interval_) {
-        CloseEpoch(interval_);
-        fill_ = 0;
-      }
-    }
-  }
-}
-
-void PipelineSink::Finish() {
-  if (interval_ == 0) {
-    CloseEpoch(updates_);
-    return;
-  }
-  if (fill_ > 0) {
-    CloseEpoch(fill_);
-    fill_ = 0;
-  }
+  const Status pushed = state_.Push(updates, count);
+  // Cannot fail: a non-owning state has no universe bound and no hook.
+  LPS_CHECK(pushed.ok());
 }
 
 }  // namespace lps::io

@@ -16,12 +16,8 @@
 // the same reasons the pipeline is bit-identical across thread counts
 // (tests/io_test.cc holds serialized state equal across the matrix).
 //
-// PipelineSink is the epoch-exact composition: it feeds a
-// ParallelPipeline, closing an epoch (MergeShards + WindowManager::
-// SealEpoch) every `epoch_interval` updates with batches split exactly
-// at the boundary — the same positions solo ingestion would seal, which
-// is what keeps sharded+threaded+async windows bit-identical for the
-// integer-counter kinds.
+// PipelineSink adapts a caller's ParallelPipeline (and window) to a
+// BatchSink through stream::StreamState's seal rule.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +27,7 @@
 #include "src/io/byte_source.h"
 #include "src/io/update_decoder.h"
 #include "src/stream/parallel_pipeline.h"
+#include "src/stream/stream_state.h"
 #include "src/stream/update.h"
 #include "src/stream/window_manager.h"
 #include "src/util/status.h"
@@ -99,31 +96,25 @@ class StreamFeeder {
   bool source_done_ = false;
 };
 
-/// A BatchSink feeding a ParallelPipeline in exact epochs. With
-/// epoch_interval == 0 there are no intermediate epochs: Finish() merges
-/// once (whole-stream ingest). With epoch_interval k, every k-th update
-/// closes an epoch — MergeShards(), then SealEpoch(k) on the window
-/// manager when one is attached — and Finish() closes the trailing
-/// partial epoch. Pass the object by std::ref when handing it to Feed.
+/// A BatchSink feeding a ParallelPipeline in exact epochs: a non-owning
+/// stream::StreamState over the pipeline and the optional window. With
+/// epoch_interval == 0 there are no intermediate epochs and Finish()
+/// merges once; with k, every k-th update closes an epoch. Pass the
+/// object by std::ref when handing it to Feed.
 class PipelineSink {
  public:
   PipelineSink(stream::ParallelPipeline* pipeline,
-               stream::WindowManager* window, uint64_t epoch_interval);
+               stream::WindowManager* window, uint64_t epoch_interval)
+      : state_(pipeline, window, epoch_interval) {}
 
   void operator()(const stream::Update* updates, size_t count);
   /// Closes the trailing (partial) epoch; call after Feed returns.
-  void Finish();
+  void Finish() { state_.Quiesce(); }
 
-  uint64_t updates() const { return updates_; }
+  uint64_t updates() const { return state_.updates_seen(); }
 
  private:
-  void CloseEpoch(uint64_t count);
-
-  stream::ParallelPipeline* pipeline_;
-  stream::WindowManager* window_;
-  uint64_t interval_;
-  uint64_t fill_ = 0;      // updates since the last epoch boundary
-  uint64_t updates_ = 0;
+  stream::StreamState state_;
 };
 
 }  // namespace lps::io

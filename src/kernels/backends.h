@@ -19,8 +19,4 @@ const KernelTable* Sse4Table();
 /// AVX2 four-lane backend; nullptr unless built with -mavx2 on x86.
 const KernelTable* Avx2Table();
 
-/// NEON stub: currently always nullptr, so aarch64 builds dispatch to the
-/// scalar reference. A real NEON port replaces this getter only.
-const KernelTable* NeonTable();
-
 }  // namespace lps::kernels::internal

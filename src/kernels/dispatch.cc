@@ -56,9 +56,6 @@ const KernelTable* UsableTable(Backend backend) {
 }
 
 const KernelTable* Widest() {
-  // aarch64 note: NeonTable() is a stub returning nullptr, so ARM builds
-  // land on the scalar reference until a real NEON port replaces it.
-  if (const KernelTable* t = internal::NeonTable()) return t;
   if (const KernelTable* t = UsableTable(Backend::kAvx2)) return t;
   if (const KernelTable* t = UsableTable(Backend::kSse4)) return t;
   return internal::ScalarTable();

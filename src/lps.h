@@ -11,15 +11,18 @@
 //   Ingestion         stream::StreamDriver (single-threaded batching),
 //                     stream::ParallelPipeline (thread-per-shard runtime),
 //                     stream::WindowManager (sliding windows by
-//                     subtraction), io::StreamFeeder over io::ByteSource
-//                     (async file/socket ingest overlapping read, decode,
-//                     and sketching — see docs/io.md)
+//                     subtraction), stream::StreamState (replicas +
+//                     pipeline + window of one SketchSpec, sealed at the
+//                     positions solo ingestion would), io::StreamFeeder
+//                     over io::ByteSource (async file/socket ingest
+//                     overlapping read, decode, and sketching — see
+//                     docs/io.md)
 //   Queries           Query(sketch) -> QueryResult, the tagged answer
 //                     type shared by the CLI, the server wire protocol,
 //                     and the examples
 //   Persistence       LinearSketch::Serialize/Deserialize,
 //                     DeserializeAnySketch, WriteBitsToFile/
-//                     ReadBitsFromFile
+//                     io::ReadBitsStreamed
 //   Workloads         stream::generators + trace reading/writing, and
 //                     stream::ExactVector as the test oracle
 //
@@ -50,6 +53,7 @@
 #include "src/stream/linear_sketch.h"
 #include "src/stream/parallel_pipeline.h"
 #include "src/stream/stream_driver.h"
+#include "src/stream/stream_state.h"
 #include "src/stream/trace.h"
 #include "src/stream/update.h"
 #include "src/stream/window_manager.h"

@@ -10,12 +10,6 @@ namespace lps::server {
 
 namespace {
 
-// Low 16 bits of every serialized sketch ("LS"), used to pre-validate
-// snapshot blobs with a plain integer test — the BitReader/Deserialize
-// path CHECK-aborts on corrupt state, which a daemon must not do on
-// behalf of a client.
-constexpr uint64_t kSketchMagic = 0x4C53;
-
 // record_kind tags for tenant records in the checkpoint store. Window
 // delta records live under a different key prefix ("w:" vs "t:") with
 // their own tag, so the namespaces cannot collide.
@@ -64,39 +58,21 @@ void TenantRegistry::AttachStore(persist::CheckpointStore* store,
 }
 
 Result<std::shared_ptr<TenantRegistry::Entry>> TenantRegistry::BuildEntry(
-    const SketchConfig& config) {
-  if (config.shards < 1 || config.shards > 1024) {
-    return Status::InvalidArgument("shards must be in [1, 1024]");
-  }
-  if (config.threads < 0 || config.threads > 1024) {
-    return Status::InvalidArgument("threads must be in [0, 1024]");
-  }
-  // The spec arrived from the wire: out-of-range values would CHECK-
-  // abort inside the sketch constructors, so they must be rejected
-  // here, as a response the client can read.
-  const Status valid = ValidateSpec(config.spec);
-  if (!valid.ok()) return valid;
+    const SketchConfig& config, const SnapshotBlob* blob) {
+  stream::StreamState::Options options;
+  options.shards = config.shards;
+  options.threads = config.threads;
+  options.window_checkpoint = config.window_checkpoint;
+  options.max_checkpoints = size_t(config.max_checkpoints);
+  auto built = blob == nullptr
+                   ? stream::StreamState::Create(config.spec, options)
+                   : stream::StreamState::Restore(
+                         config.spec, options, blob->state_words,
+                         blob->state_bits, blob->updates_seen);
+  if (!built.ok()) return built.status();
   auto entry = std::make_shared<Entry>();
   entry->config = config;
-  entry->replicas.reserve(size_t(config.shards));
-  for (int32_t s = 0; s < config.shards; ++s) {
-    auto replica = MakeSketch(config.spec);
-    if (replica == nullptr) {
-      return Status::InvalidArgument("unknown sketch kind");
-    }
-    entry->replicas.push_back(std::move(replica));
-  }
-  if (config.shards > 1 || config.threads > 0) {
-    stream::ParallelPipeline::Options options;
-    options.shards = config.shards;
-    options.threads = config.threads;
-    entry->pipeline =
-        std::make_unique<stream::ParallelPipeline>(options);
-    std::vector<LinearSketch*> raw;
-    raw.reserve(entry->replicas.size());
-    for (const auto& replica : entry->replicas) raw.push_back(replica.get());
-    entry->pipeline->Add("sketch", std::move(raw));
-  }
+  entry->stream = std::move(built.value());
   return entry;
 }
 
@@ -133,7 +109,8 @@ std::shared_ptr<TenantRegistry::Entry> TenantRegistry::FindLive(
 
 void TenantRegistry::AttachEntrySpill(Entry* entry,
                                       const std::string& map_key) {
-  if (store_ == nullptr || entry->window == nullptr ||
+  stream::WindowManager* window = entry->stream->window();
+  if (store_ == nullptr || window == nullptr ||
       persist_options_.resident_checkpoints == 0) {
     return;
   }
@@ -142,22 +119,20 @@ void TenantRegistry::AttachEntrySpill(Entry* entry,
   spill.stream_key = "w:" + map_key;
   spill.resident_checkpoints = persist_options_.resident_checkpoints;
   spill.keyframe_interval = persist_options_.keyframe_interval;
-  entry->window->AttachSpill(std::move(spill));
+  window->AttachSpill(std::move(spill));
 }
 
 Status TenantRegistry::Create(const std::string& tenant,
                               const std::string& key,
                               const SketchConfig& config) {
-  auto built = BuildEntry(config);
+  return Insert(tenant, key, BuildEntry(config, nullptr));
+}
+
+Status TenantRegistry::Insert(const std::string& tenant,
+                              const std::string& key,
+                              Result<std::shared_ptr<Entry>> built) {
   if (!built.ok()) return built.status();
-  std::shared_ptr<Entry> entry = *built;
-  if (config.window_checkpoint > 0) {
-    stream::WindowManager::Options options;
-    options.checkpoint_interval = config.window_checkpoint;
-    options.max_checkpoints = size_t(config.max_checkpoints);
-    entry->window = std::make_unique<stream::WindowManager>(
-        entry->replicas[0].get(), options);
-  }
+  std::shared_ptr<Entry> entry = std::move(built.value());
   const std::string map_key = MapKey(tenant, key);
   entry->tenant = tenant;
   entry->key = key;
@@ -180,53 +155,12 @@ Result<uint64_t> TenantRegistry::Ingest(
   if (entry == nullptr) {
     return Status::InvalidArgument("no such sketch: " + tenant + "/" + key);
   }
-  // The sampler/recovery kinds CHECK index < n on every update; an
-  // out-of-universe index from the wire must be an error response, not
-  // a daemon abort.
-  if (const uint64_t bound = EnforcedUniverse(entry->config.spec)) {
-    for (const stream::Update& update : updates) {
-      if (update.index >= bound) {
-        return Status::InvalidArgument(
-            "update index " + std::to_string(update.index) +
-            " outside universe [0, " + std::to_string(bound) + ")");
-      }
-    }
-  }
+  const Status pushed = entry->stream->Push(updates.data(), updates.size());
+  if (!pushed.ok()) return pushed;
   entry->last_touch_ms = NowMs();
-  if (entry->pipeline != nullptr) {
-    if (entry->window != nullptr) {
-      // Close pipeline epochs exactly at checkpoint boundaries so the
-      // sealed positions match a single-process WindowManager fed the
-      // same stream (the bit-identity contract).
-      const uint64_t interval = entry->window->checkpoint_interval();
-      const stream::Update* cursor = updates.data();
-      size_t remaining = updates.size();
-      while (remaining > 0) {
-        const uint64_t room = interval - entry->epoch_fill;
-        const size_t chunk = size_t(remaining < room ? remaining : room);
-        entry->pipeline->Drive(cursor, chunk);
-        entry->epoch_fill += chunk;
-        cursor += chunk;
-        remaining -= chunk;
-        if (entry->epoch_fill == interval) {
-          entry->pipeline->MergeShards();
-          entry->window->SealEpoch(interval);
-          entry->epoch_fill = 0;
-        }
-      }
-    } else {
-      entry->pipeline->Drive(updates.data(), updates.size());
-      entry->epoch_fill += updates.size();
-    }
-  } else if (entry->window != nullptr) {
-    entry->window->PushBatch(updates.data(), updates.size());
-  } else {
-    entry->replicas[0]->UpdateBatch(updates.data(), updates.size());
-  }
-  entry->updates_seen += updates.size();
   updates_.fetch_add(updates.size(), std::memory_order_relaxed);
   ingests_.fetch_add(1, std::memory_order_relaxed);
-  return entry->updates_seen;
+  return entry->stream->updates_seen();
 }
 
 Status TenantRegistry::FoldEpoch(const std::string& tenant,
@@ -260,30 +194,13 @@ Status TenantRegistry::FoldEpoch(const std::string& tenant,
     return Status::InvalidArgument("epoch spec does not match stream " +
                                    tenant + "/" + key);
   }
-  // Mixed ingest (direct INGEST plus folded epochs) must not fold into
-  // a replica that lags an open pipeline epoch.
-  Quiesce(entry.get());
+  // Fold quiesces first: mixed ingest (direct INGEST plus folded
+  // epochs) must not fold into a replica that lags an open epoch.
   entry->last_touch_ms = NowMs();
-  entry->replicas[0]->Merge(delta);
-  if (entry->window != nullptr && count > 0) {
-    // Checkpoint positions reflect fold ARRIVAL order across workers —
-    // window starts are aggregator-local, only the whole prefix is
-    // order-independent (docs/architecture.md, failure semantics).
-    entry->window->SealEpoch(count);
-  }
-  entry->updates_seen += count;
+  entry->stream->Fold(delta, count);
   updates_.fetch_add(count, std::memory_order_relaxed);
   ingests_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
-}
-
-void TenantRegistry::Quiesce(Entry* entry) {
-  if (entry->pipeline == nullptr || entry->epoch_fill == 0) return;
-  entry->pipeline->MergeShards();
-  if (entry->window != nullptr) {
-    entry->window->SealEpoch(entry->epoch_fill);
-  }
-  entry->epoch_fill = 0;
 }
 
 Result<QueryResult> TenantRegistry::Query(const std::string& tenant,
@@ -294,9 +211,9 @@ Result<QueryResult> TenantRegistry::Query(const std::string& tenant,
     return Status::InvalidArgument("no such sketch: " + tenant + "/" + key);
   }
   entry->last_touch_ms = NowMs();
-  Quiesce(entry.get());
+  entry->stream->Quiesce();
   queries_.fetch_add(1, std::memory_order_relaxed);
-  return lps::Query(*entry->replicas[0]);
+  return lps::Query(entry->stream->sketch());
 }
 
 Result<TenantRegistry::WindowAnswer> TenantRegistry::Window(
@@ -307,13 +224,14 @@ Result<TenantRegistry::WindowAnswer> TenantRegistry::Window(
   if (entry == nullptr) {
     return Status::InvalidArgument("no such sketch: " + tenant + "/" + key);
   }
-  if (entry->window == nullptr) {
+  const stream::WindowManager* manager = entry->stream->window();
+  if (manager == nullptr) {
     return Status::InvalidArgument("windowing not enabled for " + tenant +
                                    "/" + key);
   }
   entry->last_touch_ms = NowMs();
-  Quiesce(entry.get());
-  stream::WindowManager::Window window = entry->window->WindowSketch(w);
+  entry->stream->Quiesce();
+  stream::WindowManager::Window window = manager->WindowSketch(w);
   WindowAnswer answer;
   answer.result = lps::Query(*window.sketch);
   answer.start = window.start;
@@ -336,91 +254,26 @@ Result<SnapshotBlob> TenantRegistry::Snapshot(const std::string& tenant,
     return Status::InvalidArgument("no such sketch: " + tenant + "/" + key);
   }
   entry->last_touch_ms = NowMs();
-  Quiesce(entry.get());
-  SnapshotBlob blob;
-  blob.config = entry->config;
-  blob.updates_seen = entry->updates_seen;
-  BitWriter writer;
-  entry->replicas[0]->Serialize(&writer);
-  blob.state_words = writer.words();
-  blob.state_bits = writer.bit_count();
   snapshots_.fetch_add(1, std::memory_order_relaxed);
-  return blob;
+  return SnapshotLocked(entry.get());
 }
 
-Result<std::shared_ptr<TenantRegistry::Entry>> TenantRegistry::BuildFromSnapshot(
-    const SnapshotBlob& blob) {
-  // Pre-validate the state head with plain integer tests: Deserialize
-  // CHECK-aborts on corrupt state, which must stay unreachable from the
-  // wire (and from a store record damaged below the CRC's notice).
-  if (blob.state_bits < 32 || blob.state_words.empty() ||
-      blob.state_words.size() < (blob.state_bits + 63) / 64) {
-    return Status::InvalidArgument("snapshot state truncated");
-  }
-  const uint64_t head = blob.state_words[0];
-  if ((head & 0xFFFF) != kSketchMagic) {
-    return Status::InvalidArgument("snapshot state is not a serialized sketch");
-  }
-  const auto state_kind = uint32_t((head >> 16) & 0xFF);
-  if (state_kind != uint32_t(blob.config.spec.kind)) {
-    return Status::InvalidArgument(
-        "snapshot state kind does not match its config");
-  }
-  const auto version = uint32_t((head >> 24) & 0xFF);
-  if (version < 1 || version > kSketchFormatVersion) {
-    return Status::InvalidArgument("snapshot state version unsupported");
-  }
-
-  auto built = BuildEntry(blob.config);
-  if (!built.ok()) return built.status();
-  std::shared_ptr<Entry> entry = *built;
-  // Serialized size and the leading word (header + first parameter
-  // bits) are pure functions of the config — counters only change
-  // values, never layout. A fresh replica of the same (already
-  // validated) config is therefore an exact template for both, which
-  // rejects truncated, padded, or version-skewed state before
-  // Deserialize walks it.
-  BitWriter probe;
-  entry->replicas[0]->Serialize(&probe);
-  if (blob.state_bits != probe.bit_count() ||
-      blob.state_words[0] != probe.words()[0]) {
-    return Status::InvalidArgument(
-        "snapshot state does not match its declared config");
-  }
-  BitReader reader(blob.state_words, blob.state_bits);
-  entry->replicas[0]->Deserialize(&reader);
-  entry->updates_seen = blob.updates_seen;
-  // Attach windowing AFTER the restore so the restored prefix becomes
-  // checkpoint position 0: the snapshot is the stream's new origin, and
-  // windows reach back at most to the restore point.
-  if (blob.config.window_checkpoint > 0) {
-    stream::WindowManager::Options options;
-    options.checkpoint_interval = blob.config.window_checkpoint;
-    options.max_checkpoints = size_t(blob.config.max_checkpoints);
-    entry->window = std::make_unique<stream::WindowManager>(
-        entry->replicas[0].get(), options);
-  }
-  return entry;
+SnapshotBlob TenantRegistry::SnapshotLocked(Entry* entry) {
+  entry->stream->Quiesce();
+  SnapshotBlob blob;
+  blob.config = entry->config;
+  blob.updates_seen = entry->stream->updates_seen();
+  BitWriter state;
+  entry->stream->sketch().Serialize(&state);
+  blob.state_words = state.words();
+  blob.state_bits = state.bit_count();
+  return blob;
 }
 
 Status TenantRegistry::Restore(const std::string& tenant,
                                const std::string& key,
                                const SnapshotBlob& blob) {
-  auto built = BuildFromSnapshot(blob);
-  if (!built.ok()) return built.status();
-  std::shared_ptr<Entry> entry = *built;
-  const std::string map_key = MapKey(tenant, key);
-  entry->tenant = tenant;
-  entry->key = key;
-  entry->last_touch_ms = NowMs();
-  AttachEntrySpill(entry.get(), map_key);
-  MapShard& shard = ShardFor(map_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (!shard.entries.emplace(map_key, std::move(entry)).second) {
-    return Status::InvalidArgument("sketch already exists: " + tenant + "/" +
-                                   key);
-  }
-  return Status::OK();
+  return Insert(tenant, key, BuildEntry(blob.config, &blob));
 }
 
 Status TenantRegistry::Drop(const std::string& tenant, const std::string& key) {
@@ -457,22 +310,15 @@ Status TenantRegistry::Drop(const std::string& tenant, const std::string& key) {
 
 Status TenantRegistry::PersistEntryLocked(Entry* entry,
                                           const std::string& map_key) {
-  Quiesce(entry);
   BitWriter writer;
   WriteString(&writer, entry->tenant);
   WriteString(&writer, entry->key);
-  SnapshotBlob blob;
-  blob.config = entry->config;
-  blob.updates_seen = entry->updates_seen;
-  BitWriter state;
-  entry->replicas[0]->Serialize(&state);
-  blob.state_words = state.words();
-  blob.state_bits = state.bit_count();
+  const SnapshotBlob blob = SnapshotLocked(entry);
   SerializeSnapshot(blob, &writer);
   const std::vector<uint8_t> payload = PackBits(writer);
   const Status st = store_->Append("t:" + map_key, kTenantSnapshotRecord,
                                    payload.data(), payload.size());
-  if (st.ok()) entry->persisted_updates = entry->updates_seen;
+  if (st.ok()) entry->persisted_updates = blob.updates_seen;
   return st;
 }
 
@@ -482,7 +328,8 @@ size_t TenantRegistry::PersistTenants(bool only_dirty) {
   for (auto& [map_key, entry] : AllEntries()) {
     std::lock_guard<std::mutex> lock(entry->mutex);
     if (entry->evicted) continue;
-    if (only_dirty && entry->updates_seen == entry->persisted_updates) {
+    if (only_dirty &&
+        entry->stream->updates_seen() == entry->persisted_updates) {
       continue;
     }
     if (PersistEntryLocked(entry.get(), map_key).ok()) ++written;
@@ -500,7 +347,7 @@ size_t TenantRegistry::EvictIdle(uint64_t idle_timeout_ms) {
     std::lock_guard<std::mutex> lock(entry->mutex);
     if (entry->evicted) continue;
     if (now < entry->last_touch_ms + idle_timeout_ms) continue;
-    if (entry->updates_seen != entry->persisted_updates) {
+    if (entry->stream->updates_seen() != entry->persisted_updates) {
       // An eviction that cannot persist must not happen: the entry stays
       // resident rather than lose its updates.
       if (!PersistEntryLocked(entry.get(), map_key).ok()) continue;
@@ -541,14 +388,14 @@ std::shared_ptr<TenantRegistry::Entry> TenantRegistry::RehydrateTenant(
   // under — a mismatch means the record was damaged below the CRC's
   // notice or misfiled, either way unusable.
   if (reader.failed() || MapKey(tenant, key) != map_key) return nullptr;
-  auto built = BuildFromSnapshot(blob);
+  auto built = BuildEntry(blob.config, &blob);
   if (!built.ok()) return nullptr;
-  std::shared_ptr<Entry> entry = *built;
+  std::shared_ptr<Entry> entry = std::move(built.value());
   entry->tenant = tenant;
   entry->key = key;
   entry->last_touch_ms = NowMs();
   // The snapshot we just rebuilt from IS the persisted state.
-  entry->persisted_updates = entry->updates_seen;
+  entry->persisted_updates = blob.updates_seen;
   AttachEntrySpill(entry.get(), map_key);
   MapShard& shard = ShardFor(map_key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -601,9 +448,9 @@ ServerStats TenantRegistry::Stats() const {
     std::lock_guard<std::mutex> lock(entry->mutex);
     TenantPersistStats tenant;
     tenant.name = entry->tenant + "/" + entry->key;
-    if (entry->window != nullptr) {
-      tenant.resident_bytes = entry->window->CheckpointBytes();
-      tenant.spilled_bytes = entry->window->SpilledBytes();
+    if (const stream::WindowManager* window = entry->stream->window()) {
+      tenant.resident_bytes = window->CheckpointBytes();
+      tenant.spilled_bytes = window->SpilledBytes();
     }
     tenant.resident = true;
     stats.resident_bytes += tenant.resident_bytes;

@@ -1,12 +1,9 @@
 // TenantRegistry — the named-sketch store behind lps_serve.
 //
-// Each (tenant, key) pair owns one logical sketch plus its ingestion
-// topology: k identically-seeded replicas (built through the MakeSketch
-// registry from the CREATE request's SketchSpec), optionally a
-// ParallelPipeline driving them from worker threads, optionally a
-// WindowManager giving the stream trailing-window queries by sketch
-// subtraction. The registry is the only layer that knows how those
-// existing runtimes compose — the transport layer above it just decodes
+// Each (tenant, key) pair owns one stream::StreamState built from the
+// CREATE request's SketchSpec and topology (replicas, optional pipeline,
+// optional window — sealed at the positions solo ingestion would, see
+// src/stream/stream_state.h). The transport layer above just decodes
 // frames and calls one method per opcode.
 //
 // Concurrency model (two levels, both sized for many tenants):
@@ -17,25 +14,15 @@
 //     traffic for different tenants rarely contends. Lookups copy the
 //     shared_ptr and release the shard lock immediately.
 //   - Each entry has its own mutex serializing ingest/query/snapshot on
-//     that one stream — exactly the external serialization the
-//     ParallelPipeline producer side and the WindowManager demand. Two
-//     tenants never share an entry lock, so 64 tenants ingest on 64
-//     connections with no shared mutable state beyond the stats
-//     counters (atomics). DROP under a concurrent operation is safe:
-//     the operation's shared_ptr keeps the entry alive until it
+//     that one stream — exactly the external serialization StreamState
+//     demands. Two tenants never share an entry lock, so 64 tenants
+//     ingest on 64 connections with no shared mutable state beyond the
+//     stats counters (atomics). DROP under a concurrent operation is
+//     safe: the operation's shared_ptr keeps the entry alive until it
 //     returns.
 //
-// Epoch sealing (how WINDOW composes with a pipeline): replica 0 holds
-// the whole prefix only after MergeShards(), so checkpoints are sealed
-// at epoch boundaries. Ingest drives checkpoint-interval-sized chunks
-// and closes an epoch (MergeShards + SealEpoch) exactly at each
-// boundary — therefore a server-side stream and a single-process
-// WindowManager fed the same updates seal checkpoints at the SAME
-// positions, and for exact-arithmetic kinds the materialized windows
-// are bit-identical (tests/server_test.cc proves it against a solo
-// WindowManager). Queries arriving mid-epoch quiesce first: the partial
-// epoch is merged and sealed, which may add a checkpoint at an
-// unaligned position — window starts then round to it, never past it.
+// Queries, snapshots and folds quiesce the stream first, so a sharded
+// tenant's replica 0 and window are current when read.
 #pragma once
 
 #include <atomic>
@@ -49,9 +36,8 @@
 #include "src/persist/checkpoint_store.h"
 #include "src/server/protocol.h"
 #include "src/stream/linear_sketch.h"
-#include "src/stream/parallel_pipeline.h"
+#include "src/stream/stream_state.h"
 #include "src/stream/update.h"
-#include "src/stream/window_manager.h"
 #include "src/util/status.h"
 
 namespace lps::server {
@@ -107,11 +93,10 @@ class TenantRegistry {
   Status Create(const std::string& tenant, const std::string& key,
                 const SketchConfig& config);
 
-  /// Appends a batch of updates to the stream. Routed through the
-  /// entry's pipeline when one is configured, else applied inline;
-  /// window checkpoints are sealed at exact checkpoint_interval
-  /// positions either way. Returns the stream's updates_seen after the
-  /// batch (the cumulative position INGEST_SYNC acks report).
+  /// Appends a batch of updates to the stream. InvalidArgument for an
+  /// index outside the spec's universe. Returns the stream's
+  /// updates_seen after the batch (the cumulative position INGEST_SYNC
+  /// acks report).
   Result<uint64_t> Ingest(const std::string& tenant, const std::string& key,
                           const std::vector<stream::Update>& updates);
 
@@ -154,19 +139,11 @@ class TenantRegistry {
   ServerStats Stats() const;
 
  private:
-  /// One (tenant, key) stream. Member order matters for destruction:
-  /// the pipeline references the replicas and the window manager
-  /// references replica 0, so both must die before `replicas` does.
+  /// One (tenant, key) stream.
   struct Entry {
     std::mutex mutex;
     SketchConfig config;
-    std::vector<std::unique_ptr<LinearSketch>> replicas;
-    std::unique_ptr<stream::ParallelPipeline> pipeline;  // null = inline
-    std::unique_ptr<stream::WindowManager> window;       // null = no windows
-    uint64_t updates_seen = 0;
-    /// Updates driven into the pipeline since the last MergeShards —
-    /// replica 0 lags the stream by exactly this many.
-    uint64_t epoch_fill = 0;
+    std::unique_ptr<stream::StreamState> stream;
     // ---- persistence bookkeeping (all under `mutex`) ----
     std::string tenant;  // wire names, for self-describing store records
     std::string key;
@@ -209,22 +186,21 @@ class TenantRegistry {
                                   const std::string& key,
                                   std::unique_lock<std::mutex>* lock);
 
-  /// The snapshot-validation + rebuild half of Restore, shared with
-  /// rehydration: validates the blob's state against a probe serialize
-  /// of its declared config, deserializes it, and attaches windowing
-  /// with the restored prefix as checkpoint position 0. The entry is
-  /// NOT yet inserted and carries no tenant/key names.
-  Result<std::shared_ptr<Entry>> BuildFromSnapshot(const SnapshotBlob& blob);
+  /// Builds an entry's stream from its config — restored from `blob`'s
+  /// state when given, which becomes checkpoint position 0. Returns
+  /// InvalidArgument without mutating the registry on a bad config or
+  /// state. The entry is NOT yet inserted and carries no tenant/key names.
+  static Result<std::shared_ptr<Entry>> BuildEntry(const SketchConfig& config,
+                                                   const SnapshotBlob* blob);
 
-  /// Builds an entry's replicas/pipeline/window from its config.
-  /// Returns InvalidArgument without mutating the registry on a bad
-  /// config. The new entry is NOT yet inserted.
-  Result<std::shared_ptr<Entry>> BuildEntry(const SketchConfig& config);
+  /// Names a built entry, wires its spill and inserts it. InvalidArgument
+  /// when `built` failed or the key is already live.
+  Status Insert(const std::string& tenant, const std::string& key,
+                Result<std::shared_ptr<Entry>> built);
 
-  /// Closes the open pipeline epoch (if any) so replica 0 holds the
-  /// whole prefix and the window manager's position is current. Caller
-  /// holds the entry mutex.
-  void Quiesce(Entry* entry);
+  /// Quiesces the stream and captures its restorable state. Caller holds
+  /// the entry mutex.
+  static SnapshotBlob SnapshotLocked(Entry* entry);
 
   /// Wires window spill into a freshly built entry (no-op without a
   /// store or window, or with resident_checkpoints == 0).

@@ -13,9 +13,9 @@
 // which then holds exactly the sketch of the whole stream.
 //
 // Threading model:
-//   - threads == 0  (the ShardedDriver special case): no workers are
-//     spawned and sealed batches are applied inline on the caller thread —
-//     single-threaded and deterministic, what the property tests drive.
+//   - threads == 0 (inline mode): no workers are spawned and sealed
+//     batches are applied inline on the caller thread — single-threaded
+//     and deterministic, what the property tests drive.
 //   - threads == t >= 1: t workers are spawned (clamped to the shard
 //     count — one worker per shard is the maximum useful parallelism) and
 //     shard s is owned by worker s % t. Each worker owns one bounded ring

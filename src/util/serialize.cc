@@ -1,6 +1,5 @@
 #include "src/util/serialize.h"
 
-#include <cstdio>
 #include <cstring>
 
 #include "src/util/atomic_file.h"
@@ -107,38 +106,6 @@ Status WriteBitsToFile(const BitWriter& writer, const std::string& path) {
                 words.size() * sizeof(uint64_t));
   }
   return AtomicWriteFile(path, image.data(), image.size() * sizeof(uint64_t));
-}
-
-Result<BitReader> ReadBitsFromFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open for reading: " + path);
-  }
-  uint64_t header[2];
-  if (std::fread(header, sizeof(uint64_t), 2, f) != 2 ||
-      header[0] != kFileMagic) {
-    std::fclose(f);
-    return Status::InvalidArgument("not an lps bit-stream file: " + path);
-  }
-  const uint64_t bit_count = header[1];
-  const size_t num_words = static_cast<size_t>((bit_count + 63) / 64);
-  // Validate the declared length against the actual file size before
-  // allocating, so a corrupt header yields a clean error, not an
-  // arbitrarily large allocation.
-  if (std::fseek(f, 0, SEEK_END) != 0 ||
-      static_cast<uint64_t>(std::ftell(f)) !=
-          (2 + static_cast<uint64_t>(num_words)) * sizeof(uint64_t) ||
-      std::fseek(f, 2 * sizeof(uint64_t), SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::InvalidArgument("truncated bit-stream file: " + path);
-  }
-  std::vector<uint64_t> words(num_words);
-  const bool ok =
-      num_words == 0 ||
-      std::fread(words.data(), sizeof(uint64_t), num_words, f) == num_words;
-  std::fclose(f);
-  if (!ok) return Status::InvalidArgument("truncated bit-stream file: " + path);
-  return BitReader(std::move(words), static_cast<size_t>(bit_count));
 }
 
 }  // namespace lps

@@ -104,7 +104,4 @@ class BitReader {
 /// round-trips through disk for the CLI save/load/merge commands.
 Status WriteBitsToFile(const BitWriter& writer, const std::string& path);
 
-/// Reads a file written by WriteBitsToFile into an owning BitReader.
-Result<BitReader> ReadBitsFromFile(const std::string& path);
-
 }  // namespace lps

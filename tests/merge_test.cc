@@ -33,16 +33,13 @@
 #include "src/sketch/stable_sketch.h"
 #include "src/stream/generators.h"
 #include "src/stream/linear_sketch.h"
-// ShardedDriver is the deprecated shim this suite historically tests
-// through; the pipeline itself is the supported surface.
-#define LPS_SHARDED_DRIVER_ALLOW_DEPRECATED
-#include "src/stream/sharded_driver.h"
+#include "src/stream/parallel_pipeline.h"
 #include "src/util/serialize.h"
 
 namespace lps {
 namespace {
 
-using stream::ShardedDriver;
+using stream::ParallelPipeline;
 using stream::UpdateStream;
 
 constexpr uint64_t kN = 2048;
@@ -62,17 +59,21 @@ SerializedState StateOf(const LinearSketch& sketch) {
   return {writer.words(), writer.bit_count()};
 }
 
-/// Builds k replicas with `make`, ingests `stream` through a ShardedDriver
-/// with the given partition, merges, and returns replica 0 by value.
+/// Builds k replicas with `make`, ingests `stream` through an inline
+/// (threads = 0) ParallelPipeline with the given partition, merges, and
+/// returns replica 0 by value.
 template <typename T, typename MakeFn>
 T ShardedIngest(MakeFn make, const UpdateStream& stream, int k,
-                ShardedDriver::Partition partition) {
+                ParallelPipeline::Partition partition) {
   std::vector<T> replicas;
   replicas.reserve(static_cast<size_t>(k));
   for (int s = 0; s < k; ++s) replicas.push_back(make());
   std::vector<LinearSketch*> raw;
   for (auto& replica : replicas) raw.push_back(&replica);
-  ShardedDriver driver(k, partition);
+  ParallelPipeline::Options options;
+  options.shards = k;
+  options.partition = partition;
+  ParallelPipeline driver(options);
   driver.Add("sink", raw);
   driver.Drive(stream);
   driver.MergeShards();
@@ -87,8 +88,8 @@ void ExpectShardedBitIdentical(MakeFn make, const UpdateStream& stream) {
   solo.UpdateBatch(stream.data(), stream.size());
   const SerializedState want = StateOf(solo);
   for (int k : {2, 3, 8}) {
-    for (auto partition : {ShardedDriver::Partition::kByIndex,
-                           ShardedDriver::Partition::kRoundRobin}) {
+    for (auto partition : {ParallelPipeline::Partition::kByIndex,
+                           ParallelPipeline::Partition::kRoundRobin}) {
       T merged = ShardedIngest<T>(make, stream, k, partition);
       EXPECT_TRUE(StateOf(merged) == want)
           << "k=" << k << " partition=" << static_cast<int>(partition);
@@ -230,7 +231,7 @@ TEST(MergeEquivalence, PositiveFinderSampleAgreement) {
   solo.UpdateBatch(stream.data(), stream.size());
   for (int k : {2, 8}) {
     auto merged = ShardedIngest<duplicates::PositiveFinder>(
-        make, stream, k, ShardedDriver::Partition::kByIndex);
+        make, stream, k, ParallelPipeline::Partition::kByIndex);
     EXPECT_EQ(solo.Deficit(), merged.Deficit());
     const auto a = solo.Find();
     const auto b = merged.Find();
@@ -250,7 +251,7 @@ TEST(MergeEquivalence, StableSketchQueryAgreement) {
   solo.UpdateBatch(stream.data(), stream.size());
   for (int k : {2, 3, 8}) {
     auto merged = ShardedIngest<sketch::StableSketch>(
-        make, stream, k, ShardedDriver::Partition::kByIndex);
+        make, stream, k, ParallelPipeline::Partition::kByIndex);
     EXPECT_NEAR(merged.EstimateNorm(), solo.EstimateNorm(),
                 1e-9 * std::abs(solo.EstimateNorm()));
   }
@@ -263,7 +264,7 @@ TEST(MergeEquivalence, LpNormEstimatorQueryAgreement) {
   solo.UpdateBatch(stream.data(), stream.size());
   for (int k : {2, 8}) {
     auto merged = ShardedIngest<norm::LpNormEstimator>(
-        make, stream, k, ShardedDriver::Partition::kRoundRobin);
+        make, stream, k, ParallelPipeline::Partition::kRoundRobin);
     EXPECT_NEAR(merged.Estimate2Approx(), solo.Estimate2Approx(),
                 1e-9 * solo.Estimate2Approx());
   }
@@ -285,7 +286,7 @@ TEST(MergeEquivalence, LpSamplerSampleAgreement) {
   const auto want = solo.Sample();
   for (int k : {2, 3, 8}) {
     auto merged = ShardedIngest<core::LpSampler>(
-        make, stream, k, ShardedDriver::Partition::kByIndex);
+        make, stream, k, ParallelPipeline::Partition::kByIndex);
     const auto got = merged.Sample();
     ASSERT_EQ(want.ok(), got.ok());
     if (want.ok()) {
@@ -311,7 +312,7 @@ TEST(MergeEquivalence, CsHeavyHittersGeneralQueryAgreement) {
   solo.UpdateBatch(stream.data(), stream.size());
   for (int k : {2, 8}) {
     auto merged = ShardedIngest<heavy::CsHeavyHitters>(
-        make, stream, k, ShardedDriver::Partition::kByIndex);
+        make, stream, k, ParallelPipeline::Partition::kByIndex);
     EXPECT_EQ(solo.Query(), merged.Query());
   }
 }
@@ -332,7 +333,7 @@ TEST(MergeEquivalence, DuplicateFinderFindAgreement) {
   const auto want = solo.Find();
   for (int k : {2, 3}) {
     auto merged = ShardedIngest<duplicates::DuplicateFinder>(
-        make, stream, k, ShardedDriver::Partition::kByIndex);
+        make, stream, k, ParallelPipeline::Partition::kByIndex);
     const auto got = merged.Find();
     ASSERT_EQ(want.ok(), got.ok());
     if (want.ok()) {
@@ -389,8 +390,8 @@ TEST(MergeEquivalence, DuplicateFinderCountersMatchSolo) {
   solo.UpdateBatch(stream.data(), stream.size());
   const auto want = CounterDoubles(solo);
   for (int k : {2, 3, 8}) {
-    for (auto partition : {ShardedDriver::Partition::kByIndex,
-                           ShardedDriver::Partition::kRoundRobin}) {
+    for (auto partition : {ParallelPipeline::Partition::kByIndex,
+                           ParallelPipeline::Partition::kRoundRobin}) {
       auto merged = ShardedIngest<duplicates::DuplicateFinder>(
           make, stream, k, partition);
       EXPECT_LE(WorstRelativeDeviation(CounterDoubles(merged), want, init),
@@ -418,8 +419,8 @@ TEST(MergeEquivalence, SparseDuplicateFinderCountersMatchSolo) {
   solo.UpdateBatch(stream.data(), stream.size());
   const auto want = CounterDoubles(solo.sampler());
   for (int k : {2, 3, 8}) {
-    for (auto partition : {ShardedDriver::Partition::kByIndex,
-                           ShardedDriver::Partition::kRoundRobin}) {
+    for (auto partition : {ParallelPipeline::Partition::kByIndex,
+                           ParallelPipeline::Partition::kRoundRobin}) {
       auto merged = ShardedIngest<duplicates::SparseDuplicateFinder>(
           make, stream, k, partition);
       EXPECT_TRUE(StateOf(merged.recovery()) == StateOf(solo.recovery()))

@@ -1,6 +1,6 @@
 // Determinism and equivalence properties of the parallel ingestion
 // runtime (src/stream/parallel_pipeline.h): for every shard count k and
-// worker count t — including t = 0, the inline ShardedDriver mode — the
+// worker count t — including t = 0, the inline single-threaded mode — the
 // merged state must be BIT-IDENTICAL to solo ingest for exact-arithmetic
 // structures, because the partition of updates into shards and the chunk
 // boundaries within each shard are decided on the producer side and
@@ -22,17 +22,12 @@
 #include "src/stream/generators.h"
 #include "src/stream/linear_sketch.h"
 #include "src/stream/parallel_pipeline.h"
-// ShardedDriver is the deprecated shim this suite historically tests
-// through; the pipeline itself is the supported surface.
-#define LPS_SHARDED_DRIVER_ALLOW_DEPRECATED
-#include "src/stream/sharded_driver.h"
 #include "src/util/serialize.h"
 
 namespace lps {
 namespace {
 
 using stream::ParallelPipeline;
-using stream::ShardedDriver;
 using stream::Update;
 using stream::UpdateStream;
 
@@ -141,13 +136,17 @@ TEST(ParallelPipeline, EmptyStreamAndEmptyShards) {
 }
 
 TEST(ParallelPipeline, MatchesShardedDriverBitForBit) {
-  // The threads=0 pipeline IS ShardedDriver; a threaded pipeline with the
-  // production batch size must land on the same state as the driver.
+  // The inline (threads=0) pipeline at the production batch size is the
+  // single-threaded driver; a threaded pipeline with the same batch size
+  // must land on the same state as the driver.
   const auto stream = GeneralStream();
   auto make = [] { return sketch::CountSketch(9, 48, 58); };
 
   std::vector<sketch::CountSketch> via_driver{make(), make(), make()};
-  ShardedDriver driver(3);
+  ParallelPipeline driver(PipelineOptions(
+      3, 0, ParallelPipeline::Partition::kByIndex,
+      stream::StreamDriver::kDefaultBatchSize,
+      ParallelPipeline::kDefaultQueueCapacity));
   driver.Add("cs", {&via_driver[0], &via_driver[1], &via_driver[2]});
   driver.Drive(stream);
   driver.MergeShards();

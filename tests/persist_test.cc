@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/api/sketch_spec.h"
+#include "src/io/bits_io.h"
 #include "src/persist/checkpoint_store.h"
 #include "src/persist/delta_codec.h"
 #include "src/server/client.h"
@@ -697,7 +698,7 @@ TEST(AtomicBitFiles, WriteReportsFailureAndLeavesNoDebris) {
   const std::string dir = MakeTempDir();
   const std::string path = dir + "/state.bits";
   ASSERT_TRUE(WriteBitsToFile(writer, path).ok());
-  auto read = ReadBitsFromFile(path);
+  auto read = io::ReadBitsStreamed(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   BitReader reader = std::move(read.value());
   EXPECT_EQ(reader.ReadU64(), 0xDEADBEEFCAFEF00Dull);

@@ -11,6 +11,7 @@
 #include "src/core/lp_sampler.h"
 #include "src/duplicates/duplicates.h"
 #include "src/heavy/heavy_hitters.h"
+#include "src/io/bits_io.h"
 #include "src/norm/l0_norm.h"
 #include "src/recovery/one_sparse.h"
 #include "src/recovery/sparse_recovery.h"
@@ -238,11 +239,11 @@ TEST(Serialization, FullStateFileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/l0_state.lps";
   ASSERT_TRUE(WriteBitsToFile(w, path).ok());
 
-  auto reader = ReadBitsFromFile(path);
+  auto reader = io::ReadBitsStreamed(path);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(PeekSketchKind(&reader.value()), SketchKind::kL0Sampler);
 
-  auto reader2 = ReadBitsFromFile(path);
+  auto reader2 = io::ReadBitsStreamed(path);
   ASSERT_TRUE(reader2.ok());
   core::L0Sampler restored({1, 0.25, 0, 0, false});
   restored.Deserialize(&reader2.value());
@@ -254,14 +255,15 @@ TEST(Serialization, FullStateFileRoundTrip) {
   }
 }
 
-TEST(Serialization, ReadBitsFromFileRejectsGarbage) {
+TEST(Serialization, ReadBitsStreamedRejectsGarbage) {
   const std::string path = ::testing::TempDir() + "/not_a_sketch.lps";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("definitely not a bit stream", f);
   std::fclose(f);
-  EXPECT_FALSE(ReadBitsFromFile(path).ok());
-  EXPECT_FALSE(ReadBitsFromFile(::testing::TempDir() + "/missing.lps").ok());
+  EXPECT_FALSE(io::ReadBitsStreamed(path).ok());
+  EXPECT_FALSE(
+      io::ReadBitsStreamed(::testing::TempDir() + "/missing.lps").ok());
 }
 
 TEST(Serialization, OwningBitReaderOutlivesItsSource) {

@@ -63,6 +63,7 @@
 #include "src/api/query_result.h"
 #include "src/api/sketch_spec.h"
 #include "src/dist/planted.h"
+#include "src/io/bits_io.h"
 #include "src/io/byte_source.h"
 #include "src/io/stream_feeder.h"
 #include "src/server/client.h"
@@ -297,7 +298,7 @@ int RunCrashVerify(const std::string& host, int port,
     if (!fetched.ok()) return Fail("fetch state after reboot", fetched);
     const std::string path =
         out_dir + "/crash" + std::to_string(i) + ".bits";
-    auto stored = lps::ReadBitsFromFile(path);
+    auto stored = lps::io::ReadBitsStreamed(path);
     if (!stored.ok()) return Fail("read pre-crash state", stored.status());
     bool equal = stored->bits_remaining() == fresh.bit_count();
     const std::vector<uint64_t>& words = fresh.words();

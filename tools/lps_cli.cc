@@ -41,9 +41,9 @@
 // updates (default 4096), and the windowed sketch is materialized by
 // subtraction (prefix_now - prefix_expired, O(sketch size)). The window
 // start rounds down to a checkpoint boundary; the chosen range is
-// printed. With --shards k the checkpoints seal at parallel-runtime
-// epoch boundaries (every c updates, after MergeShards), so windows and
-// sharding compose.
+// printed. Windows, --shards and --from compose: ingestion runs through
+// stream::StreamState, which seals checkpoints at the positions solo
+// ingestion would.
 // --from FILE ingests through the async front-end (src/io/): a prefetch
 // thread reads the file while the decoder and the pipeline run, and the
 // update stream is never materialized in memory — the path for replays
@@ -54,12 +54,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/kernels/kernels.h"
 #include "src/lps.h"
@@ -278,50 +276,6 @@ bool ReportFeed(const lps::Result<lps::io::FeedStats>& stats) {
   return true;
 }
 
-/// Async ingest: drains the feeder into the replicas through the parallel
-/// runtime. With a WindowManager attached, PipelineSink closes an epoch
-/// (MergeShards + SealEpoch) every `interval` updates — the same
-/// boundaries solo ingestion seals at; without one, the single epoch
-/// closes at end of stream.
-bool FeedSharded(lps::io::StreamFeeder* feeder,
-                 const std::vector<lps::LinearSketch*>& replicas, int threads,
-                 lps::stream::WindowManager* wm, uint64_t interval) {
-  lps::stream::ParallelPipeline::Options options;
-  options.shards = static_cast<int>(replicas.size());
-  options.threads = threads;
-  lps::stream::ParallelPipeline pipeline(options);
-  pipeline.Add("sink", replicas);
-  lps::io::PipelineSink sink(&pipeline, wm, interval);
-  auto stats = feeder->Feed(std::ref(sink));
-  if (!ReportFeed(stats)) return false;
-  sink.Finish();
-  return true;
-}
-
-/// Drives the trace into `sink`, either directly or through the parallel
-/// ingestion runtime over `replicas` (replica 0 == sink), merging
-/// afterwards. threads == 0 applies batches inline (deterministic
-/// single-threaded mode); the final state is bit-identical either way.
-void Ingest(const lps::stream::Trace& trace,
-            const std::vector<lps::LinearSketch*>& replicas, int threads) {
-  if (replicas.size() == 1 && threads == 0) {
-    lps::stream::StreamDriver driver;
-    driver.AddSink("sink", [&replicas](const lps::stream::Update* u,
-                                       size_t c) {
-      replicas[0]->UpdateBatch(u, c);
-    });
-    driver.Drive(trace.updates);
-    return;
-  }
-  lps::stream::ParallelPipeline::Options options;
-  options.shards = static_cast<int>(replicas.size());
-  options.threads = threads;
-  lps::stream::ParallelPipeline pipeline(options);
-  pipeline.Add("sink", replicas);
-  pipeline.Drive(trace.updates);
-  pipeline.MergeShards();
-}
-
 int CmdGen(int argc, char** argv) {
   const bool binary = TakeBoolFlag(&argc, argv, "--binary");
   if (argc != 6) return Usage();
@@ -367,78 +321,54 @@ int CmdGen(int argc, char** argv) {
 // structure for a command spec, ingest (optionally sharded, optionally
 // async via --from), and hand the merged structure to the caller.
 
-/// Windowed ingestion: replica 0 is wrapped in a WindowManager. Solo
-/// ingestion seals automatically every `checkpoint` updates; sharded
-/// ingestion runs the parallel runtime in epochs of `checkpoint` updates
-/// (Drive, MergeShards, SealEpoch — replica 0 holds the full prefix
-/// exactly at those boundaries); async ingestion seals the same epochs
-/// through PipelineSink. Returns the materialized trailing window and
-/// prints the chosen range (the start rounds down to a checkpoint
-/// boundary).
-std::unique_ptr<lps::LinearSketch> IngestWindowed(
-    StreamInput& in, const std::vector<lps::LinearSketch*>& replicas,
-    int threads, const WindowSpec& spec) {
-  lps::stream::WindowManager::Options options;
-  options.checkpoint_interval = spec.checkpoint;
-  lps::stream::WindowManager wm(replicas[0], options);
-  if (in.feeder != nullptr) {
-    if (!FeedSharded(in.feeder.get(), replicas, threads, &wm,
-                     spec.checkpoint)) {
-      return nullptr;
-    }
-  } else if (replicas.size() == 1 && threads == 0) {
-    wm.PushBatch(in.trace.updates.data(), in.trace.updates.size());
-  } else {
-    const auto& t = in.trace;
-    lps::stream::ParallelPipeline::Options popts;
-    popts.shards = static_cast<int>(replicas.size());
-    popts.threads = threads;
-    lps::stream::ParallelPipeline pipeline(popts);
-    pipeline.Add("sink", replicas);
-    size_t done = 0;
-    while (done < t.updates.size()) {
-      const size_t take =
-          std::min<size_t>(spec.checkpoint, t.updates.size() - done);
-      pipeline.Drive(t.updates.data() + done, take);
-      pipeline.MergeShards();
-      wm.SealEpoch(take);
-      done += take;
-    }
+/// Ingests the input into a stream::StreamState of `spec` — sharded when
+/// shards > 1, threaded when threads > 0, windowed when window.window > 0
+/// (checkpoints every window.checkpoint updates), streamed when the input
+/// is a feeder — and returns the whole-stream sketch, or the trailing
+/// window after printing its range (the start rounds down to a
+/// checkpoint boundary). Returns nullptr on a bad spec, an
+/// out-of-universe index, or a feed error.
+std::unique_ptr<lps::LinearSketch> Ingest(StreamInput& in, int shards,
+                                          int threads,
+                                          const WindowSpec& window,
+                                          const lps::SketchSpec& spec) {
+  lps::stream::StreamState::Options options;
+  options.shards = shards;
+  options.threads = threads;
+  if (window.window > 0) options.window_checkpoint = window.checkpoint;
+  auto built = lps::stream::StreamState::Create(spec, options);
+  if (!built.ok()) {
+    std::fprintf(stderr, "bad sketch: %s\n",
+                 built.status().ToString().c_str());
+    return nullptr;
   }
-  auto window = wm.WindowSketch(spec.window);
+  lps::stream::StreamState& state = *built.value();
+  lps::Status pushed;
+  auto sink = [&](const lps::stream::Update* u, size_t c) {
+    if (pushed.ok()) pushed = state.Push(u, c);
+  };
+  if (in.feeder != nullptr) {
+    if (!ReportFeed(in.feeder->Feed(sink))) return nullptr;
+  } else {
+    lps::stream::StreamDriver driver;
+    driver.AddSink("state", sink);
+    driver.Drive(in.trace.updates);
+  }
+  if (!pushed.ok()) {
+    std::fprintf(stderr, "ingest failed: %s\n", pushed.ToString().c_str());
+    return nullptr;
+  }
+  if (window.window == 0) return state.ReleaseSketch();
+  state.Quiesce();
+  auto tail = state.window()->WindowSketch(window.window);
   std::printf("window [%llu, %llu) of %llu updates (asked %llu, checkpoint "
               "every %llu)\n",
-              static_cast<unsigned long long>(window.start),
-              static_cast<unsigned long long>(window.start + window.length),
-              static_cast<unsigned long long>(wm.updates_seen()),
-              static_cast<unsigned long long>(spec.window),
-              static_cast<unsigned long long>(spec.checkpoint));
-  return std::move(window.sketch);
-}
-
-/// Builds `shards` identical replicas of `spec` through the MakeSketch
-/// registry (the same one CREATE requests and DeserializeAnySketch use),
-/// ingests the input through the parallel runtime (sharded when
-/// shards > 1, threaded when threads > 0, streamed when the input is a
-/// feeder), and returns the merged structure — windowed to the last
-/// window.window updates when requested. Returns nullptr on a feed error.
-std::unique_ptr<lps::LinearSketch> BuildSharded(StreamInput& in, int shards,
-                                                int threads,
-                                                const WindowSpec& window,
-                                                const lps::SketchSpec& spec) {
-  std::vector<std::unique_ptr<lps::LinearSketch>> replicas;
-  for (int s = 0; s < shards; ++s) replicas.push_back(lps::MakeSketch(spec));
-  std::vector<lps::LinearSketch*> raw;
-  for (auto& r : replicas) raw.push_back(r.get());
-  if (window.window > 0) return IngestWindowed(in, raw, threads, window);
-  if (in.feeder != nullptr) {
-    if (!FeedSharded(in.feeder.get(), raw, threads, nullptr, 0)) {
-      return nullptr;
-    }
-  } else {
-    Ingest(in.trace, raw, threads);
-  }
-  return std::move(replicas[0]);
+              static_cast<unsigned long long>(tail.start),
+              static_cast<unsigned long long>(tail.start + tail.length),
+              static_cast<unsigned long long>(state.updates_seen()),
+              static_cast<unsigned long long>(window.window),
+              static_cast<unsigned long long>(window.checkpoint));
+  return std::move(tail.sketch);
 }
 
 std::unique_ptr<lps::LinearSketch> BuildSampler(StreamInput& in,
@@ -457,7 +387,7 @@ std::unique_ptr<lps::LinearSketch> BuildSampler(StreamInput& in,
     spec.p = std::strtod(p_arg, nullptr);
     spec.eps = eps;
   }
-  return BuildSharded(in, shards, threads, window, spec);
+  return Ingest(in, shards, threads, window, spec);
 }
 
 std::unique_ptr<lps::LinearSketch> BuildHeavy(StreamInput& in, double p,
@@ -470,7 +400,7 @@ std::unique_ptr<lps::LinearSketch> BuildHeavy(StreamInput& in, double p,
   spec.p = p;
   spec.phi = phi;
   spec.seed = seed;
-  return BuildSharded(in, shards, threads, window, spec);
+  return Ingest(in, shards, threads, window, spec);
 }
 
 std::unique_ptr<lps::LinearSketch> BuildNorm(StreamInput& in, double p,
@@ -482,7 +412,7 @@ std::unique_ptr<lps::LinearSketch> BuildNorm(StreamInput& in, double p,
   spec.n = in.n;
   spec.p = p;
   spec.seed = seed;  // rows == 0 resolves to DefaultRows(n) in MakeSketch
-  return BuildSharded(in, shards, threads, window, spec);
+  return Ingest(in, shards, threads, window, spec);
 }
 
 std::unique_ptr<lps::LinearSketch> BuildDuplicates(StreamInput& in,
