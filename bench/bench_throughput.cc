@@ -2,11 +2,11 @@
 // every sketch and sampler, so downstream users can size deployments and
 // the perf trajectory of the hot path is tracked from PR to PR. Ingestion
 // is measured scalar (one Update call per stream element) versus batched
-// (StreamDriver chunks through the UpdateBatch fast paths); a
-// parallel_ingest section measures the parallel ingestion runtime
-// (ParallelPipeline: t shards on t workers fed through bounded rings,
-// then MergeShards) for t in {1, 2, 4, 8}, and the recovery table tracks
-// the query-side costs (Sample, Recover, HeavyLeaves).
+// (a one-shard inline ParallelPipeline chunks through the UpdateBatch fast
+// paths); a parallel_ingest section measures the parallel ingestion
+// runtime (ParallelPipeline: t shards on t workers fed through bounded
+// rings, then MergeShards) for t in {1, 2, 4, 8}, and the recovery table
+// tracks the query-side costs (Sample, Recover, HeavyLeaves).
 //
 // Between timed passes every sink is Reset() — counters zeroed, seeds and
 // allocations kept — so repeated trials measure ingestion, not
@@ -41,13 +41,12 @@
 #include "src/stream/generators.h"
 #include "src/stream/linear_sketch.h"
 #include "src/stream/parallel_pipeline.h"
-#include "src/stream/stream_driver.h"
 #include "src/util/random.h"
 
 namespace {
 
 using lps::bench::Table;
-using lps::stream::StreamDriver;
+using lps::stream::ParallelPipeline;
 using lps::stream::UpdateStream;
 
 constexpr uint64_t kN = 1 << 16;
@@ -56,7 +55,7 @@ struct ResultRow {
   std::string name;
   size_t updates = 0;
   double scalar_ips = 0;   // items/sec, per-update Update() loop
-  double batched_ips = 0;  // items/sec, StreamDriver + UpdateBatch
+  double batched_ips = 0;  // items/sec, ParallelPipeline + UpdateBatch
   double speedup() const {
     return scalar_ips > 0 ? batched_ips / scalar_ips : 0;
   }
@@ -82,8 +81,15 @@ double ItemsPerSec(const UpdateStream& stream, int passes, ResetFn&& reset,
   return static_cast<double>(stream.size()) / best_seconds;
 }
 
+/// Drives `stream` into `sink` through the library's batch driver: a
+/// one-shard inline ParallelPipeline at the default batch size.
+void DriveBatched(lps::LinearSketch* sink, const UpdateStream& stream) {
+  ParallelPipeline pipeline(ParallelPipeline::Options{});
+  pipeline.Add("sink", {sink}).Drive(stream);
+}
+
 /// Measures one structure: `scalar` ingests the stream with per-update
-/// calls, `batched` through a StreamDriver chunked fast path. Sinks are
+/// calls, `batched` through the pipeline's chunked fast path. Sinks are
 /// Reset() between passes.
 template <typename Sink>
 ResultRow Measure(const std::string& name, const UpdateStream& stream,
@@ -98,11 +104,11 @@ ResultRow Measure(const std::string& name, const UpdateStream& stream,
           scalar_sink->Update(u.index, static_cast<double>(u.delta));
         }
       });
-  StreamDriver driver;
-  driver.Add(name, batched_sink);
+  ParallelPipeline pipeline(ParallelPipeline::Options{});
+  pipeline.Add(name, {batched_sink});
   row.batched_ips = ItemsPerSec(
       stream, passes, [&] { batched_sink->Reset(); },
-      [&](const UpdateStream& s) { driver.Drive(s); });
+      [&](const UpdateStream& s) { pipeline.Drive(s); });
   return row;
 }
 
@@ -118,11 +124,11 @@ ResultRow MeasureInt(const std::string& name, const UpdateStream& stream,
       [&](const UpdateStream& s) {
         for (const auto& u : s) scalar_sink->Update(u.index, u.delta);
       });
-  StreamDriver driver;
-  driver.Add(name, batched_sink);
+  ParallelPipeline pipeline(ParallelPipeline::Options{});
+  pipeline.Add(name, {batched_sink});
   row.batched_ips = ItemsPerSec(
       stream, passes, [&] { batched_sink->Reset(); },
-      [&](const UpdateStream& s) { driver.Drive(s); });
+      [&](const UpdateStream& s) { pipeline.Drive(s); });
   return row;
 }
 
@@ -592,8 +598,7 @@ int main(int argc, char** argv) {
     params.seed = 11;
     lps::core::LpSampler sampler(params);
     const auto stream = lps::stream::UniformTurnstile(n, 4096, 100, 12);
-    StreamDriver driver;
-    driver.Add("lp", &sampler).Drive(stream);
+    DriveBatched(&sampler, stream);
     // One tiny update per call invalidates the rounds' recovery cache, so
     // this measures the full candidate descent + TopM + residual every
     // time, not cached snapshot reuse.
@@ -625,8 +630,7 @@ int main(int argc, char** argv) {
     lps::heavy::CsHeavyHitters hh(params);
     const auto stream =
         lps::stream::PlantedHeavyHitters(n, 5, 1000, 500, false, 16);
-    StreamDriver driver;
-    driver.Add("hh", &hh).Drive(stream);
+    DriveBatched(&hh, stream);
     latencies.push_back(
         {"cs_heavy_hitters.Query[n=2^" + std::to_string(log_n) + "]",
          MicrosPerCall(passes, quick ? 10 : 50,
@@ -641,8 +645,7 @@ int main(int argc, char** argv) {
     lps::sketch::DyadicCountMin tree(16, 9, 64, 15);
     const auto stream =
         lps::stream::PlantedHeavyHitters(kN, 5, 1000, 500, false, 16);
-    StreamDriver driver;
-    driver.Add("dyadic", &tree).Drive(stream);
+    DriveBatched(&tree, stream);
     latencies.push_back({"dyadic_count_min.HeavyLeaves",
                          MicrosPerCall(passes, quick ? 50 : 200, [&] {
                            return tree.HeavyLeaves(500.0).size();
@@ -650,7 +653,7 @@ int main(int argc, char** argv) {
   }
 
   lps::bench::Section(
-      "C17: ingestion throughput, scalar Update() vs StreamDriver batches");
+      "C17: ingestion throughput, scalar Update() vs pipeline batches");
   Table table({"structure", "updates", "scalar Mitem/s", "batched Mitem/s",
                "speedup"});
   for (const ResultRow& row : rows) {

@@ -14,7 +14,7 @@
 #include "src/apps/moment_estimation.h"
 #include "src/stream/exact_vector.h"
 #include "src/stream/generators.h"
-#include "src/stream/stream_driver.h"
+#include "src/stream/parallel_pipeline.h"
 
 int main() {
   const uint64_t n = 512;
@@ -32,8 +32,9 @@ int main() {
 
   for (int samples : {16, 64, 256}) {
     lps::apps::MomentEstimator est({n, p, samples, 1.9, 77});
-    lps::stream::StreamDriver driver;
-    driver.Add("moments", &est).Drive(stream);
+    lps::stream::ParallelPipeline pipeline(
+        lps::stream::ParallelPipeline::Options{});
+    pipeline.Add("moments", {&est}).Drive(stream);
     auto r = est.Estimate();
     if (r.ok()) {
       std::printf("samples=%3d : F_3 ~ %.3e   (ratio %.2f, %zu bits)\n",

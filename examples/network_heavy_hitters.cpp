@@ -15,7 +15,7 @@
 #include "src/heavy/heavy_hitters.h"
 #include "src/stream/exact_vector.h"
 #include "src/stream/generators.h"
-#include "src/stream/stream_driver.h"
+#include "src/stream/parallel_pipeline.h"
 #include "src/util/bits.h"
 #include "src/util/random.h"
 
@@ -45,16 +45,17 @@ int main() {
   lps::heavy::CmHeavyHitters cm({num_flows, phi, 0, 1001, false});
   lps::heavy::DyadicHeavyHitters dyadic(log_n, phi, 1002);
 
-  // Updates arrive one flow record at a time; the driver buffers them and
-  // flushes full batches through both sketches' fast paths.
-  lps::stream::StreamDriver driver;
-  driver.Add("count_min", &cm).Add("dyadic", &dyadic);
+  // Updates arrive one flow record at a time; the pipeline buffers them
+  // and flushes full batches through both sketches' fast paths.
+  lps::stream::ParallelPipeline pipeline(
+      lps::stream::ParallelPipeline::Options{});
+  pipeline.Add("count_min", {&cm}).Add("dyadic", {&dyadic});
   for (const auto& u : traffic) {
     if (u.delta == 0) continue;
     exact.Apply(u);
-    driver.Push(u);
+    pipeline.Push(u);
   }
-  driver.Flush();
+  pipeline.Flush();
 
   const auto truth = exact.HeavyHitters(1.0, phi);
   std::printf("ground truth: %zu flows above %.0f%% of %0.f total bytes\n",

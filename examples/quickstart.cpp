@@ -49,8 +49,9 @@ int main() {
   auto l0 = lps::MakeSketch(l0_spec);
 
   // One pass of the stream through both samplers, in cache-sized batches.
-  lps::stream::StreamDriver driver;
-  driver.Add("l1", l1.get()).Add("l0", l0.get()).Drive(stream);
+  lps::stream::ParallelPipeline pipeline(
+      lps::stream::ParallelPipeline::Options{});
+  pipeline.Add("l1", {l1.get()}).Add("l0", {l0.get()}).Drive(stream);
 
   std::printf("stream applied; exact vector: x[42]=%ld x[7]=%ld x[999]=%ld "
               "x[500]=%ld, ||x||_1=%.0f, support=%zu\n",

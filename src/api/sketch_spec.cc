@@ -405,4 +405,54 @@ SketchSpec DeserializeSpec(BitReader* reader) {
   return spec;
 }
 
+bool IdenticalSpecs(const SketchSpec& a, const SketchSpec& b) {
+  BitWriter wa;
+  BitWriter wb;
+  SerializeSpec(a, &wa);
+  SerializeSpec(b, &wb);
+  return wa.bit_count() == wb.bit_count() && wa.words() == wb.words();
+}
+
+Result<std::unique_ptr<LinearSketch>> DecodeSketchState(
+    const SketchSpec& spec, const std::vector<uint64_t>& words, size_t bits) {
+  // The spec may come from the wire: bound it before MakeSketch walks it.
+  const Status valid = ValidateSpec(spec);
+  if (!valid.ok()) return valid;
+  auto sketch = MakeSketch(spec);
+  BitWriter fresh;
+  sketch->Serialize(&fresh);
+  // Plain integer tests before anything walks the state: Deserialize
+  // CHECK-aborts on corrupt input.
+  if (bits < 32 || bits > words.size() * 64) {
+    return Status::InvalidArgument("sketch state truncated");
+  }
+  if (uint32_t(words[0]) != uint32_t(fresh.words()[0])) {
+    return Status::InvalidArgument(
+        "sketch state header (magic, kind, version) does not match its spec");
+  }
+  // Counters change values, never layout, so the fresh sketch is an exact
+  // template for the size and the leading word (header + first parameter
+  // bits): truncated, padded and version-skewed state stops here.
+  if (bits != fresh.bit_count() || words[0] != fresh.words()[0]) {
+    return Status::InvalidArgument("sketch state does not match its spec");
+  }
+  // A state whose interior lies (same size, another seed or parameter)
+  // decodes, but its Reset re-serialization differs from the fresh one.
+  {
+    BitReader reader(words, bits);
+    sketch->Deserialize(&reader);
+  }
+  sketch->Reset();
+  BitWriter zeroed;
+  sketch->Serialize(&zeroed);
+  if (zeroed.bit_count() != fresh.bit_count() ||
+      zeroed.words() != fresh.words()) {
+    return Status::InvalidArgument(
+        "sketch state parameters do not match its spec");
+  }
+  BitReader reader(words, bits);
+  sketch->Deserialize(&reader);
+  return sketch;
+}
+
 }  // namespace lps

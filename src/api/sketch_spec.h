@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/stream/linear_sketch.h"
 #include "src/util/serialize.h"
@@ -103,5 +104,25 @@ Result<SketchKind> SketchKindFromName(const std::string& name);
 /// source of truth.
 void SerializeSpec(const SketchSpec& spec, BitWriter* writer);
 SketchSpec DeserializeSpec(BitReader* reader);
+
+/// Whether two specs serialize to the same bits — stricter than
+/// operator==, which takes -0.0 for 0.0. Sketches built from identical
+/// specs pass Merge's parameter CHECK; the server folds a distributed
+/// epoch into a stream only when this holds.
+bool IdenticalSpecs(const SketchSpec& a, const SketchSpec& b);
+
+/// Decodes serialized state that claims to be a sketch of `spec`, with
+/// every mismatch an InvalidArgument instead of a CHECK abort — the one
+/// check for state from outside the process (snapshot RESTORE, store
+/// records, distributed epochs). In order: ValidateSpec; the length and
+/// the 32-bit header (magic, kind, version) against a fresh
+/// MakeSketch(spec)'s serialization; the total size and the leading
+/// word, which are pure functions of the spec; then Deserialize, Reset
+/// and re-serialize, which must equal the fresh serialization. Reset
+/// leaves a sketch byte-identical to a freshly constructed one, so that
+/// proves every parameter and seed the state carries matches `spec`.
+/// Only then is the state decoded into the returned sketch.
+Result<std::unique_ptr<LinearSketch>> DecodeSketchState(
+    const SketchSpec& spec, const std::vector<uint64_t>& words, size_t bits);
 
 }  // namespace lps

@@ -9,8 +9,6 @@ namespace lps::dist {
 
 namespace {
 
-constexpr uint64_t kSketchMagic = 0x4C53;
-
 /// Unambiguous map keys for wire strings that may contain any byte
 /// (same length-prefix trick as TenantRegistry::MapKey; both fields are
 /// prefixed here because FlushPending matches lanes to streams by
@@ -25,14 +23,6 @@ std::string LaneKey(const server::EpochBlob& blob) {
          std::to_string(blob.worker_id.size()) + ':' + blob.worker_id;
 }
 
-bool SameSpec(const SketchSpec& a, const SketchSpec& b) {
-  BitWriter wa;
-  BitWriter wb;
-  SerializeSpec(a, &wa);
-  SerializeSpec(b, &wb);
-  return wa.bit_count() == wb.bit_count() && wa.words() == wb.words();
-}
-
 uint64_t NowNs() {
   return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now().time_since_epoch())
@@ -40,64 +30,6 @@ uint64_t NowNs() {
 }
 
 }  // namespace
-
-Result<std::unique_ptr<LinearSketch>> DecodeEpochState(
-    const server::SketchConfig& config, const std::vector<uint64_t>& words,
-    size_t bits) {
-  // The spec arrived from the wire: bound it before MakeSketch walks it.
-  const Status valid = ValidateSpec(config.spec);
-  if (!valid.ok()) return valid;
-  // Plain integer head checks first — Deserialize CHECK-aborts on
-  // corrupt state, which must stay unreachable from the wire.
-  if (bits < 32 || words.empty() || words.size() < (bits + 63) / 64) {
-    return Status::InvalidArgument("epoch state truncated");
-  }
-  const uint64_t head = words[0];
-  if ((head & 0xFFFF) != kSketchMagic) {
-    return Status::InvalidArgument("epoch state is not a serialized sketch");
-  }
-  if (uint32_t((head >> 16) & 0xFF) != uint32_t(config.spec.kind)) {
-    return Status::InvalidArgument("epoch state kind does not match config");
-  }
-  const auto version = uint32_t((head >> 24) & 0xFF);
-  if (version < 1 || version > kSketchFormatVersion) {
-    return Status::InvalidArgument("epoch state version unsupported");
-  }
-  auto sketch = MakeSketch(config.spec);
-  if (sketch == nullptr) {
-    return Status::InvalidArgument("unknown sketch kind");
-  }
-  // Size/leading-word template check against a fresh instance (the
-  // snapshot path's probe), then the full-parameter proof: Deserialize,
-  // Reset, re-serialize. Reset leaves a sketch indistinguishable from a
-  // freshly constructed one, so byte-equality with the fresh serialize
-  // means every parameter and seed the state carried matches `config` —
-  // a state whose interior lies (same total size, different parameters)
-  // is rejected here instead of reaching Merge's parameter CHECK.
-  BitWriter probe;
-  sketch->Serialize(&probe);
-  if (bits != probe.bit_count() || words[0] != probe.words()[0]) {
-    return Status::InvalidArgument(
-        "epoch state does not match its declared config");
-  }
-  {
-    BitReader reader(words, bits);
-    sketch->Deserialize(&reader);
-  }
-  sketch->Reset();
-  BitWriter zeroed;
-  sketch->Serialize(&zeroed);
-  if (zeroed.bit_count() != probe.bit_count() ||
-      zeroed.words() != probe.words()) {
-    return Status::InvalidArgument(
-        "epoch state parameters do not match the stream config");
-  }
-  {
-    BitReader reader(words, bits);
-    sketch->Deserialize(&reader);
-  }
-  return sketch;
-}
 
 Aggregator::Aggregator(Options options) : options_(std::move(options)) {
   if (options_.registry == nullptr) {
@@ -193,8 +125,8 @@ Status Aggregator::HandleEpoch(uint64_t connection_id,
   const uint64_t fold_start = NowNs();
   Status folded;
   if (options_.registry != nullptr) {
-    auto delta = DecodeEpochState(blob.config, blob.state_words,
-                                  blob.state_bits);
+    auto delta = DecodeSketchState(blob.config.spec, blob.state_words,
+                                   blob.state_bits);
     folded = delta.ok()
                  ? options_.registry->FoldEpoch(blob.tenant, blob.key,
                                                 blob.config, *delta.value(),
@@ -225,7 +157,7 @@ Status Aggregator::FoldPendingLocked(const server::EpochBlob& blob) {
   auto it = pending_.find(stream_key);
   if (it == pending_.end()) {
     auto decoded =
-        DecodeEpochState(blob.config, blob.state_words, blob.state_bits);
+        DecodeSketchState(blob.config.spec, blob.state_words, blob.state_bits);
     if (!decoded.ok()) return decoded.status();
     Pending pending;
     pending.tenant = blob.tenant;
@@ -238,12 +170,12 @@ Status Aggregator::FoldPendingLocked(const server::EpochBlob& blob) {
     return Status::OK();
   }
   Pending& pending = it->second;
-  if (!SameSpec(pending.config.spec, blob.config.spec)) {
+  if (!IdenticalSpecs(pending.config.spec, blob.config.spec)) {
     return Status::InvalidArgument("epoch spec does not match stream " +
                                    blob.tenant + "/" + blob.key);
   }
-  auto decoded =
-      DecodeEpochState(pending.config, blob.state_words, blob.state_bits);
+  auto decoded = DecodeSketchState(pending.config.spec, blob.state_words,
+                                   blob.state_bits);
   if (!decoded.ok()) return decoded.status();
   pending.sketch->Merge(*decoded.value());
   pending.count += blob.count;

@@ -26,8 +26,9 @@
 // aggregator keeps serving every epoch already folded.
 //
 // Hostile-input stance (same bar as the core server): epoch state is
-// validated by DecodeEpochState before any Merge, so a blob lying about
-// its parameters gets an error response, never a CHECK abort.
+// validated by DecodeSketchState (src/api/sketch_spec.h) before any
+// Merge, so a blob lying about its parameters gets an error response,
+// never a CHECK abort.
 #pragma once
 
 #include <condition_variable>
@@ -36,7 +37,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "src/dist/worker.h"
 #include "src/server/protocol.h"
@@ -46,19 +46,6 @@
 #include "src/util/status.h"
 
 namespace lps::dist {
-
-/// Validates one epoch's serialized state against the stream config and
-/// decodes it into a sketch. This is what makes Merge's parameter CHECK
-/// unreachable from the wire: beyond the snapshot path's header checks
-/// (magic, kind, version, probe size/leading word), the decoded sketch
-/// is Reset() and re-serialized — Reset leaves a sketch byte-identical
-/// to a freshly constructed one, so equality with a fresh
-/// MakeSketch(config.spec) serialize proves EVERY parameter and seed
-/// matches the config, not just the leading word. The state is then
-/// decoded a second time into the validated object.
-Result<std::unique_ptr<LinearSketch>> DecodeEpochState(
-    const server::SketchConfig& config, const std::vector<uint64_t>& words,
-    size_t bits);
 
 class Aggregator : public server::FrameHandler {
  public:

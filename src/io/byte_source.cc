@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -57,11 +56,9 @@ AlignedBuffer AllocateAligned(size_t bytes) {
   return AlignedBuffer(static_cast<char*>(raw));
 }
 
-PrefetchRing::PrefetchRing(size_t slots, size_t slot_bytes)
-    : slot_bytes_(slot_bytes) {
-  LPS_CHECK(slots >= 2);  // double-buffered at minimum: one filling, one read
+PrefetchRing::PrefetchRing(size_t slot_bytes) : slot_bytes_(slot_bytes) {
   LPS_CHECK(slot_bytes >= 1);
-  slots_.resize(slots);
+  slots_.resize(kPrefetchSlots);
   for (Slot& slot : slots_) slot.buffer = AllocateAligned(slot_bytes);
 }
 
@@ -129,8 +126,8 @@ namespace {
 
 /// Shared shape of the thread-prefetched sources: a producer thread runs
 /// `fill` (a positional or streaming read) into ring slots until EOF,
-/// error, or the consumer stops caring (destruction). AsyncFileReader
-/// and AsyncSocketSource differ only in the fill function and whether
+/// error, or the consumer stops caring (destruction). The file reader
+/// and the socket source differ only in the fill function and whether
 /// they own the fd.
 class ThreadPrefetchSource : public ByteSource {
  public:
@@ -140,10 +137,8 @@ class ThreadPrefetchSource : public ByteSource {
                              uint64_t offset);
 
   ThreadPrefetchSource(int fd, bool owns_fd, FillFn fill,
-                       const char* backend_name,
                        const FileSourceOptions& options)
-      : ring_(std::max<size_t>(options.ring_slots, 2), options.buffer_bytes),
-        fd_(fd), owns_fd_(owns_fd), fill_(fill), backend_name_(backend_name) {
+      : ring_(options.buffer_bytes), fd_(fd), owns_fd_(owns_fd), fill_(fill) {
     producer_ = std::thread([this] { ProducerMain(); });
   }
 
@@ -156,7 +151,7 @@ class ThreadPrefetchSource : public ByteSource {
   Result<Chunk> Next() override { return ring_.Next(); }
   uint64_t bytes_read() const override { return ring_.bytes_read(); }
   double wait_seconds() const override { return ring_.wait_seconds(); }
-  const char* backend() const override { return backend_name_; }
+  const char* backend() const override { return IoBackendName(); }
 
  private:
   void ProducerMain() {
@@ -183,7 +178,6 @@ class ThreadPrefetchSource : public ByteSource {
   const int fd_;
   const bool owns_fd_;
   const FillFn fill_;
-  const char* backend_name_;
   std::thread producer_;
 };
 
@@ -202,98 +196,14 @@ ssize_t FillRead(int fd, char* buffer, size_t capacity, uint64_t /*offset*/) {
   }
 }
 
-/// The no-prefetch baseline: one buffer, reads happen inline in Next().
-/// All read time is consumer wait time by construction — exactly what a
-/// synchronous ingest loop pays — which makes it the honest "naive"
-/// reference for bench_io's overlap measurement (LPS_IO=sync).
-class SyncFileSource : public ByteSource {
- public:
-  SyncFileSource(int fd, bool owns_fd, size_t buffer_bytes)
-      : buffer_(AllocateAligned(buffer_bytes)), capacity_(buffer_bytes),
-        fd_(fd), owns_fd_(owns_fd) {}
-
-  ~SyncFileSource() override {
-    if (owns_fd_) ::close(fd_);
-  }
-
-  Result<Chunk> Next() override {
-    if (done_) return Chunk{};
-    const auto start = std::chrono::steady_clock::now();
-    const ssize_t got = FillRead(fd_, buffer_.get(), capacity_, 0);
-    wait_seconds_ += SecondsSince(start);
-    if (got < 0) {
-      done_ = true;
-      return Status::Failed(std::string("read failed: ") +
-                            std::strerror(errno));
-    }
-    if (got == 0) {
-      done_ = true;
-      return Chunk{};
-    }
-    bytes_read_ += static_cast<uint64_t>(got);
-    return Chunk{buffer_.get(), static_cast<size_t>(got)};
-  }
-
-  uint64_t bytes_read() const override { return bytes_read_; }
-  double wait_seconds() const override { return wait_seconds_; }
-  const char* backend() const override { return "sync"; }
-
- private:
-  AlignedBuffer buffer_;
-  const size_t capacity_;
-  const int fd_;
-  const bool owns_fd_;
-  bool done_ = false;
-  uint64_t bytes_read_ = 0;
-  double wait_seconds_ = 0;
-};
-
-// ----------------------------------------------------- backend resolution --
-
-IoBackend ResolveAuto() {
-  return UringRuntimeAvailable() ? IoBackend::kUring : IoBackend::kThread;
-}
-
-/// Resolves the process-wide file backend once, LPS_KERNELS-style: the
-/// LPS_IO environment variable wins when set and satisfiable; an
-/// unsatisfiable or unknown request logs a note and falls back.
-IoBackend ResolvedBackend() {
-  static const IoBackend resolved = [] {
-    const char* env = std::getenv("LPS_IO");
-    if (env == nullptr || env[0] == '\0') return ResolveAuto();
-    const std::string want(env);
-    if (want == "sync") return IoBackend::kSync;
-    if (want == "thread") return IoBackend::kThread;
-    if (want == "uring") {
-      if (UringRuntimeAvailable()) return IoBackend::kUring;
-      std::fprintf(stderr,
-                   "lps: LPS_IO=uring but io_uring is unavailable "
-                   "(not compiled in or kernel refused); using thread\n");
-      return IoBackend::kThread;
-    }
-    std::fprintf(stderr, "lps: unknown LPS_IO='%s' (want sync|thread|uring)\n",
-                 env);
-    return ResolveAuto();
-  }();
-  return resolved;
-}
-
 }  // namespace
 
-const char* IoBackendName() {
-  switch (ResolvedBackend()) {
-    case IoBackend::kSync: return "sync";
-    case IoBackend::kUring: return "uring";
-    case IoBackend::kAuto:
-    case IoBackend::kThread: break;
-  }
-  return "thread";
-}
+const char* IoBackendName() { return "thread"; }
 
 std::unique_ptr<ByteSource> MakeSocketSource(int fd, bool owns_fd,
                                              const FileSourceOptions& options) {
   return std::make_unique<ThreadPrefetchSource>(fd, owns_fd, FillRead,
-                                                "thread", options);
+                                                options);
 }
 
 Result<std::unique_ptr<ByteSource>> MakeFileSource(
@@ -313,19 +223,8 @@ Result<std::unique_ptr<ByteSource>> MakeFileSource(
     return std::unique_ptr<ByteSource>(
         MakeSocketSource(fd, /*owns_fd=*/true, options));
   }
-  IoBackend backend = options.backend;
-  if (backend == IoBackend::kAuto) backend = ResolvedBackend();
-  if (backend == IoBackend::kUring) {
-    auto uring = MakeUringFileSource(fd, options);
-    if (uring != nullptr) return std::unique_ptr<ByteSource>(std::move(uring));
-    backend = IoBackend::kThread;  // per-file fallback (e.g. setup raced out)
-  }
-  if (backend == IoBackend::kSync) {
-    return std::unique_ptr<ByteSource>(std::make_unique<SyncFileSource>(
-        fd, /*owns_fd=*/true, options.buffer_bytes));
-  }
   return std::unique_ptr<ByteSource>(std::make_unique<ThreadPrefetchSource>(
-      fd, /*owns_fd=*/true, FillPread, "thread", options));
+      fd, /*owns_fd=*/true, FillPread, options));
 }
 
 }  // namespace lps::io

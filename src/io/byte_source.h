@@ -13,16 +13,12 @@
 //   - MemorySource: a view over a caller-owned buffer, cut into
 //     chunk-sized views. The in-memory baseline and the decoder tests'
 //     torn-boundary harness.
-//   - AsyncFileReader (internal, behind MakeFileSource): double-buffered
-//     prefetch of a regular file — a producer thread issues pread into
-//     the ring. With -DLPS_IO_URING an io_uring backend keeps several
-//     reads in flight through one ring instead of a thread, with a
-//     runtime probe and fallback when the kernel lacks the syscalls —
-//     the same dispatch idiom as src/kernels/ (LPS_IO env override,
-//     unavailable request logs and falls back, IoBackendName() reports
-//     the decision).
-//   - AsyncSocketSource: the same ring fed by read() on a non-seekable
-//     fd — sockets, pipes, stdin ("-" in the tools).
+//   - The file reader (internal, behind MakeFileSource): a producer
+//     thread issues pread into a four-slot ring, so reads run ahead of
+//     the consumer.
+//   - The socket source (behind MakeSocketSource): the same ring fed by
+//     read() on a non-seekable fd — sockets, pipes, stdin ("-" in the
+//     tools).
 //
 // Error discipline: I/O failures surface as Status through Next(), never
 // as an abort — a hostile or vanishing input is an ordinary runtime
@@ -63,8 +59,7 @@ class ByteSource {
   /// always stays ahead; bench_io reports it as the overlap residual.
   virtual double wait_seconds() const = 0;
 
-  /// Which backend feeds this source: "memory", "sync", "thread", or
-  /// "uring".
+  /// Which backend feeds this source: "memory" or "thread".
   virtual const char* backend() const = 0;
 };
 
@@ -88,27 +83,16 @@ class MemorySource : public ByteSource {
   size_t position_ = 0;
 };
 
-/// Backend selection for file sources. kAuto resolves once per process:
-/// the LPS_IO environment variable ("sync" | "thread" | "uring") when
-/// set, otherwise "uring" when compiled in (-DLPS_IO_URING) and the
-/// running kernel passes the probe, otherwise "thread". Asking for an
-/// unavailable backend logs a note to stderr and falls back, mirroring
-/// LPS_KERNELS.
-enum class IoBackend { kAuto, kSync, kThread, kUring };
-
 struct FileSourceOptions {
-  /// Bytes per ring slot (one read per slot fill).
+  /// Bytes per ring slot (one read per slot fill). Tests shrink it to
+  /// tear records across chunks.
   size_t buffer_bytes = 1 << 20;
-  /// Ring depth: reads the producer may run ahead of the consumer.
-  size_t ring_slots = 4;
-  IoBackend backend = IoBackend::kAuto;
 };
 
 /// Opens `path` ("-" = stdin) as an async-prefetched ByteSource. Regular
-/// files go through the resolved file backend (pread thread or
-/// io_uring); stdin and other non-seekable files stream through
-/// AsyncSocketSource. Fails with InvalidArgument when the path cannot be
-/// opened.
+/// files are read with pread on the prefetch thread; stdin and other
+/// non-seekable files stream through the socket source. Fails with
+/// InvalidArgument when the path cannot be opened.
 Result<std::unique_ptr<ByteSource>> MakeFileSource(
     const std::string& path, const FileSourceOptions& options = {});
 
@@ -117,8 +101,7 @@ Result<std::unique_ptr<ByteSource>> MakeFileSource(
 std::unique_ptr<ByteSource> MakeSocketSource(
     int fd, bool owns_fd, const FileSourceOptions& options = {});
 
-/// The file backend kAuto resolves to in this process ("thread",
-/// "uring", or "sync"), decided once — the io analogue of
+/// The backend that reads files: always "thread" — the io analogue of
 /// kernels::ActiveBackendName(), reported by `lps_cli version` and
 /// bench_io.
 const char* IoBackendName();

@@ -1,8 +1,7 @@
-// Internals shared between the byte-source backends: the bounded
-// prefetch ring (producer fills aligned slots ahead of the consumer;
-// ring depth is the backpressure) and the io_uring hooks that
-// uring_reader.cc implements whether or not the backend is compiled in.
-// Not part of the public facade — include src/io/byte_source.h instead.
+// Internals of the thread-fed byte sources: the bounded prefetch ring
+// (the producer fills aligned slots ahead of the consumer; ring depth is
+// the backpressure). Not part of the public facade — include
+// src/io/byte_source.h instead.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +20,10 @@ namespace lps::io {
 /// Ring-slot alignment: one page, so positional reads land page-aligned.
 inline constexpr size_t kIoAlignment = 4096;
 
+/// Ring depth: reads the producer may run ahead of the consumer. Two is
+/// the minimum (one slot filling while the consumer reads another).
+inline constexpr size_t kPrefetchSlots = 4;
+
 struct FreeDeleter {
   void operator()(char* p) const { std::free(p); }
 };
@@ -29,15 +32,15 @@ using AlignedBuffer = std::unique_ptr<char, FreeDeleter>;
 /// Allocates kIoAlignment-aligned storage of at least `bytes`.
 AlignedBuffer AllocateAligned(size_t bytes);
 
-/// Bounded ring of filled buffers between one producer (a prefetch
-/// thread or an io_uring completion loop) and one consumer (Next()).
+/// Bounded ring of filled buffers between one producer (the prefetch
+/// thread) and one consumer (Next()).
 /// The producer blocks while every slot is filled — that bound is the
 /// backpressure that keeps a fast reader from outrunning a slow
 /// pipeline. The consumer blocks while no slot is filled, and that wait
 /// is metered: it is exactly the read time ingestion failed to overlap.
 class PrefetchRing {
  public:
-  PrefetchRing(size_t slots, size_t slot_bytes);
+  explicit PrefetchRing(size_t slot_bytes);
 
   // Producer side.
   /// Blocks until a slot is free; returns its buffer, or nullptr once
@@ -77,14 +80,5 @@ class PrefetchRing {
   uint64_t bytes_read_ = 0;
   double wait_seconds_ = 0;
 };
-
-/// io_uring hooks, always defined (in uring_reader.cc). When the backend
-/// is not compiled in (-DLPS_IO_URING absent) or the running kernel
-/// refuses io_uring_setup, UringRuntimeAvailable() is false and
-/// MakeUringFileSource returns nullptr — callers fall back to the thread
-/// backend, so a binary built with the option still runs everywhere.
-bool UringRuntimeAvailable();
-std::unique_ptr<ByteSource> MakeUringFileSource(
-    int fd, const FileSourceOptions& options);
 
 }  // namespace lps::io

@@ -57,7 +57,7 @@ class StreamFeeder {
     /// Max updates per sink call. The default matches the pipeline's
     /// batch size, but the value does not affect final sketch state
     /// (see the determinism note above).
-    size_t batch_size = 4096;
+    size_t batch_size = stream::ParallelPipeline::kDefaultBatchSize;
     /// Decode on a dedicated thread (three-stage overlap). When false,
     /// decode runs inline on the Feed() caller — the deterministic
     /// low-thread mode, and the honest baseline for overlap numbers.

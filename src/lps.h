@@ -8,13 +8,14 @@
 //   Construction      SketchSpec + MakeSketch / SpecOf (one registry for
 //                     all 21 kinds), plus the concrete classes for typed
 //                     access (core::LpSampler, heavy::CsHeavyHitters, ...)
-//   Ingestion         stream::StreamDriver (single-threaded batching),
-//                     stream::ParallelPipeline (thread-per-shard runtime),
-//                     stream::WindowManager (sliding windows by
-//                     subtraction), stream::StreamState (replicas +
-//                     pipeline + window of one SketchSpec, sealed at the
-//                     positions solo ingestion would), io::StreamFeeder
-//                     over io::ByteSource (async file/socket ingest
+//   Ingestion         stream::ParallelPipeline (the batch driver: one
+//                     inline shard by default, a thread-per-shard
+//                     runtime when asked), stream::WindowManager
+//                     (sliding windows by subtraction),
+//                     stream::StreamState (replicas + pipeline + window
+//                     of one SketchSpec, sealed at the positions solo
+//                     ingestion would), io::StreamFeeder over
+//                     io::ByteSource (async file/socket ingest
 //                     overlapping read, decode, and sketching — see
 //                     docs/io.md)
 //   Queries           Query(sketch) -> QueryResult, the tagged answer
@@ -52,7 +53,6 @@
 #include "src/stream/generators.h"
 #include "src/stream/linear_sketch.h"
 #include "src/stream/parallel_pipeline.h"
-#include "src/stream/stream_driver.h"
 #include "src/stream/stream_state.h"
 #include "src/stream/trace.h"
 #include "src/stream/update.h"

@@ -185,12 +185,7 @@ Status TenantRegistry::FoldEpoch(const std::string& tenant,
   // The entry may predate this worker (created by a CREATE request or
   // another worker's first epoch): its spec must match the epoch's
   // byte-for-byte, else Merge would CHECK on mismatched parameters.
-  BitWriter ours;
-  BitWriter theirs;
-  SerializeSpec(entry->config.spec, &ours);
-  SerializeSpec(config.spec, &theirs);
-  if (ours.bit_count() != theirs.bit_count() ||
-      ours.words() != theirs.words()) {
+  if (!IdenticalSpecs(entry->config.spec, config.spec)) {
     return Status::InvalidArgument("epoch spec does not match stream " +
                                    tenant + "/" + key);
   }

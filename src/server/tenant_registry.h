@@ -106,9 +106,9 @@ class TenantRegistry {
   /// `config` on first fold, with an inline topology — the aggregator
   /// needs no pipeline; its fan-in parallelism IS the worker processes.
   /// `delta` must already be validated against `config` (the aggregator
-  /// runs dist::DecodeEpochState first); this method cross-checks
-  /// `config` against the entry's so a stream created with different
-  /// parameters can never reach Merge's parameter CHECK.
+  /// runs DecodeSketchState first); this method cross-checks `config`
+  /// against the entry's with IdenticalSpecs so a stream created with
+  /// different parameters can never reach Merge's parameter CHECK.
   Status FoldEpoch(const std::string& tenant, const std::string& key,
                    const SketchConfig& config, const LinearSketch& delta,
                    uint64_t count);

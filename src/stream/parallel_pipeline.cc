@@ -134,7 +134,7 @@ void ParallelPipeline::WorkerMain(int w) {
 }
 
 size_t ParallelPipeline::Drive(const Update* updates, size_t count) {
-  for (size_t t = 0; t < count; ++t) Push(updates[t]);
+  PushBatch(updates, count);
   Flush();
   return count;
 }
@@ -144,7 +144,27 @@ size_t ParallelPipeline::Drive(const UpdateStream& stream) {
 }
 
 void ParallelPipeline::PushBatch(const Update* updates, size_t count) {
-  for (size_t t = 0; t < count; ++t) Push(updates[t]);
+  if (staging_.size() > 1 || !workers_.empty()) {
+    for (size_t t = 0; t < count; ++t) Push(updates[t]);
+    return;
+  }
+  // One inline shard: the batches Push would seal are runs of the
+  // caller's buffer, so apply those in place and stage only what tops up
+  // a partial batch or is left over.
+  auto& staging = staging_[0];
+  updates_driven_ += count;
+  while (count > 0) {
+    size_t take = batch_size_;
+    if (staging.empty() && count >= batch_size_) {
+      ApplyBatch(0, updates, batch_size_);
+    } else {
+      take = std::min(batch_size_ - staging.size(), count);
+      staging.insert(staging.end(), updates, updates + take);
+      if (staging.size() >= batch_size_) SealShard(0);
+    }
+    updates += take;
+    count -= take;
+  }
 }
 
 void ParallelPipeline::Push(Update u) {

@@ -1,5 +1,13 @@
-// ParallelPipeline — the parallel ingestion runtime for mergeable
-// summaries.
+// ParallelPipeline — the library's batch driver and its parallel
+// ingestion runtime for mergeable summaries.
+//
+// The paper's structures are all linear, so ingestion owes each one only
+// its updates in stream order, cut into cache-sized batches: one batch
+// stays resident in L1/L2 while every registered structure's rows sweep
+// over it. With one shard and no workers (the default Options) that is
+// all the pipeline does — PushBatch hands the caller's buffer to the
+// sinks in batch_size runs without copying it, cut at the same fill
+// points the staging buffer would use.
 //
 // A stream is partitioned across k shards; each shard owns one replica of
 // every registered structure (constructed with identical parameters and
@@ -64,7 +72,6 @@
 #include <vector>
 
 #include "src/stream/linear_sketch.h"
-#include "src/stream/stream_driver.h"
 #include "src/stream/update.h"
 
 namespace lps::stream {
@@ -75,6 +82,10 @@ class ParallelPipeline {
     kByIndex,     ///< shard = Mix64(index) % k (coordinate-sticky)
     kRoundRobin,  ///< shard = arrival position % k (load-balancing)
   };
+
+  /// 4096 updates x 16 bytes = 64 KiB per batch: fits L2 alongside the
+  /// sinks' tables without thrashing L1.
+  static constexpr size_t kDefaultBatchSize = 4096;
 
   /// Ring capacity in batches per worker: enough that the producer stays
   /// ahead of a momentarily stalled worker, small enough that backpressure
@@ -89,7 +100,7 @@ class ParallelPipeline {
     /// clamped — one worker per shard is the maximum useful parallelism.
     int threads = 0;
     Partition partition = Partition::kByIndex;
-    size_t batch_size = StreamDriver::kDefaultBatchSize;
+    size_t batch_size = kDefaultBatchSize;
     size_t queue_capacity = kDefaultQueueCapacity;
   };
 
@@ -97,7 +108,7 @@ class ParallelPipeline {
 
   /// Drains every queued batch, stops the workers, and joins them. Staged
   /// (unsealed) updates are NOT flushed — call Flush() first if they must
-  /// reach the sinks, exactly like StreamDriver's Push/Flush contract.
+  /// reach the sinks.
   ~ParallelPipeline();
 
   ParallelPipeline(const ParallelPipeline&) = delete;
@@ -110,8 +121,9 @@ class ParallelPipeline {
   /// *this for chaining.
   ParallelPipeline& Add(std::string name, std::vector<LinearSketch*> replicas);
 
-  /// Partitions `count` updates across the shards, feeds the workers, and
-  /// quiesces (every update applied on return). Returns `count`.
+  /// PushBatch + Flush: partitions `count` updates across the shards,
+  /// feeds the workers, and quiesces (every update applied on return).
+  /// Returns `count`.
   size_t Drive(const Update* updates, size_t count);
   size_t Drive(const UpdateStream& stream);
 
@@ -125,7 +137,10 @@ class ParallelPipeline {
   /// keep the workers busy across arbitrarily chunked arrivals.
   /// State-identical to calling Push on each update: chunk boundaries
   /// stay governed by the producer-side fill rule, so how the arrivals
-  /// were chunked never shows in the final state.
+  /// were chunked never shows in the final state. With one shard and no
+  /// workers, a full batch_size run arriving while staging is empty goes
+  /// to the sinks straight from `updates` (zero-copy); only a remainder
+  /// is staged.
   void PushBatch(const Update* updates, size_t count);
 
   /// Seals every shard's staged remainder and waits until the workers

@@ -5,52 +5,8 @@
 #include <utility>
 
 #include "src/util/check.h"
-#include "src/util/serialize.h"
 
 namespace lps::stream {
-
-namespace {
-
-// Low 16 bits of every serialized sketch ("LS").
-constexpr uint64_t kSketchMagic = 0x4C53;
-
-// Deserialize CHECK-aborts on corrupt state, which must stay unreachable
-// from the wire and from a store record damaged below the CRC's notice:
-// everything is pre-validated with plain integer tests.
-Status RestoreReplica(LinearSketch* fresh, const SketchSpec& spec,
-                      const std::vector<uint64_t>& words, size_t bits) {
-  if (bits < 32 || bits > words.size() * 64) {
-    return Status::InvalidArgument("snapshot state truncated");
-  }
-  const uint64_t head = words[0];
-  if ((head & 0xFFFF) != kSketchMagic) {
-    return Status::InvalidArgument("snapshot state is not a serialized sketch");
-  }
-  if (((head >> 16) & 0xFF) != uint64_t(spec.kind)) {
-    return Status::InvalidArgument(
-        "snapshot state kind does not match its config");
-  }
-  const auto version = uint32_t((head >> 24) & 0xFF);
-  if (version < 1 || version > kSketchFormatVersion) {
-    return Status::InvalidArgument("snapshot state version unsupported");
-  }
-  // Serialized size and the leading word (header + first parameter bits)
-  // are pure functions of the spec — counters only change values, never
-  // layout. The fresh replica is therefore an exact template for both,
-  // which rejects truncated, padded, or version-skewed state before
-  // Deserialize walks it.
-  BitWriter probe;
-  fresh->Serialize(&probe);
-  if (bits != probe.bit_count() || words[0] != probe.words()[0]) {
-    return Status::InvalidArgument(
-        "snapshot state does not match its declared config");
-  }
-  BitReader reader(words, bits);
-  fresh->Deserialize(&reader);
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<std::unique_ptr<StreamState>> StreamState::Create(
     const SketchSpec& spec, const Options& options) {
@@ -80,21 +36,21 @@ Result<std::unique_ptr<StreamState>> StreamState::Build(
   const Status valid = ValidateSpec(spec);
   if (!valid.ok()) return valid;
   std::unique_ptr<StreamState> state(new StreamState());
-  std::vector<LinearSketch*> raw;
-  for (int s = 0; s < options.shards; ++s) {
+  if (state_words != nullptr) {
+    auto restored = DecodeSketchState(spec, *state_words, state_bits);
+    if (!restored.ok()) return restored.status();
+    state->replicas_.push_back(std::move(restored.value()));
+  }
+  while (state->replicas_.size() < size_t(options.shards)) {
     auto replica = MakeSketch(spec);
     if (replica == nullptr) {
       return Status::InvalidArgument("unknown sketch kind");
     }
-    raw.push_back(replica.get());
     state->replicas_.push_back(std::move(replica));
   }
-  if (state_words != nullptr) {
-    const Status restored =
-        RestoreReplica(raw[0], spec, *state_words, state_bits);
-    if (!restored.ok()) return restored;
-  }
   if (options.shards > 1 || options.threads > 0) {
+    std::vector<LinearSketch*> raw;
+    for (const auto& replica : state->replicas_) raw.push_back(replica.get());
     ParallelPipeline::Options topology;
     topology.shards = options.shards;
     topology.threads = options.threads;

@@ -71,9 +71,9 @@ class StreamState {
 
   /// Create, with replica 0 restored from a serialized state of `spec`
   /// before the window takes its position-0 checkpoint: the restored
-  /// prefix is the window's origin. The state is validated against a
-  /// fresh replica first, so corrupt bytes are InvalidArgument.
-  /// updates_seen() starts at `updates_seen`.
+  /// prefix is the window's origin. The state goes through
+  /// DecodeSketchState, so corrupt bytes and state of any other spec are
+  /// InvalidArgument. updates_seen() starts at `updates_seen`.
   static Result<std::unique_ptr<StreamState>> Restore(
       const SketchSpec& spec, const Options& options,
       const std::vector<uint64_t>& state_words, size_t state_bits,

@@ -29,7 +29,7 @@
 #include "src/norm/lp_norm.h"
 #include "src/sketch/stable_sketch.h"
 #include "src/stream/generators.h"
-#include "src/stream/stream_driver.h"
+#include "src/stream/parallel_pipeline.h"
 #include "src/util/random.h"
 
 namespace lps::kernels {
@@ -314,6 +314,14 @@ bool EmbedsStableSketch(SketchKind kind) {
   }
 }
 
+/// A one-shard inline pipeline with an odd batch size: partial tail
+/// batches.
+stream::ParallelPipeline::Options OddBatches() {
+  stream::ParallelPipeline::Options options;
+  options.batch_size = 193;
+  return options;
+}
+
 std::vector<uint64_t> SerializedState(SketchKind kind, Backend backend) {
   ScopedBackend pin(backend);
   SketchSpec spec;
@@ -327,9 +335,8 @@ std::vector<uint64_t> SerializedState(SketchKind kind, Backend backend) {
   auto sketch = MakeSketch(spec);
   EXPECT_NE(sketch, nullptr) << SketchKindName(kind);
   const auto stream = stream::UniformTurnstile(1 << 10, 6000, 50, 9);
-  stream::StreamDriver driver(193);  // odd batch size: partial tail batches
-  driver.Add("x", sketch.get());
-  driver.Drive(stream);
+  stream::ParallelPipeline pipeline(OddBatches());
+  pipeline.Add("x", {sketch.get()}).Drive(stream);
   BitWriter writer;
   sketch->Serialize(&writer);
   return writer.words();
@@ -366,8 +373,8 @@ TEST(KernelSweep, StableFamilyQueryEquivalentAcrossBackends) {
       ScopedBackend pin(Backend::kScalar);
       sketch::StableSketch s(1.0, 32, 21);
       norm::LpNormEstimator e(1.0, 32, 22);
-      stream::StreamDriver driver(193);
-      driver.Add("s", &s).Add("e", &e).Drive(stream);
+      stream::ParallelPipeline pipeline(OddBatches());
+      pipeline.Add("s", {&s}).Add("e", {&e}).Drive(stream);
       want_norm = s.EstimateNorm();
       want_est = e.Estimate2Approx();
     }
@@ -375,8 +382,8 @@ TEST(KernelSweep, StableFamilyQueryEquivalentAcrossBackends) {
       ScopedBackend pin(bk);
       sketch::StableSketch s(1.0, 32, 21);
       norm::LpNormEstimator e(1.0, 32, 22);
-      stream::StreamDriver driver(193);
-      driver.Add("s", &s).Add("e", &e).Drive(stream);
+      stream::ParallelPipeline pipeline(OddBatches());
+      pipeline.Add("s", {&s}).Add("e", {&e}).Drive(stream);
       got_norm = s.EstimateNorm();
       got_est = e.Estimate2Approx();
     }

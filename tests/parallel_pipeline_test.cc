@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/core/lp_sampler.h"
@@ -145,7 +146,7 @@ TEST(ParallelPipeline, MatchesShardedDriverBitForBit) {
   std::vector<sketch::CountSketch> via_driver{make(), make(), make()};
   ParallelPipeline driver(PipelineOptions(
       3, 0, ParallelPipeline::Partition::kByIndex,
-      stream::StreamDriver::kDefaultBatchSize,
+      ParallelPipeline::kDefaultBatchSize,
       ParallelPipeline::kDefaultQueueCapacity));
   driver.Add("cs", {&via_driver[0], &via_driver[1], &via_driver[2]});
   driver.Drive(stream);
@@ -154,7 +155,7 @@ TEST(ParallelPipeline, MatchesShardedDriverBitForBit) {
   auto via_pipeline = PipelineIngest<sketch::CountSketch>(
       make, stream,
       PipelineOptions(3, 2, ParallelPipeline::Partition::kByIndex,
-                      stream::StreamDriver::kDefaultBatchSize, 8));
+                      ParallelPipeline::kDefaultBatchSize, 8));
   EXPECT_TRUE(StateOf(via_driver[0]) == StateOf(via_pipeline));
 }
 
@@ -167,12 +168,12 @@ TEST(ParallelPipeline, PushFlushInterleaving) {
   sketch::CountSketch solo = make();
   solo.UpdateBatch(stream.data(), stream.size());
 
-  for (int t : {0, 1, 4}) {
+  for (auto [k, t] : {std::pair{4, 0}, {4, 1}, {4, 4}, {1, 0}}) {
     std::vector<sketch::CountSketch> replicas;
-    for (int s = 0; s < 4; ++s) replicas.push_back(make());
+    for (int s = 0; s < k; ++s) replicas.push_back(make());
     std::vector<LinearSketch*> raw;
     for (auto& replica : replicas) raw.push_back(&replica);
-    ParallelPipeline pipeline(PipelineOptions(4, t));
+    ParallelPipeline pipeline(PipelineOptions(k, t));
     pipeline.Add("cs", raw);
     for (size_t j = 0; j < stream.size(); ++j) {
       pipeline.Push(stream[j]);
@@ -180,7 +181,8 @@ TEST(ParallelPipeline, PushFlushInterleaving) {
     }
     pipeline.Flush();
     pipeline.MergeShards();
-    EXPECT_TRUE(StateOf(replicas[0]) == StateOf(solo)) << "t=" << t;
+    EXPECT_TRUE(StateOf(replicas[0]) == StateOf(solo))
+        << "k=" << k << " t=" << t;
     EXPECT_EQ(pipeline.updates_driven(), stream.size());
   }
 }
@@ -223,14 +225,25 @@ TEST(ParallelPipeline, MultipleSinksShareThePartition) {
   solo_cs.UpdateBatch(stream.data(), stream.size());
   solo_rec.UpdateBatch(stream.data(), stream.size());
 
-  std::vector<sketch::CountSketch> cs{make_cs(), make_cs()};
-  std::vector<recovery::SparseRecovery> rec{make_rec(), make_rec()};
-  ParallelPipeline pipeline(PipelineOptions(2, 2));
-  pipeline.Add("cs", {&cs[0], &cs[1]}).Add("rec", {&rec[0], &rec[1]});
-  pipeline.Drive(stream);
-  pipeline.MergeShards();
-  EXPECT_TRUE(StateOf(cs[0]) == StateOf(solo_cs));
-  EXPECT_TRUE(StateOf(rec[0]) == StateOf(solo_rec));
+  for (auto [k, t] : {std::pair{2, 2}, {1, 0}}) {
+    std::vector<sketch::CountSketch> cs;
+    std::vector<recovery::SparseRecovery> rec;
+    std::vector<LinearSketch*> cs_raw, rec_raw;
+    for (int s = 0; s < k; ++s) {
+      cs.push_back(make_cs());
+      rec.push_back(make_rec());
+    }
+    for (int s = 0; s < k; ++s) {
+      cs_raw.push_back(&cs[static_cast<size_t>(s)]);
+      rec_raw.push_back(&rec[static_cast<size_t>(s)]);
+    }
+    ParallelPipeline pipeline(PipelineOptions(k, t));
+    pipeline.Add("cs", cs_raw).Add("rec", rec_raw);
+    pipeline.Drive(stream);
+    pipeline.MergeShards();
+    EXPECT_TRUE(StateOf(cs[0]) == StateOf(solo_cs)) << "k=" << k;
+    EXPECT_TRUE(StateOf(rec[0]) == StateOf(solo_rec)) << "k=" << k;
+  }
 }
 
 TEST(ParallelPipeline, ThreadsClampedToShards) {
@@ -289,7 +302,7 @@ TEST(ParallelPipeline, HeavyHittersThreadedQueryAgreement) {
 
 TEST(ParallelPipeline, DestructorDrainsWithoutFlush) {
   // Sealed-but-unapplied batches drain on destruction; staged partials do
-  // not (the documented StreamDriver-style contract). With batch_size 1
+  // not (the documented Push/Flush contract). With batch_size 1
   // nothing ever stays staged, so all updates land.
   auto make = [] { return sketch::CountSketch(5, 16, 66); };
   sketch::CountSketch solo = make();

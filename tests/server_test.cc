@@ -311,6 +311,21 @@ TEST(ServerTest, SnapshotRestartRestoreRoundTrips) {
   SnapshotBlob corrupt = blob;
   corrupt.state_words[0] ^= 0xFFFF;  // break the magic
   EXPECT_FALSE(client.Restore("t", "other", corrupt).ok());
+  // So is a sharded config carrying state serialized under another seed:
+  // same size and leading word as the config's, so only the Reset proof
+  // catches it. Accepted, it would be replica 0 and the next epoch merge
+  // would abort the daemon.
+  SnapshotBlob foreign = blob;
+  foreign.config.shards = 2;
+  SketchSpec lying = foreign.config.spec;
+  lying.seed = 999;
+  BitWriter lying_state;
+  MakeSketch(lying)->Serialize(&lying_state);
+  foreign.state_words = lying_state.words();
+  foreign.state_bits = lying_state.bit_count();
+  EXPECT_FALSE(client.Restore("t", "foreign", foreign).ok());
+  EXPECT_FALSE(client.Ingest("t", "foreign", more).ok());
+  EXPECT_FALSE(client.Query("t", "foreign").ok());
   EXPECT_TRUE(client.Query("t", "s").ok());
   server->Stop();
 }

@@ -243,6 +243,19 @@ TEST(StreamState, HostileValuesAreInvalidArgumentNotAborts) {
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), Code::kInvalidArgument);
 
+  // State serialized under another seed passes every header and size
+  // check; restored anyway, replica 0 would not merge with its peers.
+  SketchSpec foreign = CountMinSpec();
+  foreign.seed = 32;
+  const State lying = StateOf(*MakeSketch(foreign));
+  for (const Topology& topology : kTopologies) {
+    SCOPED_TRACE(topology.name);
+    built = StreamState::Restore(CountMinSpec(), OptionsFor(topology, false),
+                                 lying.words, lying.bits, 0);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), Code::kInvalidArgument);
+  }
+
   // The L0 sampler CHECKs index < n on every update.
   SketchSpec l0;
   l0.kind = SketchKind::kL0Sampler;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/core/l0_sampler.h"
@@ -12,7 +13,7 @@
 #include "src/norm/l0_norm.h"
 #include "src/stream/exact_vector.h"
 #include "src/stream/generators.h"
-#include "src/stream/stream_driver.h"
+#include "src/stream/parallel_pipeline.h"
 #include "src/util/serialize.h"
 
 namespace lps::stream {
@@ -192,8 +193,9 @@ TEST(Generators, DuplicatesReductionVector) {
   EXPECT_EQ(x.Total(), static_cast<int64_t>(letters.size()) - 8);
 }
 
-// ---- StreamDriver: chunking, Push/Flush, and end-to-end equivalence of
-// ---- the batched ingestion path with per-update processing.
+// ---- The batch driver (a one-shard inline ParallelPipeline): chunking,
+// ---- PushBatch/Flush at any arrival chunking, and end-to-end equivalence
+// ---- of the batched ingestion path with per-update processing.
 
 template <typename Sink>
 std::vector<uint64_t> CounterWords(const Sink& sink) {
@@ -202,115 +204,134 @@ std::vector<uint64_t> CounterWords(const Sink& sink) {
   return writer.words();
 }
 
-TEST(StreamDriver, ChunksStreamIntoBatches) {
-  StreamDriver driver(8);
-  std::vector<size_t> seen_counts;
-  UpdateStream seen;
-  driver.AddSink("recorder", [&](const Update* updates, size_t count) {
-    seen_counts.push_back(count);
+/// One inline shard, cutting batch_size runs.
+ParallelPipeline::Options Batches(size_t batch_size) {
+  ParallelPipeline::Options options;
+  options.batch_size = batch_size;
+  return options;
+}
+
+/// Feeds `stream` through PushBatch in arrival chunks of `chunk` updates.
+void PushInChunks(ParallelPipeline* pipeline, const UpdateStream& stream,
+                  size_t chunk) {
+  for (size_t at = 0; at < stream.size(); at += chunk) {
+    pipeline->PushBatch(stream.data() + at,
+                        std::min(chunk, stream.size() - at));
+  }
+}
+
+/// Records the runs its UpdateBatch receives. Every library kind is
+/// chunk-invariant, so sketch state cannot show where batches were cut;
+/// this sink can.
+class RunRecorder : public LinearSketch {
+ public:
+  void UpdateBatch(const stream::Update* updates, size_t count) override {
+    runs.push_back(count);
     seen.insert(seen.end(), updates, updates + count);
-  });
+  }
+  void Merge(const LinearSketch&) override {}
+  void MergeNegated(const LinearSketch&) override {}
+  void Serialize(BitWriter*) const override {}
+  void Deserialize(BitReader*) override {}
+  void Reset() override {}
+  size_t SpaceBits() const override { return 0; }
+  SketchKind kind() const override { return SketchKind::kCountSketch; }
+
+  std::vector<size_t> runs;
+  UpdateStream seen;
+};
+
+TEST(BatchDriver, ChunksStreamIntoBatches) {
   UpdateStream stream;
   for (uint64_t t = 0; t < 27; ++t) {
     stream.push_back({t, static_cast<int64_t>(t + 1)});
   }
-  EXPECT_EQ(driver.Drive(stream), 27u);
-  EXPECT_EQ(seen_counts, (std::vector<size_t>{8, 8, 8, 3}));
-  EXPECT_EQ(driver.updates_driven(), 27u);
-  EXPECT_EQ(driver.batches_driven(), 4u);
-  ASSERT_EQ(seen.size(), stream.size());
-  for (size_t t = 0; t < stream.size(); ++t) {
-    EXPECT_EQ(seen[t].index, stream[t].index);
-    EXPECT_EQ(seen[t].delta, stream[t].delta);
+  auto expect_batches = [&](const RunRecorder& sink) {
+    EXPECT_EQ(sink.runs, (std::vector<size_t>{8, 8, 8, 3}));
+    ASSERT_EQ(sink.seen.size(), stream.size());
+    for (size_t t = 0; t < stream.size(); ++t) {
+      EXPECT_EQ(sink.seen[t].index, stream[t].index);
+      EXPECT_EQ(sink.seen[t].delta, stream[t].delta);
+    }
+  };
+  {
+    RunRecorder sink;
+    ParallelPipeline pipeline(Batches(8));
+    pipeline.Add("recorder", {&sink});
+    EXPECT_EQ(pipeline.Drive(stream), 27u);
+    EXPECT_EQ(pipeline.updates_driven(), 27u);
+    expect_batches(sink);
   }
-}
-
-TEST(StreamDriver, EveryRegisteredSinkSeesTheWholeStream) {
-  StreamDriver driver(4);
-  size_t total_a = 0, total_b = 0;
-  driver.AddSink("a", [&](const Update*, size_t c) { total_a += c; })
-      .AddSink("b", [&](const Update*, size_t c) { total_b += c; });
-  EXPECT_EQ(driver.sink_count(), 2u);
-  EXPECT_EQ(driver.sink_name(0), "a");
-  driver.Drive(UniformTurnstile(64, 100, 10, 5));
-  EXPECT_EQ(total_a, 100u);
-  EXPECT_EQ(total_b, 100u);
-}
-
-TEST(StreamDriver, EmptyStreamDrivesNothing) {
-  StreamDriver driver;
-  size_t calls = 0;
-  driver.AddSink("counter", [&](const Update*, size_t) { ++calls; });
-  EXPECT_EQ(driver.Drive(UpdateStream{}), 0u);
-  EXPECT_EQ(calls, 0u);
-  EXPECT_EQ(driver.batches_driven(), 0u);
-}
-
-TEST(StreamDriver, PushFlushMatchesDrive) {
-  const auto stream = UniformTurnstile(128, 333, 50, 6);
-  UpdateStream via_drive, via_push;
-  StreamDriver a(16), b(16);
-  a.AddSink("rec", [&](const Update* u, size_t c) {
-    via_drive.insert(via_drive.end(), u, u + c);
-  });
-  b.AddSink("rec", [&](const Update* u, size_t c) {
-    via_push.insert(via_push.end(), u, u + c);
-  });
-  a.Drive(stream);
-  for (const auto& u : stream) b.Push(u);
-  b.Flush();
-  b.Flush();  // second flush is a no-op
-  ASSERT_EQ(via_push.size(), via_drive.size());
-  for (size_t t = 0; t < via_push.size(); ++t) {
-    EXPECT_EQ(via_push[t].index, via_drive[t].index);
-    EXPECT_EQ(via_push[t].delta, via_drive[t].delta);
+  for (size_t chunk : {1u, 3u, 8u, 13u, 27u}) {
+    SCOPED_TRACE("arrival chunk " + std::to_string(chunk));
+    RunRecorder sink;
+    ParallelPipeline pipeline(Batches(8));
+    pipeline.Add("recorder", {&sink});
+    PushInChunks(&pipeline, stream, chunk);
+    pipeline.Flush();
+    EXPECT_EQ(pipeline.updates_driven(), 27u);
+    expect_batches(sink);
   }
 }
 
 // The full sampler stack driven in batches must land in bit-identical
 // state to per-update processing — strict-turnstile and general streams,
-// driver batch sizes that exercise partial and single-element chunks.
-TEST(StreamDriver, LpSamplerStateMatchesPerUpdatePath) {
+// batch sizes that exercise partial and single-element chunks, and
+// arrival chunks that straddle them.
+TEST(BatchDriver, LpSamplerStateMatchesPerUpdatePath) {
   ScopedScalarKernels pin_scalar;  // LpSampler embeds an LpNormEstimator
   const auto general = UniformTurnstile(256, 1500, 100, 41);
   const auto strict = PlantedHeavyHitters(256, 4, 200, 100, false, 42);
+  lps::core::LpSamplerParams params;
+  params.n = 256;
+  params.p = 1.0;
+  params.eps = 0.3;
+  params.repetitions = 3;
+  params.seed = 1234;
   for (const auto& stream : {general, strict}) {
-    for (size_t batch_size : {1u, 7u, 4096u}) {
-      lps::core::LpSamplerParams params;
-      params.n = 256;
-      params.p = 1.0;
-      params.eps = 0.3;
-      params.repetitions = 3;
-      params.seed = 1234;
-      lps::core::LpSampler scalar(params), batched(params);
-      for (const auto& u : stream) {
-        scalar.Update(u.index, static_cast<double>(u.delta));
-      }
-      StreamDriver driver(batch_size);
-      driver.Add("lp", &batched).Drive(stream);
-      EXPECT_EQ(CounterWords(scalar), CounterWords(batched));
-      const auto a = scalar.Sample();
-      const auto b = batched.Sample();
-      ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) {
-        EXPECT_EQ(a.value().index, b.value().index);
-        EXPECT_EQ(a.value().estimate, b.value().estimate);
+    lps::core::LpSampler scalar(params);
+    for (const auto& u : stream) {
+      scalar.Update(u.index, static_cast<double>(u.delta));
+    }
+    // 0 = Drive; otherwise PushBatch in arrival chunks + Flush.
+    const std::vector<size_t> chunks = {0, 1, 5, 4097, stream.size()};
+    for (size_t chunk : chunks) {
+      for (size_t batch_size : {1u, 7u, 4096u}) {
+        SCOPED_TRACE("arrival chunk " + std::to_string(chunk) + ", batch " +
+                     std::to_string(batch_size));
+        lps::core::LpSampler batched(params);
+        ParallelPipeline pipeline(Batches(batch_size));
+        pipeline.Add("lp", {&batched});
+        if (chunk == 0) {
+          pipeline.Drive(stream);
+        } else {
+          PushInChunks(&pipeline, stream, chunk);
+          pipeline.Flush();
+        }
+        EXPECT_EQ(CounterWords(scalar), CounterWords(batched));
+        const auto a = scalar.Sample();
+        const auto b = batched.Sample();
+        ASSERT_EQ(a.ok(), b.ok());
+        if (a.ok()) {
+          EXPECT_EQ(a.value().index, b.value().index);
+          EXPECT_EQ(a.value().estimate, b.value().estimate);
+        }
       }
     }
   }
 }
 
-TEST(StreamDriver, L0SamplerStateMatchesPerUpdatePath) {
+TEST(BatchDriver, L0SamplerStateMatchesPerUpdatePath) {
   const auto stream = InsertDeleteChurn(512, 200, 40, 43);
   lps::core::L0Sampler scalar({512, 0.2, 0, 77, false});
   lps::core::L0Sampler batched({512, 0.2, 0, 77, false});
   for (const auto& u : stream) scalar.Update(u.index, u.delta);
-  StreamDriver driver(64);
-  driver.Add("l0", &batched).Drive(stream);
+  ParallelPipeline pipeline(Batches(64));
+  pipeline.Add("l0", {&batched}).Drive(stream);
   EXPECT_EQ(CounterWords(scalar), CounterWords(batched));
 }
 
-TEST(StreamDriver, HeavyHittersAndL0EstimatorMatchPerUpdatePath) {
+TEST(BatchDriver, HeavyHittersAndL0EstimatorMatchPerUpdatePath) {
   ScopedScalarKernels pin_scalar;  // CsHeavyHitters embeds an LpNormEstimator
   const auto stream = UniformTurnstile(512, 2000, 100, 44);
   lps::heavy::CsHeavyHitters::Params params;
@@ -325,8 +346,8 @@ TEST(StreamDriver, HeavyHittersAndL0EstimatorMatchPerUpdatePath) {
     scalar_hh.Update(u.index, static_cast<double>(u.delta));
     scalar_l0.Update(u.index, u.delta);
   }
-  StreamDriver driver(100);
-  driver.Add("hh", &batched_hh).Add("l0", &batched_l0).Drive(stream);
+  ParallelPipeline pipeline(Batches(100));
+  pipeline.Add("hh", {&batched_hh}).Add("l0", {&batched_l0}).Drive(stream);
   EXPECT_EQ(CounterWords(scalar_hh), CounterWords(batched_hh));
   EXPECT_EQ(CounterWords(scalar_l0), CounterWords(batched_l0));
   EXPECT_EQ(scalar_hh.Query(), batched_hh.Query());

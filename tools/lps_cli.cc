@@ -51,6 +51,7 @@
 // auto-detected. Without --from, the trace is read (and materialized)
 // from stdin exactly as before. Final sketch state is bit-identical
 // either way at the same --shards/--threads topology (tests/io_test.cc).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -91,8 +92,8 @@ int Usage() {
 
 /// Runtime info line: which SIMD kernel backend this process dispatched
 /// (and the full set the binary + host could run) plus the file-read
-/// backend --from resolves to — the quick way to see what LPS_KERNELS
-/// and LPS_IO resolved to.
+/// backend --from uses — the quick way to see what LPS_KERNELS resolved
+/// to.
 int CmdVersion() {
   std::printf("lps_cli — Lp sampler library (JST11)\n");
   std::printf("kernel backend: %s (available:",
@@ -350,9 +351,12 @@ std::unique_ptr<lps::LinearSketch> Ingest(StreamInput& in, int shards,
   if (in.feeder != nullptr) {
     if (!ReportFeed(in.feeder->Feed(sink))) return nullptr;
   } else {
-    lps::stream::StreamDriver driver;
-    driver.AddSink("state", sink);
-    driver.Drive(in.trace.updates);
+    // The same arrival chunks the feeder delivers.
+    const auto& updates = in.trace.updates;
+    const size_t batch = lps::stream::ParallelPipeline::kDefaultBatchSize;
+    for (size_t at = 0; at < updates.size(); at += batch) {
+      sink(updates.data() + at, std::min(batch, updates.size() - at));
+    }
   }
   if (!pushed.ok()) {
     std::fprintf(stderr, "ingest failed: %s\n", pushed.ToString().c_str());
