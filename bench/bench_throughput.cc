@@ -12,6 +12,11 @@
 // allocations kept — so repeated trials measure ingestion, not
 // reconstruction.
 //
+// The lp_sampler_anatomy section splits the paper's sampler's ingest into
+// its parts at n = 2^20 with the SketchSpec defaults: the whole sampler,
+// its shared norm estimator, and one round's flat count-sketch and dyadic
+// candidate tree, each built at the round's shape. It has no gate.
+//
 // Emits the human tables to stdout and machine-readable results to
 // BENCH_throughput.json. --quick shrinks stream lengths and pass counts
 // for CI smoke runs. Exits non-zero if a query path regressed to
@@ -26,6 +31,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/api/sketch_spec.h"
 #include "src/core/l0_sampler.h"
 #include "src/kernels/kernels.h"
 #include "src/core/lp_sampler.h"
@@ -41,6 +47,7 @@
 #include "src/stream/generators.h"
 #include "src/stream/linear_sketch.h"
 #include "src/stream/parallel_pipeline.h"
+#include "src/util/bits.h"
 #include "src/util/random.h"
 
 namespace {
@@ -50,6 +57,7 @@ using lps::stream::ParallelPipeline;
 using lps::stream::UpdateStream;
 
 constexpr uint64_t kN = 1 << 16;
+constexpr uint64_t kAnatomyN = 1ULL << 20;  // lp_sampler_anatomy universe
 
 struct ResultRow {
   std::string name;
@@ -371,10 +379,87 @@ double MicrosPerCall(int passes, int calls, Fn&& fn) {
   return best_seconds / calls * 1e6;
 }
 
+/// One p of the sampler's ingest anatomy. A round's remaining cost — the
+/// k-wise t_i hash and the t_i^{-1/p} transform — is what
+/// (sampler - norm) / rounds leaves after its two sketches.
+struct AnatomyRow {
+  double p = 0;
+  int rounds = 0;       // v
+  int m = 0;            // a round's sketches have 6m buckets per row
+  int tree_levels = 0;  // DyadicCountSketch levels per round
+  double sampler_us = 0;
+  double norm_us = 0;
+  double round_cs_us = 0;
+  double round_tree_us = 0;
+  size_t state_bytes = 0;
+};
+
+/// Micros per update of feeding `updates` to `sink` in `chunk`-update
+/// batches, best of `passes`; the sink is Reset() off-clock before each.
+template <typename Sink, typename U>
+double MicrosPerUpdate(const std::vector<U>& updates, size_t chunk,
+                       int passes, Sink* sink) {
+  double best_seconds = 1e300;
+  for (int p = 0; p < passes; ++p) {
+    sink->Reset();
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t at = 0; at < updates.size(); at += chunk) {
+      sink->UpdateBatch(updates.data() + at,
+                        std::min(chunk, updates.size() - at));
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    const double seconds = std::chrono::duration<double>(stop - start).count();
+    if (seconds < best_seconds) best_seconds = seconds;
+  }
+  return best_seconds / static_cast<double>(updates.size()) * 1e6;
+}
+
+/// The anatomy at one p: the sampler as MakeSketch builds it from a spec
+/// with only kind, n, p and seed set, then each part alone at the shape
+/// the sampler resolved. The parts see the batches a round sees: scaled
+/// (double) updates in the sampler's 4096-update chunks.
+AnatomyRow MeasureAnatomy(double p, const UpdateStream& stream, int passes) {
+  constexpr size_t kChunk = 4096;  // LpSampler's internal batch chunk
+  lps::SketchSpec spec;
+  spec.kind = lps::SketchKind::kLpSampler;
+  spec.n = kAnatomyN;
+  spec.p = p;
+  spec.seed = 31;
+  auto built = lps::MakeSketch(spec);
+  auto* sampler = static_cast<lps::core::LpSampler*>(built.get());
+  const lps::core::LpSamplerParams& params = sampler->params();
+
+  AnatomyRow row;
+  row.p = p;
+  row.rounds = params.repetitions;
+  row.m = params.m;
+  row.sampler_us = MicrosPerUpdate(stream, stream.size(), passes, sampler);
+  lps::BitWriter state;
+  sampler->Serialize(&state);
+  row.state_bytes = (state.bit_count() + 7) / 8;
+
+  std::vector<lps::stream::ScaledUpdate> scaled;
+  scaled.reserve(stream.size());
+  for (const auto& u : stream) {
+    scaled.push_back({u.index, static_cast<double>(u.delta)});
+  }
+  lps::norm::LpNormEstimator norm(p, params.norm_rows, 32);
+  row.norm_us = MicrosPerUpdate(scaled, kChunk, passes, &norm);
+  // LpSamplerRound's shapes: count-sketch and tree rows of 6m buckets.
+  lps::sketch::CountSketch cs(params.cs_rows, 6 * params.m, 33);
+  row.round_cs_us = MicrosPerUpdate(scaled, kChunk, passes, &cs);
+  lps::sketch::DyadicCountSketch tree(lps::CeilLog2(kAnatomyN),
+                                      params.dyadic_rows, 6 * params.m, 34);
+  row.tree_levels = tree.start_level() + 1;
+  row.round_tree_us = MicrosPerUpdate(scaled, kChunk, passes, &tree);
+  return row;
+}
+
 void WriteJson(const char* path, const std::vector<ResultRow>& rows,
                const std::vector<BackendRow>& sweep,
                const std::vector<ParallelRow>& parallel,
-               const std::vector<LatencyRow>& latencies, bool quick) {
+               const std::vector<LatencyRow>& latencies,
+               const std::vector<AnatomyRow>& anatomy, bool quick) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -427,6 +512,23 @@ void WriteJson(const char* path, const std::vector<ResultRow>& rows,
     std::fprintf(f, "    {\"name\": \"%s\", \"micros_per_call\": %.3f}%s\n",
                  latencies[r].name.c_str(), latencies[r].micros,
                  r + 1 < latencies.size() ? "," : "");
+  }
+  // Informational: no gate reads this section.
+  std::fprintf(f, "  ],\n  \"lp_sampler_anatomy\": [\n");
+  for (size_t r = 0; r < anatomy.size(); ++r) {
+    const AnatomyRow& row = anatomy[r];
+    std::fprintf(f,
+                 "    {\"p\": %.2f, \"n\": %llu, \"rounds\": %d, "
+                 "\"m\": %d, \"tree_levels\": %d, "
+                 "\"sampler_us_per_update\": %.3f, "
+                 "\"norm_us_per_update\": %.3f, "
+                 "\"round_count_sketch_us_per_update\": %.3f, "
+                 "\"round_dyadic_us_per_update\": %.3f, "
+                 "\"state_bytes\": %zu}%s\n",
+                 row.p, static_cast<unsigned long long>(kAnatomyN), row.rounds,
+                 row.m, row.tree_levels, row.sampler_us, row.norm_us,
+                 row.round_cs_us, row.round_tree_us, row.state_bytes,
+                 r + 1 < anatomy.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -652,6 +754,15 @@ int main(int argc, char** argv) {
                          })});
   }
 
+  std::vector<AnatomyRow> anatomy;
+  {
+    const auto stream = lps::stream::UniformTurnstile(
+        kAnatomyN, quick ? (1 << 13) : (1 << 15), 100, 17);
+    for (double p : {0.5, 1.0, 1.5}) {
+      anatomy.push_back(MeasureAnatomy(p, stream, passes));
+    }
+  }
+
   lps::bench::Section(
       "C17: ingestion throughput, scalar Update() vs pipeline batches");
   Table table({"structure", "updates", "scalar Mitem/s", "batched Mitem/s",
@@ -696,8 +807,25 @@ int main(int argc, char** argv) {
   }
   lat_table.Print();
 
+  lps::bench::Section(
+      "lp_sampler ingest anatomy at n = 2^20, spec defaults (eps 0.5, "
+      "delta 0.25), us/update");
+  Table anatomy_table({"p", "rounds", "m", "sampler", "norm", "round cs",
+                       "round tree", "tree levels", "state bytes"});
+  for (const AnatomyRow& row : anatomy) {
+    anatomy_table.AddRow({Table::Fmt("%.1f", row.p),
+                          Table::Fmt("%d", row.rounds), Table::Fmt("%d", row.m),
+                          Table::Fmt("%.3f", row.sampler_us),
+                          Table::Fmt("%.3f", row.norm_us),
+                          Table::Fmt("%.3f", row.round_cs_us),
+                          Table::Fmt("%.3f", row.round_tree_us),
+                          Table::Fmt("%d", row.tree_levels),
+                          Table::Fmt("%zu", row.state_bytes)});
+  }
+  anatomy_table.Print();
+
   WriteJson("BENCH_throughput.json", rows, backend_sweep, parallel, latencies,
-            quick);
+            anatomy, quick);
   std::printf("machine-readable results written to BENCH_throughput.json\n");
 
   // Gates: fail the run (and the CI smoke) if any query path regressed to

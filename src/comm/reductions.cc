@@ -104,7 +104,8 @@ ReductionResult RunUrViaDuplicates(const URInstance& instance, double delta,
   // keep streaming AND query sub-linearly), so the measured message
   // exceeds the paper's counters-only quantity by a constant *factor*
   // determined by the structure's configuration (roughly
-  // 1 + dyadic_rows * (log n + 1) / cs_rows per embedded sampler round),
+  // 1 + dyadic_rows * max(1, log n - 5) / cs_rows per embedded sampler
+  // round, the tree keeping levels 0..max(0, log n - 6)),
   // not just the old additive header+params+seed term. Consumers compare
   // ratios or scaling shapes, which a configuration-constant factor does
   // not disturb; when the paper-exact bit count is the object of study,

@@ -28,7 +28,7 @@ constexpr double kResidualInflation = 1.35;
 // purpose: a candidate only needs to *survive the beam*, the flat
 // count-sketch (with its full O(log n) rows) does the accurate ranking,
 // so a per-block median of 5 is ample and keeps the ingest overhead of
-// the log n dyadic levels bounded.
+// the dyadic levels bounded.
 constexpr int kDefaultDyadicRows = 5;
 
 // LpSampler walks every batch in chunks of this many updates, so the
@@ -345,10 +345,7 @@ void LpSampler::Serialize(BitWriter* writer) const {
 }
 
 void LpSampler::Deserialize(BitReader* reader) {
-  // Version 2 added the dyadic candidate generators (dyadic_rows param +
-  // per-round counters); the v1 layout cannot be reconstructed.
-  const uint32_t version = ReadSketchHeader(reader, kind());
-  LPS_CHECK(version >= 2);
+  ReadSketchHeader(reader, kind());
   LpSamplerParams params;
   params.n = reader->ReadU64();
   params.p = reader->ReadDouble();

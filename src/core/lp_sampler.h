@@ -58,7 +58,9 @@ struct LpSamplerParams {
   /// Rows of the per-round dyadic candidate generator (the query engine's
   /// O(m log n) replacement for the full-universe recovery scan); 0 picks
   /// a small constant — candidates only need to *contain* the heavy
-  /// coordinates, the flat count-sketch does the accurate ranking.
+  /// coordinates, the flat count-sketch does the accurate ranking. The
+  /// generator keeps the levels its beam descent reads, 0..max(0,
+  /// log n - 6): 15 levels of 6m buckets per round at n = 2^20.
   int dyadic_rows = 0;
 
   uint64_t seed = 0;

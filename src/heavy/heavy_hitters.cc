@@ -181,10 +181,7 @@ void CsHeavyHitters::Serialize(BitWriter* writer) const {
 }
 
 void CsHeavyHitters::Deserialize(BitReader* reader) {
-  // Version 2 added the dyadic candidate generator (dyadic_rows param +
-  // counters); the v1 layout cannot be reconstructed.
-  const uint32_t version = ReadSketchHeader(reader, kind());
-  LPS_CHECK(version >= 2);
+  ReadSketchHeader(reader, kind());
   Params params;
   params.n = reader->ReadU64();
   params.p = reader->ReadDouble();
@@ -313,9 +310,7 @@ void CmHeavyHitters::Serialize(BitWriter* writer) const {
 }
 
 void CmHeavyHitters::Deserialize(BitReader* reader) {
-  // Version 2 added the candidate tree's counters to the layout.
-  const uint32_t version = ReadSketchHeader(reader, kind());
-  LPS_CHECK(version >= 2);
+  ReadSketchHeader(reader, kind());
   Params params;
   params.n = reader->ReadU64();
   params.phi = reader->ReadDouble();

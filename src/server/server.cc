@@ -58,7 +58,7 @@ Status Server::Start() {
     registry_.AttachStore(store_.get(), persist);
     // Boot recovery happens BEFORE the listener exists: the first
     // accepted connection already sees every restored tenant.
-    restored_tenants_ = registry_.RestoreAll();
+    restored_tenants_ = registry_.RestoreAll(&restore_failures_);
   }
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

@@ -140,6 +140,11 @@ class Server {
   /// Tenants rebuilt from the store during Start() (0 without data_dir).
   size_t restored_tenants() const { return restored_tenants_; }
 
+  /// Tenants whose store snapshot Start() could not rebuild, with why.
+  const std::vector<TenantRegistry::RestoreFailure>& restore_failures() const {
+    return restore_failures_;
+  }
+
   /// The open checkpoint store; null without data_dir / before Start().
   persist::CheckpointStore* store() { return store_.get(); }
 
@@ -218,6 +223,7 @@ class Server {
   std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
   size_t restored_tenants_ = 0;
+  std::vector<TenantRegistry::RestoreFailure> restore_failures_;
   std::thread snapshot_thread_;
   std::mutex snapshot_mutex_;
   std::condition_variable snapshot_cv_;

@@ -88,7 +88,8 @@ std::shared_ptr<TenantRegistry::Entry> TenantRegistry::Find(
   // Not live — but with a store attached it may be an idle-evicted
   // tenant whose snapshot can be rehydrated transparently.
   if (store_ == nullptr) return nullptr;
-  return RehydrateTenant(map_key);
+  auto rehydrated = RehydrateTenant(map_key);
+  return rehydrated.ok() ? rehydrated.value() : nullptr;
 }
 
 std::shared_ptr<TenantRegistry::Entry> TenantRegistry::FindLive(
@@ -364,27 +365,34 @@ size_t TenantRegistry::EvictIdle(uint64_t idle_timeout_ms) {
   return evicted;
 }
 
-std::shared_ptr<TenantRegistry::Entry> TenantRegistry::RehydrateTenant(
-    const std::string& map_key) {
+Result<std::shared_ptr<TenantRegistry::Entry>>
+TenantRegistry::RehydrateTenant(const std::string& map_key) {
   const std::string store_key = "t:" + map_key;
   const size_t records = store_->RecordCount(store_key);
   if (records == 0 ||
       store_->RecordKind(store_key, records - 1) != kTenantSnapshotRecord) {
-    return nullptr;  // never persisted, or tombstoned
+    return std::shared_ptr<Entry>();  // never persisted, or tombstoned
   }
   auto payload = store_->ReadRecord(store_key, records - 1);
-  if (!payload.ok()) return nullptr;
+  if (!payload.ok()) return payload.status();
   BitReader reader((std::vector<uint64_t>()), 0);
-  if (!UnpackBits(*payload, &reader)) return nullptr;
+  if (!UnpackBits(*payload, &reader)) {
+    return Status::InvalidArgument("snapshot record is not a bit stream");
+  }
   const std::string tenant = ReadString(&reader);
   const std::string key = ReadString(&reader);
   const SnapshotBlob blob = DeserializeSnapshot(&reader);
+  if (reader.failed()) {
+    return Status::InvalidArgument("snapshot record is truncated");
+  }
   // The names inside the record must agree with the key it was filed
   // under — a mismatch means the record was damaged below the CRC's
   // notice or misfiled, either way unusable.
-  if (reader.failed() || MapKey(tenant, key) != map_key) return nullptr;
+  if (MapKey(tenant, key) != map_key) {
+    return Status::InvalidArgument("snapshot record names another tenant");
+  }
   auto built = BuildEntry(blob.config, &blob);
-  if (!built.ok()) return nullptr;
+  if (!built.ok()) return built.status();
   std::shared_ptr<Entry> entry = std::move(built.value());
   entry->tenant = tenant;
   entry->key = key;
@@ -399,7 +407,7 @@ std::shared_ptr<TenantRegistry::Entry> TenantRegistry::RehydrateTenant(
   return emplaced.first->second;
 }
 
-size_t TenantRegistry::RestoreAll() {
+size_t TenantRegistry::RestoreAll(std::vector<RestoreFailure>* failures) {
   if (store_ == nullptr) return 0;
   size_t restored = 0;
   for (const std::string& store_key : store_->Keys()) {
@@ -410,7 +418,14 @@ size_t TenantRegistry::RestoreAll() {
       std::lock_guard<std::mutex> lock(shard.mutex);
       if (shard.entries.count(map_key) > 0) continue;  // already live
     }
-    if (RehydrateTenant(map_key) != nullptr) ++restored;
+    auto rehydrated = RehydrateTenant(map_key);
+    if (!rehydrated.ok()) {
+      if (failures != nullptr) {
+        failures->push_back({store_key, rehydrated.status()});
+      }
+    } else if (rehydrated.value() != nullptr) {
+      ++restored;
+    }
   }
   return restored;
 }

@@ -72,10 +72,19 @@ class TenantRegistry {
   /// Server::Start). `store` must outlive the registry.
   void AttachStore(persist::CheckpointStore* store, PersistOptions options);
 
+  /// A tenant whose latest store record is a snapshot that boot could not
+  /// rebuild.
+  struct RestoreFailure {
+    std::string store_key;  ///< the tenant's store key, "t:" + map key
+    Status status;          ///< why the snapshot did not decode
+  };
+
   /// Rebuilds every tenant whose latest store record is a snapshot (boot
-  /// recovery). Returns the number restored; tenants whose snapshot
-  /// fails validation are skipped, not fatal.
-  size_t RestoreAll();
+  /// recovery). Returns the number restored. A snapshot that fails to
+  /// decode (a damaged record, or state of a layout this library no
+  /// longer reads) is skipped, not fatal; each such tenant is appended to
+  /// `failures`, when given, with its store key and the reason.
+  size_t RestoreAll(std::vector<RestoreFailure>* failures = nullptr);
 
   /// Snapshots tenants into the store and fsyncs: every tenant when
   /// `only_dirty` is false, else only those with updates since their
@@ -213,9 +222,10 @@ class TenantRegistry {
 
   /// Rebuilds an entry from the latest snapshot record under
   /// "t:<map_key>" and inserts it (no-op if the key went live again in
-  /// the meantime). Returns the live entry, or null when the store has
-  /// no usable snapshot (missing key, tombstone, corrupt blob).
-  std::shared_ptr<Entry> RehydrateTenant(const std::string& map_key);
+  /// the meantime). Returns the live entry; null when the store holds no
+  /// snapshot for the key (never persisted, or tombstoned); an error when
+  /// the snapshot does not decode.
+  Result<std::shared_ptr<Entry>> RehydrateTenant(const std::string& map_key);
 
   /// Every live entry with its map key (snapshot of the sharded map).
   std::vector<std::pair<std::string, std::shared_ptr<Entry>>> AllEntries()

@@ -136,8 +136,13 @@ DyadicCountSketch::DyadicCountSketch(int log_n, int rows, int buckets,
                                      uint64_t seed)
     : log_n_(log_n), rows_(rows), buckets_(buckets), seed_(seed) {
   LPS_CHECK(log_n >= 0 && log_n < 63);
-  levels_.reserve(static_cast<size_t>(log_n) + 1);
-  for (int l = 0; l <= log_n; ++l) {
+  // Only the levels a descent reads exist: every query starts at
+  // start_level(), so the coarser levels above it would be ingest cost
+  // and state with no reader. Each kept level has the seed it would have
+  // in the full tree, so answers do not depend on where the tree stops.
+  const int top = start_level();
+  levels_.reserve(static_cast<size_t>(top) + 1);
+  for (int l = 0; l <= top; ++l) {
     levels_.emplace_back(
         rows, buckets, Mix64(seed ^ (0xdc5ULL + static_cast<uint64_t>(l))));
   }
@@ -154,12 +159,12 @@ void DyadicCountSketch::ApplyBatch(const U* updates, size_t count) {
     LPS_CHECK(updates[t].index < (1ULL << log_n_));
   }
   shifted_.resize(count);
-  for (int l = 0; l <= log_n_; ++l) {
+  for (size_t l = 0; l < levels_.size(); ++l) {
     for (size_t t = 0; t < count; ++t) {
       shifted_[t] = {updates[t].index >> l,
                      static_cast<double>(updates[t].delta)};
     }
-    levels_[static_cast<size_t>(l)].UpdateBatch(shifted_.data(), count);
+    levels_[l].UpdateBatch(shifted_.data(), count);
   }
 }
 

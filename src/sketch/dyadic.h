@@ -88,6 +88,11 @@ class DyadicCountMin : public LinearSketch {
 /// candidates at the leaf level. For adversarial inputs that cancel inside
 /// a starting block, the flat CsHeavyHitters scan (heavy/heavy_hitters.h)
 /// is the sound tool — see the unit test documenting exactly this miss.
+///
+/// Because no descent reads above the starting level, the tree keeps only
+/// levels 0..start_level(): at log n = 20 that is 15 of the 21 levels a
+/// full tree would co-update. Each kept level has the seed it would have
+/// in the full tree, so every answer is the full tree's answer.
 class DyadicCountSketch : public LinearSketch {
  public:
   DyadicCountSketch(int log_n, int rows, int buckets, uint64_t seed);
@@ -123,11 +128,13 @@ class DyadicCountSketch : public LinearSketch {
   /// re-ranks candidates in its flat count-sketch, so extras are harmless.
   std::vector<uint64_t> TopCandidates(uint64_t m) const;
 
-  /// The level the descent starts from (all its blocks are scanned).
+  /// The level every descent starts from (all its blocks are scanned):
+  /// max(0, log n - 6), so at most 2^6 starting blocks. It is also the
+  /// top of the tree — the structure holds levels 0..start_level() only.
   int start_level() const;
 
-  /// Counters-only serialization (all levels, in order) for composites
-  /// that carry the tree's parameters themselves.
+  /// Counters-only serialization (levels 0..start_level(), in order) for
+  /// composites that carry the tree's parameters themselves.
   void SerializeCounters(BitWriter* writer) const;
   void DeserializeCounters(BitReader* reader);
 
@@ -150,6 +157,7 @@ class DyadicCountSketch : public LinearSketch {
   int rows_;
   int buckets_;
   uint64_t seed_;
+  // levels_[l] sketches blocks of size 2^l, for l <= start_level().
   std::vector<CountSketch> levels_;
   std::vector<stream::ScaledUpdate> shifted_;  // batch scratch
 };

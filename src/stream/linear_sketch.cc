@@ -13,7 +13,37 @@ namespace {
 // "LS" in ASCII; 16 bits at the front of every serialized sketch.
 constexpr uint64_t kMagic = 0x4C53;
 
+// True for the kinds whose state holds a DyadicCountSketch, directly or
+// through an LpSampler or CsHeavyHitters: the layouts v3 changed.
+bool HoldsDyadicCountSketch(SketchKind kind) {
+  switch (kind) {
+    case SketchKind::kDyadicCountSketch:
+    case SketchKind::kLpSampler:
+    case SketchKind::kAkoSampler:
+    case SketchKind::kCsHeavyHitters:
+    case SketchKind::kDuplicateFinder:
+    case SketchKind::kSparseDuplicateFinder:
+    case SketchKind::kPositiveFinder:
+    case SketchKind::kMomentEstimator:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// The oldest version whose layout `kind` still reads: the last version
+// that changed the kind's layout.
+uint32_t MinSketchFormatVersion(SketchKind kind) {
+  if (HoldsDyadicCountSketch(kind)) return 3;
+  if (kind == SketchKind::kCmHeavyHitters) return 2;
+  return 1;
+}
+
 }  // namespace
+
+uint32_t SketchFormatVersion(SketchKind kind) {
+  return HoldsDyadicCountSketch(kind) ? 3 : 2;
+}
 
 const char* SketchKindName(SketchKind kind) {
   switch (kind) {
@@ -45,15 +75,15 @@ const char* SketchKindName(SketchKind kind) {
 void WriteSketchHeader(BitWriter* writer, SketchKind kind) {
   writer->WriteBits(kMagic, 16);
   writer->WriteBits(static_cast<uint64_t>(kind), 8);
-  writer->WriteBits(kSketchFormatVersion, 8);
+  writer->WriteBits(SketchFormatVersion(kind), 8);
 }
 
-uint32_t ReadSketchHeader(BitReader* reader, SketchKind expected) {
+void ReadSketchHeader(BitReader* reader, SketchKind expected) {
   LPS_CHECK(reader->ReadBits(16) == kMagic);
   LPS_CHECK(reader->ReadBits(8) == static_cast<uint64_t>(expected));
   const uint32_t version = static_cast<uint32_t>(reader->ReadBits(8));
-  LPS_CHECK(version >= 1 && version <= kSketchFormatVersion);
-  return version;
+  LPS_CHECK(version >= MinSketchFormatVersion(expected) &&
+            version <= SketchFormatVersion(expected));
 }
 
 SketchKind PeekSketchKind(BitReader* reader) {

@@ -68,13 +68,21 @@ enum class SketchKind : uint32_t {
 /// Human-readable name of a kind (for tools and error messages).
 const char* SketchKindName(SketchKind kind);
 
-/// Current version of the serialized wire format. Bump when a structure's
-/// layout changes; Deserialize accepts versions <= current and CHECK-fails
-/// on newer ones (state written by a future library revision).
-/// v2: the samplers and heavy-hitter classes grew co-updated dyadic
-/// candidate generators (extra params + counters); their Deserialize
-/// rejects v1 state, whose layout lacks those fields.
-inline constexpr uint32_t kSketchFormatVersion = 2;
+/// The serialized layout version `kind` writes. Versions are per kind, so
+/// a layout change invalidates saved state of the kinds it touches and
+/// of no other. ReadSketchHeader accepts a version from the kind's oldest
+/// readable layout up to this one and CHECK-fails outside that range.
+///   v2: the samplers and heavy-hitter classes grew co-updated dyadic
+///       candidate generators (extra params + counters); cm_heavy_hitters
+///       and the kinds v3 changes do not read v1 state.
+///   v3: DyadicCountSketch keeps only the levels its descents read
+///       (0..start_level()). The eight kinds whose state holds one —
+///       dyadic_count_sketch, lp_sampler, ako_sampler, cs_heavy_hitters,
+///       duplicate_finder, sparse_duplicate_finder, positive_finder and
+///       moment_estimator — write v3 and read nothing older, since their
+///       earlier layouts differ from it (v2 carries the dropped levels).
+///       The other 13 kinds still write v2.
+uint32_t SketchFormatVersion(SketchKind kind);
 
 class LinearSketch {
  public:
@@ -118,7 +126,7 @@ class LinearSketch {
 
   /// Restores serialized state, reconfiguring this object to the
   /// serialized parameters. CHECK-fails on a kind mismatch or a version
-  /// newer than this library writes.
+  /// outside the range this library reads for the kind.
   virtual void Deserialize(BitReader* reader) = 0;
 
   /// Zeroes the counters while keeping seeds, parameters, and
@@ -137,9 +145,9 @@ class LinearSketch {
 void WriteSketchHeader(BitWriter* writer, SketchKind kind);
 
 /// Reads and validates a header written by WriteSketchHeader. CHECK-fails
-/// on bad magic, a kind other than `expected`, or a version >
-/// kSketchFormatVersion. Returns the version for layout dispatch.
-uint32_t ReadSketchHeader(BitReader* reader, SketchKind expected);
+/// on bad magic, a kind other than `expected`, or a version outside the
+/// range `expected` reads (see SketchFormatVersion).
+void ReadSketchHeader(BitReader* reader, SketchKind expected);
 
 /// Reads just the magic and kind tag (advancing `reader` by 24 bits) —
 /// used by tools to dispatch on the type of a saved sketch before
@@ -158,8 +166,9 @@ std::unique_ptr<LinearSketch> MakeEmptySketch(SketchKind kind);
 /// constructs the matching concrete type, rewinds, and Deserializes.
 /// `reader` must hold the sketch starting at bit 0 (the save-file layout;
 /// Rewind() is used to re-read the header). CHECK-fails on bad magic or a
-/// version newer than this library writes; returns nullptr on an unknown
-/// kind tag. This is the dispatch the lps_cli load/merge subcommands use.
+/// version outside the range this library reads for the kind; returns
+/// nullptr on an unknown kind tag. This is the dispatch the lps_cli
+/// load/merge subcommands use.
 std::unique_ptr<LinearSketch> DeserializeAnySketch(BitReader* reader);
 
 }  // namespace lps

@@ -294,9 +294,9 @@ long ResidentKiB() {
 
 TEST(LpSampler, LargeBatchRetainsBoundedScratch) {
   // Batch scratch lives in every round, its flat count-sketch and each of
-  // its log n + 1 dyadic levels, and is kept for the next batch. Sized to
-  // the batch, one 2^16-update batch here would retain ~300 MB; sized to
-  // the sampler's fixed chunk it retains ~20 MB.
+  // its dyadic levels, and is kept for the next batch. Sized to the
+  // batch, one 2^16-update batch here would retain hundreds of MB; sized
+  // to the sampler's fixed chunk it retains ~20 MB.
   auto params = BaseParams(uint64_t{1} << 20, 1.5, 0.5, 93);
   params.repetitions = 12;
   LpSampler sampler(params);

@@ -11,9 +11,9 @@
 //     rehydrated checkpoint), resident/spilled accounting, and
 //     max_checkpoints eviction of the oldest spilled entries;
 //   * server persistence: clean-restart restore, idle eviction with
-//     lazy rehydration (STATS observability), and a fork + SIGKILL
-//     crash of a live daemon over real sockets whose reboot answers
-//     identically.
+//     lazy rehydration (STATS observability), a fork + SIGKILL crash of
+//     a live daemon over real sockets whose reboot answers identically,
+//     and a boot that reports the tenant whose snapshot does not decode.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -35,8 +35,10 @@
 #include "src/persist/checkpoint_store.h"
 #include "src/persist/delta_codec.h"
 #include "src/server/client.h"
+#include "src/server/protocol.h"
 #include "src/server/server.h"
 #include "src/stream/generators.h"
+#include "src/stream/linear_sketch.h"
 #include "src/stream/window_manager.h"
 #include "src/util/serialize.h"
 
@@ -684,6 +686,92 @@ TEST(ServerPersist, SigkilledDaemonRebootsAnsweringIdentically) {
 }
 
 #endif  // !LPS_UNDER_TSAN
+
+// A tenant record whose snapshot no longer decodes — here cs_heavy_hitters
+// state stamped with the pre-v3 layout version, the upgrade case — is
+// reported at boot under its store key, and the other tenants restore.
+TEST(ServerPersist, BootReportsTenantsItCannotRestore) {
+  const std::string dir = MakeTempDir();
+  server::Server::Options options;
+  options.port = 0;
+  options.data_dir = dir;
+  options.snapshot_interval_ms = 0;  // rely on the final Stop() snapshot
+
+  QueryResult good_before;
+  {
+    server::Server daemon(options);
+    ASSERT_TRUE(daemon.Start().ok());
+    server::Client client = MustConnect(daemon);
+    ASSERT_TRUE(client.Create("good", "s", WindowedConfig(11)).ok());
+    ASSERT_TRUE(client.Create("old", "s", WindowedConfig(12)).ok());
+    ASSERT_TRUE(client.Ingest("good", "s", TenantStream(1, 900)).ok());
+    ASSERT_TRUE(client.Ingest("old", "s", TenantStream(2, 900)).ok());
+    auto query = client.Query("good", "s");
+    ASSERT_TRUE(query.ok());
+    good_before = *query;
+    daemon.Stop();
+  }
+
+  // Append a copy of the "old" tenant's latest snapshot record with its
+  // state's header version byte (bits 24..31: after the 16-bit magic and
+  // the 8-bit kind) set to 2. Store payloads are [u64 bit count][words].
+  std::string old_key;
+  {
+    auto opened = CheckpointStore::Open(dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    CheckpointStore& store = *opened.value();
+    for (const std::string& store_key : store.Keys()) {
+      if (store_key.compare(0, 2, "t:") != 0) continue;
+      const size_t last = store.RecordCount(store_key) - 1;
+      auto payload = store.ReadRecord(store_key, last);
+      ASSERT_TRUE(payload.ok());
+      uint64_t bits = 0;
+      std::memcpy(&bits, payload->data(), 8);
+      std::vector<uint64_t> words((payload->size() - 8) / 8);
+      std::memcpy(words.data(), payload->data() + 8, words.size() * 8);
+      BitReader reader(std::move(words), size_t(bits));
+      const std::string tenant = server::ReadString(&reader);
+      const std::string key = server::ReadString(&reader);
+      server::SnapshotBlob blob = server::DeserializeSnapshot(&reader);
+      if (tenant != "old") continue;
+      old_key = store_key;
+      ASSERT_EQ((blob.state_words[0] >> 24) & 0xff,
+                SketchFormatVersion(SketchKind::kCsHeavyHitters));
+      blob.state_words[0] =
+          (blob.state_words[0] & ~(0xffull << 24)) | (2ull << 24);
+      BitWriter writer;
+      server::WriteString(&writer, tenant);
+      server::WriteString(&writer, key);
+      server::SerializeSnapshot(blob, &writer);
+      std::vector<uint8_t> restamped(8 + writer.words().size() * 8);
+      const uint64_t restamped_bits = writer.bit_count();
+      std::memcpy(restamped.data(), &restamped_bits, 8);
+      std::memcpy(restamped.data() + 8, writer.words().data(),
+                  writer.words().size() * 8);
+      const uint8_t kind = store.RecordKind(store_key, last);
+      ASSERT_TRUE(
+          store.Append(store_key, kind, restamped.data(), restamped.size())
+              .ok());
+      ASSERT_TRUE(store.Sync().ok());
+    }
+  }
+  ASSERT_FALSE(old_key.empty());
+
+  server::Server daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  EXPECT_EQ(daemon.restored_tenants(), 1u);
+  ASSERT_EQ(daemon.restore_failures().size(), 1u);
+  EXPECT_EQ(daemon.restore_failures()[0].store_key, old_key);
+  EXPECT_EQ(daemon.restore_failures()[0].status.code(),
+            Code::kInvalidArgument);
+  server::Client client = MustConnect(daemon);
+  auto good = client.Query("good", "s");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(*good, good_before);
+  EXPECT_FALSE(client.Query("old", "s").ok());
+  daemon.Stop();
+  RemoveTree(dir);
+}
 
 // ------------------------------------------- atomic bit-file container --
 

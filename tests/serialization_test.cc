@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "src/api/sketch_spec.h"
 #include "src/core/l0_sampler.h"
 #include "src/core/lp_sampler.h"
 #include "src/duplicates/duplicates.h"
@@ -392,6 +394,126 @@ TEST(Serialization, MakeEmptySketchCoversEveryKind) {
   }
   EXPECT_EQ(MakeEmptySketch(static_cast<SketchKind>(0)), nullptr);
   EXPECT_EQ(MakeEmptySketch(static_cast<SketchKind>(22)), nullptr);
+}
+
+// The kinds whose state holds a DyadicCountSketch, directly or through
+// an LpSampler or CsHeavyHitters: the layouts format v3 narrowed.
+bool HoldsDyadicCountSketch(SketchKind kind) {
+  switch (kind) {
+    case SketchKind::kDyadicCountSketch:
+    case SketchKind::kLpSampler:
+    case SketchKind::kAkoSampler:
+    case SketchKind::kCsHeavyHitters:
+    case SketchKind::kDuplicateFinder:
+    case SketchKind::kSparseDuplicateFinder:
+    case SketchKind::kPositiveFinder:
+    case SketchKind::kMomentEstimator:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// A small spec ValidateSpec accepts, for any kind.
+SketchSpec SmallSpec(SketchKind kind) {
+  SketchSpec spec;
+  spec.kind = kind;
+  spec.n = 512;
+  spec.p = kind == SketchKind::kMomentEstimator ? 2.5 : 1.0;
+  spec.seed = 60 + uint64_t(kind);
+  return spec;
+}
+
+// The header's 8-bit version field follows the 16-bit magic and the
+// 8-bit kind: bits 24..31 of the first word.
+uint32_t HeaderVersion(const std::vector<uint64_t>& words) {
+  return uint32_t((words[0] >> 24) & 0xff);
+}
+
+void StampVersion(std::vector<uint64_t>* words, uint32_t version) {
+  (*words)[0] = ((*words)[0] & ~(0xffull << 24)) | (uint64_t(version) << 24);
+}
+
+TEST(Serialization, HeaderVersionIsPerKind) {
+  size_t v3_kinds = 0;
+  for (uint32_t k = 1; k <= 21; ++k) {
+    const auto kind = static_cast<SketchKind>(k);
+    auto sketch = MakeSketch(SmallSpec(kind));
+    ASSERT_NE(sketch, nullptr) << SketchKindName(kind);
+    BitWriter w;
+    sketch->Serialize(&w);
+    const uint32_t expected = HoldsDyadicCountSketch(kind) ? 3 : 2;
+    EXPECT_EQ(HeaderVersion(w.words()), expected) << SketchKindName(kind);
+    EXPECT_EQ(SketchFormatVersion(kind), expected) << SketchKindName(kind);
+    if (expected == 3) ++v3_kinds;
+  }
+  EXPECT_EQ(v3_kinds, 8u);
+}
+
+TEST(Serialization, PreV3TreeStateIsInvalidArgument) {
+  // State of the eight narrowed layouts stamped with an older version
+  // carries the dropped tree levels: the decoder refuses it as
+  // InvalidArgument, never by aborting.
+  for (uint32_t k = 1; k <= 21; ++k) {
+    const auto kind = static_cast<SketchKind>(k);
+    if (!HoldsDyadicCountSketch(kind)) continue;
+    const SketchSpec spec = SmallSpec(kind);
+    auto sketch = MakeSketch(spec);
+    sketch->Update(7, 3);
+    BitWriter w;
+    sketch->Serialize(&w);
+    ASSERT_TRUE(DecodeSketchState(spec, w.words(), w.bit_count()).ok())
+        << SketchKindName(kind);
+    for (uint32_t old_version : {1u, 2u}) {
+      std::vector<uint64_t> words = w.words();
+      StampVersion(&words, old_version);
+      auto decoded = DecodeSketchState(spec, words, w.bit_count());
+      ASSERT_FALSE(decoded.ok()) << SketchKindName(kind);
+      EXPECT_EQ(decoded.status().code(), Code::kInvalidArgument)
+          << SketchKindName(kind);
+    }
+  }
+}
+
+TEST(SerializationDeathTest, PreV3TreeStateChecksOnLoad) {
+  // The lps_cli load path (DeserializeAnySketch) CHECK-fails on it.
+  const SketchSpec spec = SmallSpec(SketchKind::kCsHeavyHitters);
+  auto sketch = MakeSketch(spec);
+  BitWriter w;
+  sketch->Serialize(&w);
+  std::vector<uint64_t> words = w.words();
+  StampVersion(&words, 2);
+  BitReader r(std::move(words), w.bit_count());
+  EXPECT_DEATH(DeserializeAnySketch(&r), "LPS_CHECK");
+}
+
+TEST(Serialization, UnchangedLayoutsStillDecode) {
+  // A count_min blob as written before format v3 (count_min stayed at v2):
+  // the library writes the same bytes today and decodes them.
+  const std::vector<uint64_t> golden = {
+      0x0000000202024c53ull, 0x0000000700000004ull, 0x0000000000000000ull,
+      0x0000000000000000ull, 0x00000000c0000000ull, 0x0000000000000000ull,
+      0x0000000040140000ull, 0x00000000c0000000ull, 0x0000000000000000ull,
+      0x0000000040140000ull, 0x0000000000000000ull};
+  const size_t golden_bits = 672;
+  SketchSpec spec;
+  spec.kind = SketchKind::kCountMin;
+  spec.n = 16;
+  spec.rows = 2;
+  spec.buckets = 4;
+  spec.seed = 7;
+  auto sketch = MakeSketch(spec);
+  sketch->Update(3, 5);
+  sketch->Update(9, -2);
+  BitWriter w;
+  sketch->Serialize(&w);
+  EXPECT_EQ(w.bit_count(), golden_bits);
+  EXPECT_EQ(w.words(), golden);
+  auto decoded = DecodeSketchState(spec, golden, golden_bits);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  BitWriter again;
+  decoded.value()->Serialize(&again);
+  EXPECT_EQ(again.words(), golden);
 }
 
 TEST(Serialization, BitExactAccountingMatchesSpaceModel) {

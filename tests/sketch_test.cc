@@ -371,6 +371,28 @@ TEST(DyadicCountSketch, EmptyTreeReportsNothing) {
   EXPECT_DOUBLE_EQ(tree.Query(5), 0.0);
 }
 
+TEST(DyadicCountSketch, KeepsOnlyTheLevelsDescentsRead) {
+  // Every descent starts at start_level(), so the tree holds levels
+  // 0..start_level() and nothing above: its space and its counters are
+  // those of start_level() + 1 count-sketches of the same shape.
+  const int rows = 5;
+  const int buckets = 48;
+  const CountSketch level(rows, buckets, 1);
+  BitWriter level_counters;
+  level.SerializeCounters(&level_counters);
+  for (int log_n : {0, 6, 7, 20}) {
+    const DyadicCountSketch tree(log_n, rows, buckets, 36);
+    EXPECT_EQ(tree.start_level(), std::max(0, log_n - 6));
+    const size_t levels = size_t(tree.start_level()) + 1;
+    EXPECT_EQ(tree.SpaceBits(64), levels * level.SpaceBits(64))
+        << "log_n " << log_n;
+    BitWriter counters;
+    tree.SerializeCounters(&counters);
+    EXPECT_EQ(counters.bit_count(), levels * level_counters.bit_count())
+        << "log_n " << log_n;
+  }
+}
+
 // ---- Batched-update fast path: UpdateBatch must produce bit-identical
 // ---- state to the per-update loop, for any batch partition of the stream.
 

@@ -157,12 +157,19 @@ int main(int argc, char** argv) {
                 dist_options.upstream_port);
   }
   if (!options.data_dir.empty()) {
+    const auto& failures = server.restore_failures();
     std::printf("lps_serve data dir %s: %llu tenants restored, "
-                "%llu torn bytes dropped\n",
+                "%llu not restored, %llu torn bytes dropped\n",
                 options.data_dir.c_str(),
                 static_cast<unsigned long long>(server.restored_tenants()),
+                static_cast<unsigned long long>(failures.size()),
                 static_cast<unsigned long long>(
                     server.store()->recovered_truncated_bytes()));
+    for (const auto& failure : failures) {
+      std::fprintf(stderr, "lps_serve: %s not restored: %s\n",
+                   failure.store_key.c_str(),
+                   failure.status.ToString().c_str());
+    }
   }
   std::fflush(stdout);
 
