@@ -546,12 +546,25 @@ int main(int argc, char** argv) {
       lps::stream::UniformTurnstile(kN, long_len, 100, 7);
   const auto short_stream =
       lps::stream::UniformTurnstile(kN, short_len, 100, 8);
+  // long_stream with its indexes redrawn from the full 64-bit range.
+  UpdateStream wide_stream = long_stream;
+  {
+    lps::Rng rng(9);
+    for (auto& u : wide_stream) u.index = rng.Next();
+  }
 
   std::vector<ResultRow> rows;
 
   {
     lps::sketch::CountSketch a(17, 96, 1), b(17, 96, 1);
     rows.push_back(Measure("count_sketch[17x96]", long_stream, passes, &a, &b));
+  }
+  {
+    // Keys past 2^32 take the row kernel's general four-multiply path;
+    // the row above (keys below 2^16) runs its short-key path.
+    lps::sketch::CountSketch a(17, 96, 1), b(17, 96, 1);
+    rows.push_back(
+        Measure("count_sketch[17x96,u64]", wide_stream, passes, &a, &b));
   }
   {
     lps::sketch::CountMin a(17, 96, 2), b(17, 96, 2);

@@ -72,6 +72,13 @@ struct KernelTable {
   ///   row[k_t] += sign_t * deltas[t]          (in stream order)
   /// The scatter is performed in t order on every backend, so the row is
   /// bit-identical to the scalar loop. EXACT.
+  /// AVX2 evaluates each PolyEval2 with two 32x32 multiplies instead of
+  /// four when all four keys of a quad are below 2^32: with x_hi = 0 the
+  /// partials c1_lo*x < 2^64 and c1_hi*x < 2^61 fold, with c0, below
+  /// 2^63, so one more fold and one conditional subtract give the
+  /// canonical residue, the value gf61::Add(gf61::Mul(c1, x), c0) returns.
+  /// A quad with any longer key takes the general four-multiply product;
+  /// tests/kernels_test.cc pins both paths against scalar.
   void (*count_rows_apply)(const uint64_t* xs, const double* deltas,
                            size_t count, uint64_t b0, uint64_t b1, uint64_t s0,
                            uint64_t s1, bool use_sign, uint64_t range,

@@ -12,6 +12,15 @@
 // gf61::Mul. ScaleToRange and Horner evaluation build on the same pieces,
 // so bucket indices and hash values match the scalar backend exactly.
 //
+// count_rows_apply evaluates c1*x + c0 per row. When all four keys of a
+// quad are below 2^32 (every key of a universe up to 2^32, and every tree
+// level at or above log n - 32), x_hi = 0 and two partials suffice:
+//   ll = c1_lo * x < 2^64    -> (ll & p) + (ll >> 61)
+//   hl = c1_hi * x < 2^61    -> ((hl & (2^29-1)) << 32) + (hl >> 29)
+// with c1_hi = c1 >> 32 hoisted. Both folds and c0 sum below 2^63, so one
+// more fold and one compare/subtract give the canonical residue — the
+// value the four-partial MulP followed by AddP returns.
+//
 // cauchy_pow_batch vectorizes the splitmix64 finalizer with an emulated
 // 64-bit low multiply and converts the 53-bit uniforms with the 2^52/2^84
 // magic-constant trick (exact), then per p:
@@ -81,6 +90,28 @@ inline __m256i MulP(__m256i a, __m256i b) {
   s = _mm256_add_epi64(_mm256_and_si256(s, Set1(gf::kP)),
                        _mm256_srli_epi64(s, 61));
   return CondSubP(s);
+}
+
+/// gf61::Add(gf61::Mul(c1, x), c0) on canonical c1, c0 and lanes x < 2^32,
+/// given c1_hi = c1 >> 32; see the file comment for the derivation.
+inline __m256i MulAddShortP(__m256i c1, __m256i c1_hi, __m256i x,
+                            __m256i c0) {
+  const __m256i ll = _mm256_mul_epu32(c1, x);     // c1_lo * x < 2^64
+  const __m256i hl = _mm256_mul_epu32(c1_hi, x);  // c1_hi * x < 2^61
+  __m256i s = _mm256_and_si256(ll, Set1(gf::kP));
+  s = _mm256_add_epi64(s, _mm256_srli_epi64(ll, 61));
+  s = _mm256_add_epi64(
+      s, _mm256_slli_epi64(_mm256_and_si256(hl, Set1((1ULL << 29) - 1)), 32));
+  s = _mm256_add_epi64(s, _mm256_srli_epi64(hl, 29));
+  s = _mm256_add_epi64(s, c0);  // < 2^63 in total
+  s = _mm256_add_epi64(_mm256_and_si256(s, Set1(gf::kP)),
+                       _mm256_srli_epi64(s, 61));
+  return CondSubP(s);
+}
+
+/// True when every lane is below 2^32.
+inline bool AllBelow2To32(__m256i x) {
+  return _mm256_testz_si256(x, Set1(0xFFFFFFFF00000000ULL)) != 0;
 }
 
 /// hash::ScaleToRange on canonical lanes; range must fit 32 bits (row
@@ -355,17 +386,25 @@ void CountRowsApplyAvx2(const uint64_t* xs, const double* deltas, size_t count,
                         uint64_t b0, uint64_t b1, uint64_t s0, uint64_t s1,
                         bool use_sign, uint64_t range, double* row) {
   const __m256i vb0 = Set1(b0), vb1 = Set1(b1), vrange = Set1(range);
+  const __m256i vb1_hi = Set1(b1 >> 32);
   alignas(32) uint64_t idx[4];
   alignas(32) double sd[4];
   size_t t = 0;
   if (use_sign) {
-    const __m256i vs0 = Set1(s0), vs1 = Set1(s1);
+    const __m256i vs0 = Set1(s0), vs1 = Set1(s1), vs1_hi = Set1(s1 >> 32);
     for (; t + 4 <= count; t += 4) {
       const __m256i x =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + t));
-      const __m256i bucket = ScaleToRangeVec(AddP(MulP(vb1, x), vb0), vrange);
-      const __m256i bit =
-          _mm256_and_si256(AddP(MulP(vs1, x), vs0), Set1(1));
+      __m256i hb, hs;  // bucket and sign hash values, canonical
+      if (AllBelow2To32(x)) {
+        hb = MulAddShortP(vb1, vb1_hi, x, vb0);
+        hs = MulAddShortP(vs1, vs1_hi, x, vs0);
+      } else {
+        hb = AddP(MulP(vb1, x), vb0);
+        hs = AddP(MulP(vs1, x), vs0);
+      }
+      const __m256i bucket = ScaleToRangeVec(hb, vrange);
+      const __m256i bit = _mm256_and_si256(hs, Set1(1));
       // (2*bit - 1) * delta is an exact sign flip in IEEE arithmetic, so
       // flipping the sign bit directly where bit == 0 is bit-identical.
       const __m256i flip =
@@ -391,7 +430,9 @@ void CountRowsApplyAvx2(const uint64_t* xs, const double* deltas, size_t count,
     for (; t + 4 <= count; t += 4) {
       const __m256i x =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + t));
-      const __m256i bucket = ScaleToRangeVec(AddP(MulP(vb1, x), vb0), vrange);
+      const __m256i hb = AllBelow2To32(x) ? MulAddShortP(vb1, vb1_hi, x, vb0)
+                                          : AddP(MulP(vb1, x), vb0);
+      const __m256i bucket = ScaleToRangeVec(hb, vrange);
       _mm256_store_si256(reinterpret_cast<__m256i*>(idx), bucket);
       row[idx[0]] += deltas[t];
       row[idx[1]] += deltas[t + 1];

@@ -31,25 +31,21 @@ void CountMin::ApplyBatch(const U* updates, size_t count) {
     reduced_keys_[t] = gf61::Reduce(updates[t].index);
     delta_scratch_[t] = static_cast<double>(updates[t].delta);
   }
+  UpdateReduced(reduced_keys_.data(), delta_scratch_.data(), count);
+}
+
+void CountMin::UpdateReduced(const uint64_t* keys, const double* deltas,
+                             size_t count) {
   const uint64_t range = static_cast<uint64_t>(buckets_);
   const kernels::KernelTable& kernel = kernels::Active();
   for (int j = 0; j < rows_; ++j) {
     const size_t jj = static_cast<size_t>(j);
     const auto& bc = bucket_[jj].coefficients();
-    double* row = table_.data() + jj * static_cast<size_t>(buckets_);
-    if (bc.size() == 2) {
-      // Unsigned pairwise row on the dispatched kernel (bit-identical on
-      // every backend; the scatter is in stream order).
-      kernel.count_rows_apply(reduced_keys_.data(), delta_scratch_.data(),
-                              count, bc[0], bc[1], /*s0=*/0, /*s1=*/0,
-                              /*use_sign=*/false, range, row);
-    } else {
-      for (size_t t = 0; t < count; ++t) {
-        const uint64_t k = hash::ScaleToRange(
-            hash::PolyEval(bc.data(), bc.size(), reduced_keys_[t]), range);
-        row[k] += static_cast<double>(updates[t].delta);
-      }
-    }
+    // Unsigned pairwise row on the dispatched kernel (bit-identical on
+    // every backend; the scatter is in stream order).
+    kernel.count_rows_apply(keys, deltas, count, bc[0], bc[1], /*s0=*/0,
+                            /*s1=*/0, /*use_sign=*/false, range,
+                            table_.data() + jj * static_cast<size_t>(buckets_));
   }
 }
 

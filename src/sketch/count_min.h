@@ -29,6 +29,12 @@ class CountMin : public LinearSketch {
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
 
+  /// The row sweep UpdateBatch runs after filling its scratch. Same
+  /// contract as CountSketch::UpdateReduced: keys[t] < 2^61 - 1 (already
+  /// reduced into the field), deltas already widened to double, no scratch
+  /// touched, state bit-identical to UpdateBatch over the same updates.
+  void UpdateReduced(const uint64_t* keys, const double* deltas, size_t count);
+
   /// Strict-turnstile estimate (upper bound on x_i w.h.p. of construction).
   double QueryMin(uint64_t i) const;
 

@@ -52,32 +52,23 @@ void CountSketch::ApplyBatch(const U* updates, size_t count) {
     reduced_keys_[t] = gf61::Reduce(updates[t].index);
     delta_scratch_[t] = static_cast<double>(updates[t].delta);
   }
+  UpdateReduced(reduced_keys_.data(), delta_scratch_.data(), count);
+}
+
+void CountSketch::UpdateReduced(const uint64_t* keys, const double* deltas,
+                                size_t count) {
   const uint64_t range = static_cast<uint64_t>(buckets_);
   const kernels::KernelTable& kernel = kernels::Active();
   for (int j = 0; j < rows_; ++j) {
     const size_t jj = static_cast<size_t>(j);
     const auto& bc = bucket_[jj].coefficients();
     const auto& sc = sign_[jj].coefficients();
-    double* row = table_.data() + jj * static_cast<size_t>(buckets_);
-    if (bc.size() == 2 && sc.size() == 2) {
-      // Pairwise rows (the count-sketch default) run on the dispatched
-      // CountRowsApply kernel: bucket + sign evaluation is vectorized, the
-      // scatter stays in stream order, and the row is bit-identical on
-      // every backend.
-      kernel.count_rows_apply(reduced_keys_.data(), delta_scratch_.data(),
-                              count, bc[0], bc[1], sc[0], sc[1],
-                              /*use_sign=*/true, range, row);
-    } else {
-      for (size_t t = 0; t < count; ++t) {
-        const uint64_t x = reduced_keys_[t];
-        const uint64_t k =
-            hash::ScaleToRange(hash::PolyEval(bc.data(), bc.size(), x), range);
-        const int64_t bit =
-            static_cast<int64_t>(hash::PolyEval(sc.data(), sc.size(), x) & 1);
-        row[k] += static_cast<double>(2 * bit - 1) *
-                  static_cast<double>(updates[t].delta);
-      }
-    }
+    // Every row is pairwise, so it runs on the dispatched CountRowsApply
+    // kernel: bucket + sign evaluation is vectorized, the scatter stays in
+    // stream order, and the row is bit-identical on every backend.
+    kernel.count_rows_apply(keys, deltas, count, bc[0], bc[1], sc[0], sc[1],
+                            /*use_sign=*/true, range,
+                            table_.data() + jj * static_cast<size_t>(buckets_));
   }
 }
 

@@ -38,6 +38,14 @@ class CountSketch : public LinearSketch {
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
 
+  /// The row sweep UpdateBatch runs after filling its scratch, for callers
+  /// that hold the batch in that form already. Precondition: every key is
+  /// reduced into the field, keys[t] < 2^61 - 1 (gf61::Reduce of the
+  /// index); deltas[t] is the update's delta as a double. Touches no
+  /// scratch, so a DyadicCountSketch feeds all its levels from one buffer.
+  /// State is bit-identical to UpdateBatch over the same updates.
+  void UpdateReduced(const uint64_t* keys, const double* deltas, size_t count);
+
   /// Point estimate x*_i (median over rows).
   double Query(uint64_t i) const;
 

@@ -3,10 +3,39 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/field/gf61.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
 
 namespace lps::sketch {
+
+namespace {
+
+/// Feeds one batch to every level of a tree over [0, 2^log_n) from the
+/// tree's two buffers: the deltas are widened once, and per level the
+/// block ids index >> l, reduced into the field, overwrite one key buffer
+/// that the level's row sweep reads. Each level sees the same keys and
+/// deltas in stream order as UpdateBatch on block-id updates would give it,
+/// so its counters are bit-identical to that.
+template <typename Level, typename U>
+void FeedLevels(int log_n, const U* updates, size_t count,
+                std::vector<uint64_t>* keys, std::vector<double>* deltas,
+                std::vector<Level>* levels) {
+  keys->resize(count);
+  deltas->resize(count);
+  for (size_t t = 0; t < count; ++t) {
+    LPS_CHECK(updates[t].index < (1ULL << log_n));
+    (*deltas)[t] = static_cast<double>(updates[t].delta);
+  }
+  for (size_t l = 0; l < levels->size(); ++l) {
+    for (size_t t = 0; t < count; ++t) {
+      (*keys)[t] = gf61::Reduce(updates[t].index >> l);
+    }
+    (*levels)[l].UpdateReduced(keys->data(), deltas->data(), count);
+  }
+}
+
+}  // namespace
 
 DyadicCountMin::DyadicCountMin(int log_n, int rows, int buckets, uint64_t seed)
     : log_n_(log_n), rows_(rows), buckets_(buckets), seed_(seed) {
@@ -23,28 +52,13 @@ void DyadicCountMin::Update(uint64_t i, double delta) {
   UpdateBatch(&u, 1);
 }
 
-template <typename U>
-void DyadicCountMin::ApplyBatch(const U* updates, size_t count) {
-  for (size_t t = 0; t < count; ++t) {
-    LPS_CHECK(updates[t].index < (1ULL << log_n_));
-  }
-  shifted_.resize(count);
-  for (int l = 0; l <= log_n_; ++l) {
-    for (size_t t = 0; t < count; ++t) {
-      shifted_[t] = {updates[t].index >> l,
-                     static_cast<double>(updates[t].delta)};
-    }
-    levels_[static_cast<size_t>(l)].UpdateBatch(shifted_.data(), count);
-  }
-}
-
 void DyadicCountMin::UpdateBatch(const stream::ScaledUpdate* updates,
                                  size_t count) {
-  ApplyBatch(updates, count);
+  FeedLevels(log_n_, updates, count, &keys_, &deltas_, &levels_);
 }
 
 void DyadicCountMin::UpdateBatch(const stream::Update* updates, size_t count) {
-  ApplyBatch(updates, count);
+  FeedLevels(log_n_, updates, count, &keys_, &deltas_, &levels_);
 }
 
 double DyadicCountMin::Query(uint64_t i) const {
@@ -153,29 +167,14 @@ void DyadicCountSketch::Update(uint64_t i, double delta) {
   UpdateBatch(&u, 1);
 }
 
-template <typename U>
-void DyadicCountSketch::ApplyBatch(const U* updates, size_t count) {
-  for (size_t t = 0; t < count; ++t) {
-    LPS_CHECK(updates[t].index < (1ULL << log_n_));
-  }
-  shifted_.resize(count);
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    for (size_t t = 0; t < count; ++t) {
-      shifted_[t] = {updates[t].index >> l,
-                     static_cast<double>(updates[t].delta)};
-    }
-    levels_[l].UpdateBatch(shifted_.data(), count);
-  }
-}
-
 void DyadicCountSketch::UpdateBatch(const stream::ScaledUpdate* updates,
                                     size_t count) {
-  ApplyBatch(updates, count);
+  FeedLevels(log_n_, updates, count, &keys_, &deltas_, &levels_);
 }
 
 void DyadicCountSketch::UpdateBatch(const stream::Update* updates,
                                     size_t count) {
-  ApplyBatch(updates, count);
+  FeedLevels(log_n_, updates, count, &keys_, &deltas_, &levels_);
 }
 
 double DyadicCountSketch::Query(uint64_t i) const {

@@ -28,8 +28,9 @@ class DyadicCountMin : public LinearSketch {
   /// Single-update path; delegates to UpdateBatch with a batch of one.
   void Update(uint64_t i, double delta);
 
-  /// Batched ingestion: indices are shifted to each level's block ids once
-  /// per level, then the level's count-min ingests the whole batch.
+  /// Batched ingestion: the deltas are widened once, then per level the
+  /// block ids are written into the tree's one key buffer and the level's
+  /// count-min sweeps the whole batch from it.
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
 
@@ -66,15 +67,13 @@ class DyadicCountMin : public LinearSketch {
   size_t SpaceBits(int bits_per_counter) const;
 
  private:
-  template <typename U>
-  void ApplyBatch(const U* updates, size_t count);
-
   int log_n_;
   int rows_;
   int buckets_;
   uint64_t seed_;
   std::vector<CountMin> levels_;  // levels_[l] sketches blocks of size 2^l
-  std::vector<stream::ScaledUpdate> shifted_;  // batch scratch
+  std::vector<uint64_t> keys_;    // batch scratch: one level's block ids
+  std::vector<double> deltas_;    // batch scratch: deltas widened
 };
 
 /// Dyadic count-sketch: the general-update analogue of the tree above.
@@ -99,8 +98,9 @@ class DyadicCountSketch : public LinearSketch {
 
   void Update(uint64_t i, double delta);
 
-  /// Batched ingestion: indices are shifted to each level's block ids, then
-  /// the level's count-sketch ingests the whole batch.
+  /// Batched ingestion: the deltas are widened once, then per level the
+  /// block ids are written into the tree's one key buffer and the level's
+  /// count-sketch sweeps the whole batch from it.
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
 
@@ -150,16 +150,14 @@ class DyadicCountSketch : public LinearSketch {
   size_t SpaceBits(int bits_per_counter) const;
 
  private:
-  template <typename U>
-  void ApplyBatch(const U* updates, size_t count);
-
   int log_n_;
   int rows_;
   int buckets_;
   uint64_t seed_;
   // levels_[l] sketches blocks of size 2^l, for l <= start_level().
   std::vector<CountSketch> levels_;
-  std::vector<stream::ScaledUpdate> shifted_;  // batch scratch
+  std::vector<uint64_t> keys_;  // batch scratch: one level's block ids
+  std::vector<double> deltas_;  // batch scratch: deltas widened
 };
 
 }  // namespace lps::sketch

@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -183,6 +184,72 @@ TEST(Kernels, CountRowsApplyBitExact) {
         // hence every rounding step) is identical.
         ASSERT_EQ(want[i], got[i])
             << BackendName(bk) << " use_sign=" << use_sign << " bucket=" << i;
+      }
+    }
+  }
+}
+
+// FieldInputs keys are uniform in [0, p), so a quad of four keys below
+// 2^32 (AVX2's two-multiply path) never occurs above. Here the first 100
+// keys are below 2^32, edge values 0, 1, 2^31 and 2^32 - 1 included; after
+// that every quad mixes them with 2^32, 2^32 + 1 and p - 1, and keys
+// 180..191 are all long.
+TEST(Kernels, CountRowsApplyShortKeysBitExact) {
+  const size_t kCount = 215;
+  const uint64_t kShort[] = {0, 1, 1ULL << 31, (1ULL << 32) - 1};
+  const uint64_t kLong[] = {1ULL << 32, (1ULL << 32) + 1, gf::kP - 1};
+  Rng rng(1212);
+  std::vector<uint64_t> xs(kCount);
+  for (size_t t = 0; t < kCount; ++t) {
+    const uint64_t short_key =
+        t % 3 == 0 ? kShort[(t / 3) % 4] : rng.Below(1ULL << 32);
+    const bool is_long = (t >= 100 && t % 4 == (t / 4) % 4) ||
+                         (t >= 180 && t < 192);
+    xs[t] = is_long ? kLong[t % 3] : short_key;
+  }
+  std::vector<double> deltas(kCount);
+  for (double& d : deltas) d = rng.NextDouble() * 10.0 - 5.0;
+  const uint64_t kCoeffs[] = {0, 1, gf::kP - 1, (1ULL << 32) - 1, 1ULL << 32,
+                              1ULL << 60};
+  const uint64_t kRanges[] = {1, 24, 72, 97};
+  const size_t kCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, kCount};
+  for (Backend bk : SimdBackends()) {
+    for (uint64_t c1 : kCoeffs) {
+      for (uint64_t c0 : kCoeffs) {
+        // Each value sits in every role: b1 = s0 = c1 and b0 = s1 = c0.
+        const uint64_t b0 = c0, b1 = c1, s0 = c1, s1 = c0;
+        for (uint64_t range : kRanges) {
+          for (size_t count : kCounts) {
+            // Short counts run from the all-short head and from the
+            // mixed region; the tail loop takes what a quad cannot.
+            for (size_t start : {size_t{0}, size_t{100}}) {
+              if (start + count > kCount) continue;
+              for (bool use_sign : {true, false}) {
+                std::vector<double> want(range, 0.0), got(range, 0.0);
+                {
+                  ScopedBackend pin(Backend::kScalar);
+                  Active().count_rows_apply(xs.data() + start,
+                                            deltas.data() + start, count, b0,
+                                            b1, s0, s1, use_sign, range,
+                                            want.data());
+                }
+                {
+                  ScopedBackend pin(bk);
+                  Active().count_rows_apply(xs.data() + start,
+                                            deltas.data() + start, count, b0,
+                                            b1, s0, s1, use_sign, range,
+                                            got.data());
+                }
+                ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                         range * sizeof(double)))
+                    << BackendName(bk) << " b=(" << b0 << "," << b1
+                    << ") s=(" << s0 << "," << s1 << ") range=" << range
+                    << " count=" << count << " start=" << start
+                    << " use_sign=" << use_sign;
+              }
+            }
+          }
+        }
       }
     }
   }

@@ -532,6 +532,78 @@ TEST(DyadicCountMin, BatchMatchesScalarBitExact) {
   EXPECT_EQ(scalar.HeavyLeaves(50.0), batched.HeavyLeaves(50.0));
 }
 
+// Universes past 2^32. The AVX2 row kernel takes its two-multiply path
+// only for quads of keys below 2^32, and the tests above stay under 2^9.
+// Here index bit widths are drawn uniformly from 1..log_n, so flat sketches
+// and the low tree levels see quads that mix short and long keys, and the
+// levels at or above log_n - 32 see only short ones.
+stream::UpdateStream WideStream(int log_n, uint64_t seed) {
+  Rng rng(seed);
+  stream::UpdateStream s(3000);
+  for (auto& u : s) {
+    const uint64_t shift = static_cast<uint64_t>(64 - log_n) +
+                           rng.Below(static_cast<uint64_t>(log_n));
+    u.index = rng.Next() >> shift;
+    u.delta = static_cast<int64_t>(rng.Below(201)) - 100;
+  }
+  const uint64_t top = log_n == 64 ? ~0ULL : (1ULL << log_n) - 1;
+  const uint64_t edges[] = {0, (1ULL << 32) - 1, 1ULL << 32, (1ULL << 61) - 2,
+                            (1ULL << 61) - 1, top};
+  for (size_t e = 0; e < sizeof(edges) / sizeof(edges[0]); ++e) {
+    s[7 * e].index = std::min(edges[e], top);
+  }
+  return s;
+}
+
+// Per-update ingest against batches of 1, 3, 4 and 4096, under every
+// available kernel backend: all land on the same counters.
+template <typename Sink, typename MakeFn>
+void ExpectBatchesMatchPerUpdateOnEveryBackend(
+    const stream::UpdateStream& stream, MakeFn make) {
+  const lps::kernels::Backend dispatched = lps::kernels::ActiveBackend();
+  std::vector<uint64_t> reference;
+  for (lps::kernels::Backend backend : lps::kernels::AvailableBackends()) {
+    ASSERT_TRUE(lps::kernels::ForceBackendForTesting(backend));
+    const char* name = lps::kernels::BackendName(backend);
+    Sink per_update = make();
+    for (const auto& u : stream) {
+      per_update.Update(u.index, static_cast<double>(u.delta));
+    }
+    const std::vector<uint64_t> words = CounterWords(per_update);
+    if (reference.empty()) reference = words;
+    EXPECT_EQ(words, reference) << name;
+    for (size_t batch : {size_t{1}, size_t{3}, size_t{4}, size_t{4096}}) {
+      Sink batched = make();
+      for (size_t pos = 0; pos < stream.size(); pos += batch) {
+        batched.UpdateBatch(stream.data() + pos,
+                            std::min(batch, stream.size() - pos));
+      }
+      EXPECT_EQ(CounterWords(batched), words) << name << " batch " << batch;
+    }
+  }
+  lps::kernels::ForceBackendForTesting(dispatched);
+}
+
+TEST(CountSketch, BatchMatchesPerUpdateOn64BitIndexes) {
+  ExpectBatchesMatchPerUpdateOnEveryBackend<CountSketch>(
+      WideStream(64, 94), [] { return CountSketch(9, 72, 31); });
+}
+
+TEST(CountMin, BatchMatchesPerUpdateOn64BitIndexes) {
+  ExpectBatchesMatchPerUpdateOnEveryBackend<CountMin>(
+      WideStream(64, 95), [] { return CountMin(9, 72, 32); });
+}
+
+TEST(DyadicCountSketch, BatchMatchesPerUpdateAtLogN40) {
+  ExpectBatchesMatchPerUpdateOnEveryBackend<DyadicCountSketch>(
+      WideStream(40, 96), [] { return DyadicCountSketch(40, 5, 24, 33); });
+}
+
+TEST(DyadicCountMin, BatchMatchesPerUpdateAtLogN40) {
+  ExpectBatchesMatchPerUpdateOnEveryBackend<DyadicCountMin>(
+      WideStream(40, 97), [] { return DyadicCountMin(40, 5, 24, 34); });
+}
+
 TEST(DyadicCountMin, PointQueriesAndHeavyLeaves) {
   DyadicCountMin tree(10, 9, 64, 22);  // universe 1024
   tree.Update(100, 500.0);
