@@ -14,8 +14,9 @@
 //
 // The lp_sampler_anatomy section splits the paper's sampler's ingest into
 // its parts at n = 2^20 with the SketchSpec defaults: the whole sampler,
-// its shared norm estimator, and one round's flat count-sketch and dyadic
-// candidate tree, each built at the round's shape. It has no gate.
+// its shared norm estimator, and one round's k-wise t_i hash, flat
+// count-sketch and dyadic candidate tree, each built at the round's
+// shape. It has no gate.
 //
 // Emits the human tables to stdout and machine-readable results to
 // BENCH_throughput.json. --quick shrinks stream lengths and pass counts
@@ -35,6 +36,8 @@
 #include "src/core/l0_sampler.h"
 #include "src/kernels/kernels.h"
 #include "src/core/lp_sampler.h"
+#include "src/field/gf61.h"
+#include "src/hash/kwise.h"
 #include "src/heavy/heavy_hitters.h"
 #include "src/norm/l0_norm.h"
 #include "src/norm/lp_norm.h"
@@ -380,15 +383,17 @@ double MicrosPerCall(int passes, int calls, Fn&& fn) {
 }
 
 /// One p of the sampler's ingest anatomy. A round's remaining cost — the
-/// k-wise t_i hash and the t_i^{-1/p} transform — is what
-/// (sampler - norm) / rounds leaves after its two sketches.
+/// t_i^{-1/p} transform and the key reduction — is what
+/// (sampler - norm) / rounds leaves after its t_i hash and two sketches.
 struct AnatomyRow {
   double p = 0;
   int rounds = 0;       // v
   int m = 0;            // a round's sketches have 6m buckets per row
+  int k = 0;            // independence of a round's t_i hash
   int tree_levels = 0;  // DyadicCountSketch levels per round
   double sampler_us = 0;
   double norm_us = 0;
+  double round_t_hash_us = 0;
   double round_cs_us = 0;
   double round_tree_us = 0;
   size_t state_bytes = 0;
@@ -445,6 +450,24 @@ AnatomyRow MeasureAnatomy(double p, const UpdateStream& stream, int passes) {
   }
   lps::norm::LpNormEstimator norm(p, params.norm_rows, 32);
   row.norm_us = MicrosPerUpdate(scaled, kChunk, passes, &norm);
+  // The round's t_i hash over keys already reduced into the field, as
+  // LpSamplerRound::UpdateBatch calls it.
+  row.k = params.k;
+  const lps::hash::KWiseHash t_hash(params.k, 35);
+  std::vector<uint64_t> reduced(stream.size()), evals(kChunk);
+  for (size_t t = 0; t < stream.size(); ++t) {
+    reduced[t] = lps::gf61::Reduce(stream[t].index);
+  }
+  row.round_t_hash_us =
+      MicrosPerCall(passes, 1,
+                    [&] {
+                      for (size_t at = 0; at < reduced.size(); at += kChunk) {
+                        t_hash.EvalBatch(reduced.data() + at,
+                                         std::min(kChunk, reduced.size() - at),
+                                         evals.data());
+                      }
+                    }) /
+      static_cast<double>(reduced.size());
   // LpSamplerRound's shapes: count-sketch and tree rows of 6m buckets.
   lps::sketch::CountSketch cs(params.cs_rows, 6 * params.m, 33);
   row.round_cs_us = MicrosPerUpdate(scaled, kChunk, passes, &cs);
@@ -519,15 +542,17 @@ void WriteJson(const char* path, const std::vector<ResultRow>& rows,
     const AnatomyRow& row = anatomy[r];
     std::fprintf(f,
                  "    {\"p\": %.2f, \"n\": %llu, \"rounds\": %d, "
-                 "\"m\": %d, \"tree_levels\": %d, "
+                 "\"m\": %d, \"k\": %d, \"tree_levels\": %d, "
                  "\"sampler_us_per_update\": %.3f, "
                  "\"norm_us_per_update\": %.3f, "
+                 "\"round_t_hash_us_per_update\": %.3f, "
                  "\"round_count_sketch_us_per_update\": %.3f, "
                  "\"round_dyadic_us_per_update\": %.3f, "
                  "\"state_bytes\": %zu}%s\n",
                  row.p, static_cast<unsigned long long>(kAnatomyN), row.rounds,
-                 row.m, row.tree_levels, row.sampler_us, row.norm_us,
-                 row.round_cs_us, row.round_tree_us, row.state_bytes,
+                 row.m, row.k, row.tree_levels, row.sampler_us, row.norm_us,
+                 row.round_t_hash_us, row.round_cs_us, row.round_tree_us,
+                 row.state_bytes,
                  r + 1 < anatomy.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -823,13 +848,16 @@ int main(int argc, char** argv) {
   lps::bench::Section(
       "lp_sampler ingest anatomy at n = 2^20, spec defaults (eps 0.5, "
       "delta 0.25), us/update");
-  Table anatomy_table({"p", "rounds", "m", "sampler", "norm", "round cs",
-                       "round tree", "tree levels", "state bytes"});
+  Table anatomy_table({"p", "rounds", "m", "k", "sampler", "norm",
+                       "round t hash", "round cs", "round tree",
+                       "tree levels", "state bytes"});
   for (const AnatomyRow& row : anatomy) {
     anatomy_table.AddRow({Table::Fmt("%.1f", row.p),
                           Table::Fmt("%d", row.rounds), Table::Fmt("%d", row.m),
+                          Table::Fmt("%d", row.k),
                           Table::Fmt("%.3f", row.sampler_us),
                           Table::Fmt("%.3f", row.norm_us),
+                          Table::Fmt("%.3f", row.round_t_hash_us),
                           Table::Fmt("%.3f", row.round_cs_us),
                           Table::Fmt("%.3f", row.round_tree_us),
                           Table::Fmt("%d", row.tree_levels),

@@ -14,16 +14,17 @@
 //     integer, results are canonical elements of [0, p), and
 //     count_rows_apply scatters in stream order, so whole-sketch state is
 //     bit-identical no matter which backend ran.
-//   - cauchy_pow_batch is EXACT for p != 1 on every backend. The
-//     reference is the scalar backend's portable Chambers-Mallows-Stuck
-//     transform (stable_transform.h); AVX2 runs a four-lane twin of it
-//     that performs the same IEEE operations in the same order and adds
-//     the products to the row one at a time, in stream order, and SSE4.2
-//     calls the scalar kernel. p = 2 (Box-Muller) is scalar everywhere.
-//     The AVX2/SSE4.2 p = 1 (Cauchy) path replaces libm's tan with a
-//     polynomial sin(pi x) ratio and a vectorized accumulation order, so
-//     it is query-equivalent (relative error ~1e-15, ULP-bounded by the
-//     tests) but not bit-identical to scalar.
+//   - cauchy_pow_batch is EXACT for p != 1 on every backend, and
+//     stable_batch at every p. The reference is the scalar backend's
+//     portable Chambers-Mallows-Stuck transform (stable_transform.h);
+//     AVX2 runs a four-lane twin of it that performs the same IEEE
+//     operations in the same order and adds the products to the row one
+//     at a time, in stream order, and SSE4.2 calls the scalar kernel.
+//     p = 2 (Box-Muller) is scalar everywhere.
+//     The AVX2/SSE4.2 p = 1 (Cauchy) path of cauchy_pow_batch replaces
+//     libm's tan with a polynomial sin(pi x) ratio and a vectorized
+//     accumulation order, so it is query-equivalent (relative error
+//     ~1e-15, ULP-bounded by the tests) but not bit-identical to scalar.
 //
 // Backend selection: the first call to Active() probes the CPU
 // (__builtin_cpu_supports) and picks the widest compiled-in backend;
@@ -59,6 +60,13 @@ struct KernelTable {
   /// out[t] = coeffs[k-1] * xs[t]^(k-1) + ... + coeffs[0] over
   /// GF(2^61 - 1), Horner from the leading coefficient; xs must already be
   /// reduced to [0, p). k >= 1. EXACT.
+  /// AVX2 runs four quads of keys through the k - 1 chained steps side by
+  /// side, and each step with two 32x32 multiplies instead of four when
+  /// all 16 keys are below 2^32 (the same short product as
+  /// count_rows_apply, with the running value, canonical after every
+  /// step, in the c1 role); a group with any longer key takes the general
+  /// product. tests/kernels_test.cc pins short, long and mixed groups
+  /// against scalar up to k = 110.
   void (*kwise_horner_batch)(const uint64_t* coeffs, size_t k,
                              const uint64_t* xs, size_t count, uint64_t* out);
 
@@ -99,9 +107,19 @@ struct KernelTable {
   /// left to right from init. p != 1 is EXACT on every backend (the AVX2
   /// twin of the scalar transform keeps that order); p = 1 uses a
   /// vectorized Cauchy transform on the SIMD backends (query-equivalent,
-  /// see the taxonomy above).
+  /// see the taxonomy above). AVX2 computes the variates of four quads of
+  /// keys side by side and still adds them to the sum in stream order
+  /// (at p = 1, quad after quad into one four-lane sum).
   double (*cauchy_pow_batch)(double p, uint64_t row_base, const uint64_t* keys,
                              const double* deltas, size_t count, double init);
+
+  /// out[t] = Stable_p(u1[t], u2[t]), the transform StableFromUniformsImpl
+  /// applies, for uniforms in (0, 1] the caller drew (StableMedianAbs's
+  /// calibration). EXACT on every backend: AVX2 runs the p != 1 twin
+  /// four quads at a time, and p = 1, p = 2 and the other backends run
+  /// the scalar transform.
+  void (*stable_batch)(double p, const double* u1, const double* u2,
+                       size_t count, double* out);
 };
 
 /// The dispatched kernel table. First call performs the one-time CPUID +

@@ -196,10 +196,17 @@ double CauchyPowBatchScalar(double p, uint64_t row_base, const uint64_t* keys,
   return acc;
 }
 
+void StableBatchScalar(double p, const double* u1, const double* u2,
+                       size_t count, double* out) {
+  for (size_t t = 0; t < count; ++t) {
+    out[t] = StableFromUniformsImpl(p, u1[t], u2[t]);
+  }
+}
+
 const KernelTable kScalarTable = {
     Backend::kScalar,        KWiseHornerBatchScalar, Gf61MulBatchScalar,
     CountRowsApplyScalar,    Gf61SyndromeBatchScalar,
-    CauchyPowBatchScalar,
+    CauchyPowBatchScalar,    StableBatchScalar,
 };
 
 }  // namespace

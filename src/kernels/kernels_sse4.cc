@@ -2,8 +2,9 @@
 // derivation there) on __m128i/__m128d. SSE4.2 is the floor because the
 // canonicalizing compare needs _mm_cmpgt_epi64. Exactness taxonomy is
 // identical to AVX2: all integer/GF kernels are bit-identical to scalar,
-// the p = 1 Cauchy path is query-equivalent, and p != 1 calls the scalar
-// reference (no two-lane Chambers-Mallows-Stuck twin), so it is exact.
+// the p = 1 Cauchy path is query-equivalent, and p != 1 (cauchy_pow_batch
+// and stable_batch) calls the scalar reference (no two-lane
+// Chambers-Mallows-Stuck twin), so it is exact.
 #include "src/kernels/backends.h"
 
 #if defined(__SSE4_2__) && !defined(LPS_DISABLE_SIMD)
@@ -240,10 +241,15 @@ double CauchyPowBatchSse4(double p, uint64_t row_base, const uint64_t* keys,
   return total;
 }
 
+void StableBatchSse4(double p, const double* u1, const double* u2,
+                     size_t count, double* out) {
+  ScalarTable()->stable_batch(p, u1, u2, count, out);
+}
+
 const KernelTable kSse4Table = {
     Backend::kSse4,       KWiseHornerBatchSse4, Gf61MulBatchSse4,
     CountRowsApplySse4,   Gf61SyndromeBatchSse4,
-    CauchyPowBatchSse4,
+    CauchyPowBatchSse4,   StableBatchSse4,
 };
 
 }  // namespace

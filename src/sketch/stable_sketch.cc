@@ -14,8 +14,9 @@ namespace lps::sketch {
 
 double StableFromUniforms(double p, double u1, double u2) {
   // The transform itself lives in the kernel layer, where every backend's
-  // cauchy_pow_batch reproduces it (bit for bit at p != 1); this wrapper
-  // keeps the sketch-level API for queries, calibration and tests.
+  // cauchy_pow_batch reproduces it (bit for bit at p != 1) and
+  // stable_batch runs it for the calibration below; this wrapper keeps the
+  // sketch-level API for tests.
   return kernels::StableFromUniformsImpl(p, u1, u2);
 }
 
@@ -34,13 +35,23 @@ double StableMedianAbs(double p) {
   if (it != cache.end()) return it->second;
   // Deterministic offline calibration with a fixed seed; 200001 samples give
   // the median to ~3 decimal places, ample for a constant-factor estimator.
+  // Each sample draws u2 before u1, the order GCC builds have always
+  // calibrated with. Two statements, not two arguments of one call, so
+  // that no compiler's argument evaluation order can swap them.
   Rng rng(0xace1dULL);
-  const int kSamples = 200001;
-  std::vector<double> values(kSamples);
-  for (auto& value : values) {
-    value = std::abs(
-        StableFromUniforms(p, rng.NextDoublePositive(), rng.NextDoublePositive()));
+  const size_t kSamples = 200001;
+  const size_t kChunk = 4096;
+  std::vector<double> values(kSamples), u1(kChunk), u2(kChunk);
+  const kernels::KernelTable& kernel = kernels::Active();
+  for (size_t at = 0; at < kSamples; at += kChunk) {
+    const size_t count = std::min(kChunk, kSamples - at);
+    for (size_t i = 0; i < count; ++i) {
+      u2[i] = rng.NextDoublePositive();
+      u1[i] = rng.NextDoublePositive();
+    }
+    kernel.stable_batch(p, u1.data(), u2.data(), count, values.data() + at);
   }
+  for (double& value : values) value = std::abs(value);
   auto mid = values.begin() + kSamples / 2;
   std::nth_element(values.begin(), mid, values.end());
   cache[p] = *mid;

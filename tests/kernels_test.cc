@@ -4,9 +4,10 @@
 //  1. Per-kernel: each KernelTable entry fed identical inputs (random plus
 //     field edge values) under every available backend. Integer/GF kernels
 //     must be bit-exact; cauchy_pow_batch is tolerance-bounded at p = 1
-//     (the one query-equivalent kernel) and bit-exact for p != 1, where
-//     AVX2 runs a lane-for-lane twin of the scalar transform and SSE4.2
-//     calls the scalar one.
+//     (the one query-equivalent kernel, its AVX2 sum pinned to a golden
+//     value) and bit-exact for p != 1, as is stable_batch, where AVX2
+//     runs a lane-for-lane twin of the scalar transform and SSE4.2 calls
+//     the scalar one.
 //  2. Whole-sketch: every SketchKind driven through the same stream under
 //     each forced backend and its serialized state compared. The
 //     exact-arithmetic kinds must land bit-identical; the kinds embedding
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -132,27 +134,64 @@ TEST(Kernels, Gf61MulBatchAllowsOutAliasingB) {
   }
 }
 
+// Counts 1-40 reach every AVX2 group of four quads and every quad tail,
+// alone and after full groups; 4097 is a whole 4096-update chunk plus one.
+std::vector<size_t> BatchCounts() {
+  std::vector<size_t> counts;
+  for (size_t count = 1; count <= 40; ++count) counts.push_back(count);
+  counts.push_back(4097);
+  return counts;
+}
+
+// Keys for the AVX2 Horner's two products, which it picks per group of
+// four quads: all below 2^32 (0, 1, 2^31 and 2^32 - 1 planted), all at or
+// above 2^32 (2^32, 2^32 + 1 and p - 1 planted), and short keys with one
+// long key in every run of 16, at a position that walks through the run.
+std::vector<std::vector<uint64_t>> HornerKeySets(size_t count) {
+  const uint64_t kShort[] = {0, 1, 1ULL << 31, (1ULL << 32) - 1};
+  const uint64_t kLong[] = {1ULL << 32, (1ULL << 32) + 1, gf::kP - 1};
+  Rng rng(505);
+  std::vector<uint64_t> short_keys(count), long_keys(count), mixed(count);
+  for (size_t t = 0; t < count; ++t) {
+    short_keys[t] = t % 5 == 0 ? kShort[(t / 5) % 4] : rng.Below(1ULL << 32);
+    long_keys[t] = t % 5 == 0 ? kLong[(t / 5) % 3]
+                              : (1ULL << 32) + rng.Below(gf::kP - (1ULL << 32));
+    mixed[t] = t % 16 == (t / 16) % 16 ? long_keys[t] : short_keys[t];
+  }
+  return {short_keys, long_keys, mixed};
+}
+
 TEST(Kernels, KWiseHornerBatchBitExact) {
-  const auto xs = FieldInputs(131, 505);
-  const auto coeffs = FieldInputs(6, 606);
-  std::vector<uint64_t> want(xs.size()), got(xs.size());
-  for (size_t k = 2; k <= coeffs.size(); ++k) {
-    {
-      ScopedBackend pin(Backend::kScalar);
-      Active().kwise_horner_batch(coeffs.data(), k, xs.data(), xs.size(),
-                                  want.data());
-    }
-    for (size_t i = 0; i < xs.size(); ++i) {
-      ASSERT_EQ(want[i], hash::PolyEval(coeffs.data(), k, xs[i]))
-          << "scalar kernel vs hash::PolyEval, k=" << k;
-    }
-    for (Backend bk : SimdBackends()) {
-      ScopedBackend pin(bk);
-      Active().kwise_horner_batch(coeffs.data(), k, xs.data(), xs.size(),
-                                  got.data());
-      for (size_t i = 0; i < xs.size(); ++i) {
-        ASSERT_EQ(want[i], got[i])
-            << BackendName(bk) << " k=" << k << " i=" << i;
+  // Batches start at offsets 0 and 3; k = 110 is the deepest Horner the
+  // library runs (the p = 0.9 t_i hash).
+  const size_t kMaxCount = 4097;
+  const auto coeffs = FieldInputs(110, 606);
+  const auto key_sets = HornerKeySets(kMaxCount + 3);
+  std::vector<uint64_t> want(kMaxCount), got(kMaxCount);
+  for (size_t k : {size_t{1}, size_t{2}, size_t{4}, size_t{20}, size_t{110}}) {
+    for (size_t set = 0; set < key_sets.size(); ++set) {
+      for (size_t offset : {size_t{0}, size_t{3}}) {
+        const uint64_t* xs = key_sets[set].data() + offset;
+        for (size_t count : BatchCounts()) {
+          {
+            ScopedBackend pin(Backend::kScalar);
+            Active().kwise_horner_batch(coeffs.data(), k, xs, count,
+                                        want.data());
+          }
+          for (size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(want[i], hash::PolyEval(coeffs.data(), k, xs[i]))
+                << "scalar kernel vs hash::PolyEval, k=" << k;
+          }
+          for (Backend bk : SimdBackends()) {
+            ScopedBackend pin(bk);
+            Active().kwise_horner_batch(coeffs.data(), k, xs, count,
+                                        got.data());
+            ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                     count * sizeof(uint64_t)))
+                << BackendName(bk) << " k=" << k << " key set=" << set
+                << " offset=" << offset << " count=" << count;
+          }
+        }
       }
     }
   }
@@ -315,16 +354,13 @@ TEST(Kernels, CauchyPowBatchBitExactForPNotOne) {
   // p != 1 is bit-identical on every backend: AVX2 runs a lane-for-lane
   // twin of the scalar transform and adds the products in stream order,
   // SSE4.2 calls the scalar kernel — bit-identical, not merely close.
-  const size_t kCount = 143;
+  const size_t kCount = 4097;
   const auto keys = FieldInputs(kCount, 666);
   Rng rng(777);
   std::vector<double> deltas(kCount);
   for (double& d : deltas) d = rng.NextDouble() * 4.0 - 2.0;
   for (double p : {0.25, 0.5, 0.9, 1.1, 1.5, 1.75, 2.0}) {
-    // Counts 1-9 reach every AVX2 tail length, alone and after full quads.
-    for (size_t count : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
-                         size_t{5}, size_t{6}, size_t{7}, size_t{8},
-                         size_t{9}, kCount}) {
+    for (size_t count : BatchCounts()) {
       double want;
       {
         ScopedBackend pin(Backend::kScalar);
@@ -340,12 +376,13 @@ TEST(Kernels, CauchyPowBatchBitExactForPNotOne) {
       }
     }
     // One batch fed as two calls, the first's result carried in as the
-    // second's init, lands where the single call does at every split.
+    // second's init, lands where the single call does at every split,
+    // including splits that cut AVX2's first group of 16 keys.
     for (Backend bk : AvailableBackends()) {
       ScopedBackend pin(bk);
       const double whole = Active().cauchy_pow_batch(
           p, 42, keys.data(), deltas.data(), kCount, 1.25);
-      for (size_t split = 0; split <= 8; ++split) {
+      for (size_t split = 0; split <= 20; ++split) {
         const double head = Active().cauchy_pow_batch(
             p, 42, keys.data(), deltas.data(), split, 1.25);
         const double got = Active().cauchy_pow_batch(
@@ -356,6 +393,66 @@ TEST(Kernels, CauchyPowBatchBitExactForPNotOne) {
       }
     }
   }
+}
+
+TEST(Kernels, StableBatchBitExact) {
+  // Uniforms on the 2^-53 grid the kernels draw from, with both ends of
+  // (0, 1] planted in each argument: 2^-53 and 1 are the transform's
+  // poles and its W = -ln(u2) floor.
+  const size_t kCount = 4097;
+  Rng rng(888);
+  std::vector<double> u1(kCount), u2(kCount);
+  for (size_t t = 0; t < kCount; ++t) {
+    u1[t] = rng.NextDoublePositive();
+    u2[t] = rng.NextDoublePositive();
+  }
+  const double kEdges[] = {0x1.0p-53, 1.0};
+  for (size_t t = 0; t < 8; ++t) {
+    u1[t * 5] = kEdges[t % 2];
+    u2[t * 7 + 1] = kEdges[(t / 2) % 2];
+  }
+  std::vector<double> want(kCount), got(kCount);
+  for (double p : {0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 1.75, 2.0}) {
+    for (size_t count : BatchCounts()) {
+      {
+        ScopedBackend pin(Backend::kScalar);
+        Active().stable_batch(p, u1.data(), u2.data(), count, want.data());
+      }
+      for (size_t t = 0; t < count; ++t) {
+        const double reference =
+            sketch::StableFromUniforms(p, u1[t], u2[t]);
+        ASSERT_EQ(0, std::memcmp(&reference, &want[t], sizeof(double)))
+            << "scalar kernel vs StableFromUniforms, p=" << p << " t=" << t;
+      }
+      for (Backend bk : SimdBackends()) {
+        ScopedBackend pin(bk);
+        Active().stable_batch(p, u1.data(), u2.data(), count, got.data());
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 count * sizeof(double)))
+            << BackendName(bk) << " p=" << p << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(Kernels, CauchyPowBatchAvx2SumIsPinned) {
+  // The AVX2 p = 1 sum is not scalar's, so no cross-backend test sees a
+  // change in the order it accumulates in: 4096 keys in four-lane
+  // products, quad after quad, then the lane sum and a one-key scalar
+  // tail. The value is the one that order has always produced.
+  std::vector<Backend> avail = AvailableBackends();
+  if (std::find(avail.begin(), avail.end(), Backend::kAvx2) == avail.end()) {
+    GTEST_SKIP() << "AVX2 backend not available";
+  }
+  const size_t kCount = 4097;
+  const auto keys = FieldInputs(kCount, 4097);
+  Rng rng(9001);
+  std::vector<double> deltas(kCount);
+  for (double& d : deltas) d = rng.NextDouble() * 4.0 - 2.0;
+  ScopedBackend pin(Backend::kAvx2);
+  EXPECT_EQ(-0x1.00e9ce6707619p+17,
+            Active().cauchy_pow_batch(1.0, 0x9e3779b97f4a7c15ULL, keys.data(),
+                                      deltas.data(), kCount, 0.5));
 }
 
 // ---------------------------------------------------------------------------
