@@ -60,29 +60,16 @@ Result<double> MomentEstimator::Estimate() const {
   return sum / static_cast<double>(estimates.size());
 }
 
-void MomentEstimator::Merge(const LinearSketch& other) {
+void MomentEstimator::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const MomentEstimator*>(&other);
   LPS_CHECK(o != nullptr);
   const Params& a = params_;
   const Params& b = o->params_;
   LPS_CHECK(a.n == b.n && a.p == b.p && a.samples == b.samples &&
             a.q == b.q && a.seed == b.seed);
-  q_norm_.Merge(o->q_norm_);
+  q_norm_.MergeSigned(o->q_norm_, sign);
   for (size_t j = 0; j < samplers_.size(); ++j) {
-    samplers_[j].Merge(o->samplers_[j]);
-  }
-}
-
-void MomentEstimator::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const MomentEstimator*>(&other);
-  LPS_CHECK(o != nullptr);
-  const Params& a = params_;
-  const Params& b = o->params_;
-  LPS_CHECK(a.n == b.n && a.p == b.p && a.samples == b.samples &&
-            a.q == b.q && a.seed == b.seed);
-  q_norm_.MergeNegated(o->q_norm_);
-  for (size_t j = 0; j < samplers_.size(); ++j) {
-    samplers_[j].MergeNegated(o->samplers_[j]);
+    samplers_[j].MergeSigned(o->samplers_[j], sign);
   }
 }
 

@@ -55,8 +55,7 @@ class MomentEstimator : public LinearSketch {
   Result<double> Estimate() const;
 
   // LinearSketch contract: full-state serialization, merge, reset.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;

@@ -21,16 +21,10 @@ LpSamplerParams AkoSampler::AkoResolve(LpSamplerParams params) {
 AkoSampler::AkoSampler(LpSamplerParams params)
     : inner_(AkoResolve(std::move(params))) {}
 
-void AkoSampler::Merge(const LinearSketch& other) {
+void AkoSampler::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const AkoSampler*>(&other);
   LPS_CHECK(o != nullptr);
-  inner_.Merge(o->inner_);
-}
-
-void AkoSampler::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const AkoSampler*>(&other);
-  LPS_CHECK(o != nullptr);
-  inner_.MergeNegated(o->inner_);
+  inner_.MergeSigned(o->inner_, sign);
 }
 
 void AkoSampler::Serialize(BitWriter* writer) const {

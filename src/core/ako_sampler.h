@@ -34,8 +34,7 @@ class AkoSampler : public LinearSketch {
 
   // LinearSketch contract: delegates to the inner sampler under this
   // baseline's own kind tag.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override { inner_.Reset(); }

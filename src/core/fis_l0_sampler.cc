@@ -50,24 +50,13 @@ void FisL0Sampler::UpdateBatch(const stream::Update* updates, size_t count) {
   }
 }
 
-void FisL0Sampler::Merge(const LinearSketch& other) {
+void FisL0Sampler::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const FisL0Sampler*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->n_ == n_ && o->buckets_ == buckets_ && o->seed_ == seed_);
   for (size_t l = 0; l < table_.size(); ++l) {
     for (size_t b = 0; b < table_[l].size(); ++b) {
-      table_[l][b].Merge(o->table_[l][b]);
-    }
-  }
-}
-
-void FisL0Sampler::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const FisL0Sampler*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->n_ == n_ && o->buckets_ == buckets_ && o->seed_ == seed_);
-  for (size_t l = 0; l < table_.size(); ++l) {
-    for (size_t b = 0; b < table_[l].size(); ++b) {
-      table_[l][b].MergeNegated(o->table_[l][b]);
+      table_[l][b].MergeSigned(o->table_[l][b], sign);
     }
   }
 }

@@ -100,23 +100,14 @@ void L0Sampler::DeserializeCounters(BitReader* reader) {
   for (auto& level : levels_) level.DeserializeCounters(reader);
 }
 
-void L0Sampler::Merge(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const L0Sampler*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n && o->params_.delta == params_.delta &&
-            o->params_.s == params_.s && o->params_.seed == params_.seed &&
-            o->params_.use_nisan == params_.use_nisan);
-  for (size_t k = 0; k < levels_.size(); ++k) levels_[k].Merge(o->levels_[k]);
-}
-
-void L0Sampler::MergeNegated(const LinearSketch& other) {
+void L0Sampler::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const L0Sampler*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->params_.n == params_.n && o->params_.delta == params_.delta &&
             o->params_.s == params_.s && o->params_.seed == params_.seed &&
             o->params_.use_nisan == params_.use_nisan);
   for (size_t k = 0; k < levels_.size(); ++k) {
-    levels_[k].MergeNegated(o->levels_[k]);
+    levels_[k].MergeSigned(o->levels_[k], sign);
   }
 }
 

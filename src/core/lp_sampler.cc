@@ -292,7 +292,7 @@ void LpSampler::DeserializeCounters(BitReader* reader) {
   for (auto& round : rounds_) round.DeserializeCounters(reader);
 }
 
-void LpSampler::Merge(const LinearSketch& other) {
+void LpSampler::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const LpSampler*>(&other);
   LPS_CHECK(o != nullptr);
   const LpSamplerParams& a = params_;
@@ -303,26 +303,9 @@ void LpSampler::Merge(const LinearSketch& other) {
             a.dyadic_rows == b.dyadic_rows && a.seed == b.seed &&
             a.override_index == b.override_index &&
             a.override_t == b.override_t);
-  norm_.Merge(o->norm_);
+  norm_.MergeSigned(o->norm_, sign);
   for (size_t v = 0; v < rounds_.size(); ++v) {
-    rounds_[v].MergeFrom(o->rounds_[v]);
-  }
-}
-
-void LpSampler::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const LpSampler*>(&other);
-  LPS_CHECK(o != nullptr);
-  const LpSamplerParams& a = params_;
-  const LpSamplerParams& b = o->params_;
-  LPS_CHECK(a.n == b.n && a.p == b.p && a.eps == b.eps && a.delta == b.delta &&
-            a.repetitions == b.repetitions && a.cs_rows == b.cs_rows &&
-            a.m == b.m && a.k == b.k && a.norm_rows == b.norm_rows &&
-            a.dyadic_rows == b.dyadic_rows && a.seed == b.seed &&
-            a.override_index == b.override_index &&
-            a.override_t == b.override_t);
-  norm_.MergeNegated(o->norm_);
-  for (size_t v = 0; v < rounds_.size(); ++v) {
-    rounds_[v].MergeNegatedFrom(o->rounds_[v]);
+    rounds_[v].MergeFrom(o->rounds_[v], sign);
   }
 }
 

@@ -133,19 +133,11 @@ class LpSamplerRound {
     snapshot_.reset();
   }
 
-  /// Coordinate-wise addition of a same-params round replica (used by
-  /// LpSampler::Merge; the sketches CHECK shape and seed).
-  void MergeFrom(const LpSamplerRound& other) {
-    cs_.Merge(other.cs_);
-    dyadic_.Merge(other.dyadic_);
-    snapshot_.reset();
-  }
-
-  /// Coordinate-wise subtraction of a same-params round replica (used by
-  /// LpSampler::MergeNegated; the sketches CHECK shape and seed).
-  void MergeNegatedFrom(const LpSamplerRound& other) {
-    cs_.MergeNegated(other.cs_);
-    dyadic_.MergeNegated(other.dyadic_);
+  /// Folds `sign` (+1 or -1) x a same-params round replica into this one
+  /// (used by LpSampler::MergeSigned; the sketches CHECK shape and seed).
+  void MergeFrom(const LpSamplerRound& other, int sign) {
+    cs_.MergeSigned(other.cs_, sign);
+    dyadic_.MergeSigned(other.dyadic_, sign);
     snapshot_.reset();
   }
 
@@ -231,8 +223,7 @@ class LpSampler : public LinearSketch {
   void DeserializeCounters(BitReader* reader);
 
   // LinearSketch contract: full-state serialization, merge, reset.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;

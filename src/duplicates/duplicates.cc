@@ -157,24 +157,15 @@ const core::LpSampler& DuplicateFinder::Init() {
   return *init_;
 }
 
-void DuplicateFinder::Merge(const LinearSketch& other) {
+void DuplicateFinder::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const DuplicateFinder*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(SameParams(o->params_, params_));
-  // (init + lettersA) + (init + lettersB) - init.
-  sampler_.Merge(o->sampler_);
-  sampler_.MergeNegated(Init());
-}
-
-void DuplicateFinder::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const DuplicateFinder*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(SameParams(o->params_, params_));
-  // (init + lettersA) - (init + lettersB) + init: again a well-formed
-  // finder over the subtracted letter multiset (for a window, exactly
-  // the letters the window saw).
-  sampler_.MergeNegated(o->sampler_);
-  sampler_.Merge(Init());
+  // (init + lettersA) ± (init + lettersB) ∓ init: again a well-formed
+  // finder over the summed or subtracted letter multiset (for a window,
+  // exactly the letters the window saw).
+  sampler_.MergeSigned(o->sampler_, sign);
+  sampler_.MergeSigned(Init(), -sign);
 }
 
 void DuplicateFinder::Serialize(BitWriter* writer) const {
@@ -254,27 +245,15 @@ void SparseDuplicateFinder::UpdateBatch(const stream::Update* updates,
   sampler_.UpdateBatch(updates, count);
 }
 
-void SparseDuplicateFinder::Merge(const LinearSketch& other) {
+void SparseDuplicateFinder::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const SparseDuplicateFinder*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(SameParams(o->params_, params_));
-  // Subtract the duplicated initialization (see DuplicateFinder::Merge).
-  recovery_.Merge(o->recovery_);
-  recovery_.MergeNegated(RecoveryInit());
-  sampler_.Merge(o->sampler_);
-  sampler_.MergeNegated(SamplerInit());
-}
-
-void SparseDuplicateFinder::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const SparseDuplicateFinder*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(SameParams(o->params_, params_));
-  // Add back the initialization the subtraction removed (see
-  // DuplicateFinder::MergeNegated).
-  recovery_.MergeNegated(o->recovery_);
-  recovery_.Merge(RecoveryInit());
-  sampler_.MergeNegated(o->sampler_);
-  sampler_.Merge(SamplerInit());
+  // Cancel the doubled or removed initialization (see DuplicateFinder).
+  recovery_.MergeSigned(o->recovery_, sign);
+  recovery_.MergeSigned(RecoveryInit(), -sign);
+  sampler_.MergeSigned(o->sampler_, sign);
+  sampler_.MergeSigned(SamplerInit(), -sign);
 }
 
 void SparseDuplicateFinder::Serialize(BitWriter* writer) const {

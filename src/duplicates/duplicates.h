@@ -7,9 +7,10 @@
 // The sketch of that all-(-1) vector — the *init sketch* — depends only on
 // the parameters and seed, so it is built once per parameter set (and
 // kernel backend) and shared, immutable, by every live finder with those
-// parameters. Construction and Reset are zeroed counters plus init; Merge
-// is add(other) minus init; MergeNegated is subtract(other) plus init —
-// each O(state), never O(n). Like the hash coefficients, the init sketch
+// parameters. Construction and Reset are zeroed counters plus init;
+// MergeSigned folds sign x other, then -sign x init (Merge is add(other)
+// minus init, MergeNegated subtract(other) plus init) — each O(state),
+// never O(n). Like the hash coefficients, the init sketch
 // is derived from the seed, so SpaceBits does not count it.
 //
 //   - DuplicateFinder (Theorem 3): stream length n+1. sum_i x_i = 1, so a
@@ -84,14 +85,13 @@ class DuplicateFinder : public LinearSketch {
   }
 
   // LinearSketch contract. Both replicas hold the (i, -1) initialization,
-  // so Merge adds the replica's state and subtracts the shared init
-  // sketch: the merged sketch holds exactly init + lettersA + lettersB (up
-  // to floating-point reassociation in the scaled counters). MergeNegated
-  // subtracts and adds init back; Reset is zeroed counters plus init.
-  // Deserialize stays O(state): it fetches the init sketch only when a
-  // later Merge, MergeNegated or Reset first needs it.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  // so MergeSigned folds sign x the replica's state and then -sign x the
+  // shared init sketch: a merge holds exactly init + lettersA + lettersB
+  // (up to floating-point reassociation in the scaled counters), a
+  // subtraction init + lettersA - lettersB. Reset is zeroed counters plus
+  // init. Deserialize stays O(state): it fetches the init sketch only when
+  // a later MergeSigned or Reset first needs it.
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;
@@ -143,11 +143,10 @@ class SparseDuplicateFinder : public LinearSketch {
   const recovery::SparseRecovery& recovery() const { return recovery_; }
   const core::LpSampler& sampler() const { return sampler_; }
 
-  // LinearSketch contract; Merge, MergeNegated, Reset and Deserialize
+  // LinearSketch contract; MergeSigned, Reset and Deserialize
   // handle the shared init sketch exactly as in DuplicateFinder, with a
   // field-exact SparseRecovery half next to the sampler half.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;

@@ -42,7 +42,7 @@ void PositiveFinder::UpdateBatch(const stream::Update* updates, size_t count) {
   sampler_.UpdateBatch(updates, count);
 }
 
-void PositiveFinder::Merge(const LinearSketch& other) {
+void PositiveFinder::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const PositiveFinder*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->params_.n == params_.n &&
@@ -50,22 +50,9 @@ void PositiveFinder::Merge(const LinearSketch& other) {
             o->params_.delta == params_.delta &&
             o->params_.repetitions == params_.repetitions &&
             o->params_.seed == params_.seed);
-  total_ += o->total_;
-  recovery_.Merge(o->recovery_);
-  sampler_.Merge(o->sampler_);
-}
-
-void PositiveFinder::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const PositiveFinder*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n &&
-            o->params_.s_budget == params_.s_budget &&
-            o->params_.delta == params_.delta &&
-            o->params_.repetitions == params_.repetitions &&
-            o->params_.seed == params_.seed);
-  total_ -= o->total_;
-  recovery_.MergeNegated(o->recovery_);
-  sampler_.MergeNegated(o->sampler_);
+  total_ += sign * o->total_;
+  recovery_.MergeSigned(o->recovery_, sign);
+  sampler_.MergeSigned(o->sampler_, sign);
 }
 
 void PositiveFinder::Serialize(BitWriter* writer) const {

@@ -46,8 +46,7 @@ class PositiveFinder : public LinearSketch {
   int64_t Deficit() const { return -total_; }
 
   // LinearSketch contract: full-state serialization, merge, reset.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;

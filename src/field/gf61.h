@@ -37,6 +37,11 @@ inline uint64_t Sub(uint64_t a, uint64_t b) {
   return a >= b ? a - b : a + kP - b;
 }
 
+/// a + sign * b for sign = +1 or -1: Add or Sub, whichever `sign` names.
+inline uint64_t AddSigned(uint64_t a, uint64_t b, int sign) {
+  return sign > 0 ? Add(a, b) : Sub(a, b);
+}
+
 inline uint64_t Neg(uint64_t a) { return a == 0 ? 0 : kP - a; }
 
 inline uint64_t Mul(uint64_t a, uint64_t b) {

@@ -137,7 +137,7 @@ void CsHeavyHitters::DeserializeCounters(BitReader* reader) {
   if (norm_) norm_->mutable_sketch()->DeserializeCounters(reader);
 }
 
-void CsHeavyHitters::Merge(const LinearSketch& other) {
+void CsHeavyHitters::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const CsHeavyHitters*>(&other);
   LPS_CHECK(o != nullptr);
   const Params& a = params_;
@@ -146,25 +146,10 @@ void CsHeavyHitters::Merge(const LinearSketch& other) {
             a.norm_rows == b.norm_rows &&
             a.strict_turnstile == b.strict_turnstile &&
             a.dyadic_rows == b.dyadic_rows && a.seed == b.seed);
-  cs_.Merge(o->cs_);
-  dyadic_.Merge(o->dyadic_);
-  running_sum_ += o->running_sum_;
-  if (norm_) norm_->Merge(*o->norm_);
-}
-
-void CsHeavyHitters::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const CsHeavyHitters*>(&other);
-  LPS_CHECK(o != nullptr);
-  const Params& a = params_;
-  const Params& b = o->params_;
-  LPS_CHECK(a.n == b.n && a.p == b.p && a.phi == b.phi && a.rows == b.rows &&
-            a.norm_rows == b.norm_rows &&
-            a.strict_turnstile == b.strict_turnstile &&
-            a.dyadic_rows == b.dyadic_rows && a.seed == b.seed);
-  cs_.MergeNegated(o->cs_);
-  dyadic_.MergeNegated(o->dyadic_);
-  running_sum_ -= o->running_sum_;
-  if (norm_) norm_->MergeNegated(*o->norm_);
+  cs_.MergeSigned(o->cs_, sign);
+  dyadic_.MergeSigned(o->dyadic_, sign);
+  running_sum_ += sign * o->running_sum_;
+  if (norm_) norm_->MergeSigned(*o->norm_, sign);
 }
 
 void CsHeavyHitters::Serialize(BitWriter* writer) const {
@@ -273,28 +258,16 @@ size_t CmHeavyHitters::DyadicSpaceBits(int bits_per_counter) const {
   return tree_.SpaceBits(bits_per_counter);
 }
 
-void CmHeavyHitters::Merge(const LinearSketch& other) {
+void CmHeavyHitters::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const CmHeavyHitters*>(&other);
   LPS_CHECK(o != nullptr);
   const Params& a = params_;
   const Params& b = o->params_;
   LPS_CHECK(a.n == b.n && a.phi == b.phi && a.rows == b.rows &&
             a.seed == b.seed && a.use_median == b.use_median);
-  cm_.Merge(o->cm_);
-  tree_.Merge(o->tree_);
-  running_sum_ += o->running_sum_;
-}
-
-void CmHeavyHitters::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const CmHeavyHitters*>(&other);
-  LPS_CHECK(o != nullptr);
-  const Params& a = params_;
-  const Params& b = o->params_;
-  LPS_CHECK(a.n == b.n && a.phi == b.phi && a.rows == b.rows &&
-            a.seed == b.seed && a.use_median == b.use_median);
-  cm_.MergeNegated(o->cm_);
-  tree_.MergeNegated(o->tree_);
-  running_sum_ -= o->running_sum_;
+  cm_.MergeSigned(o->cm_, sign);
+  tree_.MergeSigned(o->tree_, sign);
+  running_sum_ += sign * o->running_sum_;
 }
 
 void CmHeavyHitters::Serialize(BitWriter* writer) const {
@@ -365,20 +338,12 @@ size_t DyadicHeavyHitters::SpaceBits(int bits_per_counter) const {
          static_cast<size_t>(bits_per_counter);
 }
 
-void DyadicHeavyHitters::Merge(const LinearSketch& other) {
+void DyadicHeavyHitters::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const DyadicHeavyHitters*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->log_n_ == log_n_ && o->phi_ == phi_ && o->seed_ == seed_);
-  tree_.Merge(o->tree_);
-  running_sum_ += o->running_sum_;
-}
-
-void DyadicHeavyHitters::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const DyadicHeavyHitters*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->log_n_ == log_n_ && o->phi_ == phi_ && o->seed_ == seed_);
-  tree_.MergeNegated(o->tree_);
-  running_sum_ -= o->running_sum_;
+  tree_.MergeSigned(o->tree_, sign);
+  running_sum_ += sign * o->running_sum_;
 }
 
 void DyadicHeavyHitters::Serialize(BitWriter* writer) const {

@@ -40,8 +40,9 @@ class CsHeavyHitters : public LinearSketch {
     double phi = 0.1;     ///< heaviness threshold
     int rows = 0;         ///< 0 => Theta(log n)
     /// Rows of the (1 +- 0.1) norm estimator for p not in {2} and
-    /// non-strict streams; 0 => 1200 (see DESIGN.md on the cost of tight
-    /// median estimators). Ignored when an exact/cheap norm is available.
+    /// non-strict streams; 0 => 1200, because a median estimator's
+    /// relative error shrinks only as 1/sqrt(rows), so a tight one is
+    /// costly. Ignored when an exact/cheap norm is available.
     int norm_rows = 0;
     /// Strict turnstile promise: for p == 1 the norm is then the exact
     /// running sum instead of a sketch.
@@ -89,8 +90,7 @@ class CsHeavyHitters : public LinearSketch {
   void DeserializeCounters(BitReader* reader);
 
   // LinearSketch contract: full-state serialization, merge, reset.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;
@@ -138,8 +138,7 @@ class CmHeavyHitters : public LinearSketch {
   std::vector<uint64_t> QueryOracle() const;
 
   // LinearSketch contract: full-state serialization, merge, reset.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;
@@ -168,8 +167,7 @@ class DyadicHeavyHitters : public LinearSketch {
   std::vector<uint64_t> Query() const;
 
   // LinearSketch contract: full-state serialization, merge, reset.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;

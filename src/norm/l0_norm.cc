@@ -108,21 +108,13 @@ void L0Estimator::DeserializeCounters(BitReader* reader) {
   for (uint64_t& fp : fingerprints_) fp = reader->ReadBits(61);
 }
 
-void L0Estimator::Merge(const LinearSketch& other) {
+void L0Estimator::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const L0Estimator*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->n_ == n_ && o->reps_ == reps_ && o->seed_ == seed_);
   for (size_t c = 0; c < fingerprints_.size(); ++c) {
-    fingerprints_[c] = gf::Add(fingerprints_[c], o->fingerprints_[c]);
-  }
-}
-
-void L0Estimator::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const L0Estimator*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->n_ == n_ && o->reps_ == reps_ && o->seed_ == seed_);
-  for (size_t c = 0; c < fingerprints_.size(); ++c) {
-    fingerprints_[c] = gf::Sub(fingerprints_[c], o->fingerprints_[c]);
+    fingerprints_[c] =
+        gf::AddSigned(fingerprints_[c], o->fingerprints_[c], sign);
   }
 }
 

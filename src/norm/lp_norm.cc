@@ -24,16 +24,10 @@ void LpNormEstimator::UpdateBatch(const stream::Update* updates,
   sketch_.UpdateBatch(updates, count);
 }
 
-void LpNormEstimator::Merge(const LinearSketch& other) {
+void LpNormEstimator::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const LpNormEstimator*>(&other);
   LPS_CHECK(o != nullptr);
-  sketch_.Merge(o->sketch_);
-}
-
-void LpNormEstimator::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const LpNormEstimator*>(&other);
-  LPS_CHECK(o != nullptr);
-  sketch_.MergeNegated(o->sketch_);
+  sketch_.MergeSigned(o->sketch_, sign);
 }
 
 void LpNormEstimator::Serialize(BitWriter* writer) const {

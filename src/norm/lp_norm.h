@@ -39,8 +39,7 @@ class LpNormEstimator : public LinearSketch {
 
   // LinearSketch contract: delegates to the underlying stable sketch, with
   // this estimator's own kind tag in the header.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override { sketch_.Reset(); }

@@ -40,22 +40,13 @@ Result<OneSparse::Entry> OneSparse::Recover() const {
   return Entry{a - 1, gf::ToInt64(s0_)};
 }
 
-void OneSparse::Merge(const LinearSketch& other) {
+void OneSparse::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const OneSparse*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->n_ == n_ && o->seed_ == seed_);
-  s0_ = gf::Add(s0_, o->s0_);
-  s1_ = gf::Add(s1_, o->s1_);
-  f_ = gf::Add(f_, o->f_);
-}
-
-void OneSparse::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const OneSparse*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->n_ == n_ && o->seed_ == seed_);
-  s0_ = gf::Sub(s0_, o->s0_);
-  s1_ = gf::Sub(s1_, o->s1_);
-  f_ = gf::Sub(f_, o->f_);
+  s0_ = gf::AddSigned(s0_, o->s0_, sign);
+  s1_ = gf::AddSigned(s1_, o->s1_, sign);
+  f_ = gf::AddSigned(f_, o->f_, sign);
 }
 
 void OneSparse::Serialize(BitWriter* writer) const {

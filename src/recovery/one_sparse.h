@@ -48,8 +48,7 @@ class OneSparse : public LinearSketch {
   void DeserializeCounters(BitReader* reader);
 
   // LinearSketch contract: full-state serialization, merge, reset.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override { s0_ = s1_ = f_ = 0; }

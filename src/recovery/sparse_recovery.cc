@@ -66,26 +66,15 @@ void SparseRecovery::UpdateBatch(const stream::Update* updates, size_t count) {
   }
 }
 
-void SparseRecovery::Merge(const LinearSketch& other) {
+void SparseRecovery::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const SparseRecovery*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->n_ == n_ && o->s_ == s_ && o->seed_ == seed_);
   for (size_t r = 0; r < syndromes_.size(); ++r) {
-    syndromes_[r] = gf::Add(syndromes_[r], o->syndromes_[r]);
+    syndromes_[r] = gf::AddSigned(syndromes_[r], o->syndromes_[r], sign);
   }
-  fingerprints_[0] = gf::Add(fingerprints_[0], o->fingerprints_[0]);
-  fingerprints_[1] = gf::Add(fingerprints_[1], o->fingerprints_[1]);
-}
-
-void SparseRecovery::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const SparseRecovery*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->n_ == n_ && o->s_ == s_ && o->seed_ == seed_);
-  for (size_t r = 0; r < syndromes_.size(); ++r) {
-    syndromes_[r] = gf::Sub(syndromes_[r], o->syndromes_[r]);
-  }
-  fingerprints_[0] = gf::Sub(fingerprints_[0], o->fingerprints_[0]);
-  fingerprints_[1] = gf::Sub(fingerprints_[1], o->fingerprints_[1]);
+  fingerprints_[0] = gf::AddSigned(fingerprints_[0], o->fingerprints_[0], sign);
+  fingerprints_[1] = gf::AddSigned(fingerprints_[1], o->fingerprints_[1], sign);
 }
 
 void SparseRecovery::Serialize(BitWriter* writer) const {

@@ -94,20 +94,14 @@ double AmsF2::EstimateResidualL2(
   return std::sqrt(EstimateF2From(shadow));
 }
 
-void AmsF2::Merge(const LinearSketch& other) {
+void AmsF2::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const AmsF2*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->groups_ == groups_ && o->per_group_ == per_group_ &&
             o->seed_ == seed_);
-  for (size_t c = 0; c < counters_.size(); ++c) counters_[c] += o->counters_[c];
-}
-
-void AmsF2::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const AmsF2*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->groups_ == groups_ && o->per_group_ == per_group_ &&
-            o->seed_ == seed_);
-  for (size_t c = 0; c < counters_.size(); ++c) counters_[c] -= o->counters_[c];
+  for (size_t c = 0; c < counters_.size(); ++c) {
+    counters_[c] += sign * o->counters_[c];
+  }
 }
 
 void AmsF2::Serialize(BitWriter* writer) const {

@@ -46,8 +46,7 @@ class AmsF2 : public LinearSketch {
       const std::vector<std::pair<uint64_t, double>>& v) const;
 
   // LinearSketch contract: full-state serialization, merge, reset.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;

@@ -96,20 +96,12 @@ void CountMin::DeserializeCounters(BitReader* reader) {
   for (double& counter : table_) counter = reader->ReadDouble();
 }
 
-void CountMin::Merge(const LinearSketch& other) {
+void CountMin::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const CountMin*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->rows_ == rows_ && o->buckets_ == buckets_ &&
             o->seed_ == seed_);
-  for (size_t c = 0; c < table_.size(); ++c) table_[c] += o->table_[c];
-}
-
-void CountMin::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const CountMin*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->rows_ == rows_ && o->buckets_ == buckets_ &&
-            o->seed_ == seed_);
-  for (size_t c = 0; c < table_.size(); ++c) table_[c] -= o->table_[c];
+  for (size_t c = 0; c < table_.size(); ++c) table_[c] += sign * o->table_[c];
 }
 
 void CountMin::Serialize(BitWriter* writer) const {

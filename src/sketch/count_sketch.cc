@@ -213,20 +213,12 @@ void CountSketch::DeserializeCounters(BitReader* reader) {
   for (double& counter : table_) counter = reader->ReadDouble();
 }
 
-void CountSketch::Merge(const LinearSketch& other) {
+void CountSketch::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const CountSketch*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->rows_ == rows_ && o->buckets_ == buckets_ &&
             o->seed_ == seed_);
-  for (size_t c = 0; c < table_.size(); ++c) table_[c] += o->table_[c];
-}
-
-void CountSketch::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const CountSketch*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->rows_ == rows_ && o->buckets_ == buckets_ &&
-            o->seed_ == seed_);
-  for (size_t c = 0; c < table_.size(); ++c) table_[c] -= o->table_[c];
+  for (size_t c = 0; c < table_.size(); ++c) table_[c] += sign * o->table_[c];
 }
 
 void CountSketch::Serialize(BitWriter* writer) const {

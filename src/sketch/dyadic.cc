@@ -91,21 +91,13 @@ std::vector<uint64_t> DyadicCountMin::Candidates(double threshold) const {
   return frontier;
 }
 
-void DyadicCountMin::Merge(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const DyadicCountMin*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->log_n_ == log_n_ && o->rows_ == rows_ &&
-            o->buckets_ == buckets_ && o->seed_ == seed_);
-  for (size_t l = 0; l < levels_.size(); ++l) levels_[l].Merge(o->levels_[l]);
-}
-
-void DyadicCountMin::MergeNegated(const LinearSketch& other) {
+void DyadicCountMin::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const DyadicCountMin*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->log_n_ == log_n_ && o->rows_ == rows_ &&
             o->buckets_ == buckets_ && o->seed_ == seed_);
   for (size_t l = 0; l < levels_.size(); ++l) {
-    levels_[l].MergeNegated(o->levels_[l]);
+    levels_[l].MergeSigned(o->levels_[l], sign);
   }
 }
 
@@ -261,21 +253,13 @@ std::vector<uint64_t> DyadicCountSketch::TopCandidates(uint64_t m) const {
   return leaves;
 }
 
-void DyadicCountSketch::Merge(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const DyadicCountSketch*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->log_n_ == log_n_ && o->rows_ == rows_ &&
-            o->buckets_ == buckets_ && o->seed_ == seed_);
-  for (size_t l = 0; l < levels_.size(); ++l) levels_[l].Merge(o->levels_[l]);
-}
-
-void DyadicCountSketch::MergeNegated(const LinearSketch& other) {
+void DyadicCountSketch::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const DyadicCountSketch*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->log_n_ == log_n_ && o->rows_ == rows_ &&
             o->buckets_ == buckets_ && o->seed_ == seed_);
   for (size_t l = 0; l < levels_.size(); ++l) {
-    levels_[l].MergeNegated(o->levels_[l]);
+    levels_[l].MergeSigned(o->levels_[l], sign);
   }
 }
 

@@ -128,18 +128,11 @@ void StableSketch::DeserializeCounters(BitReader* reader) {
   for (double& counter : y_) counter = reader->ReadDouble();
 }
 
-void StableSketch::Merge(const LinearSketch& other) {
+void StableSketch::MergeSigned(const LinearSketch& other, int sign) {
   const auto* o = dynamic_cast<const StableSketch*>(&other);
   LPS_CHECK(o != nullptr);
   LPS_CHECK(o->p_ == p_ && o->rows_ == rows_ && o->seed_ == seed_);
-  for (size_t j = 0; j < y_.size(); ++j) y_[j] += o->y_[j];
-}
-
-void StableSketch::MergeNegated(const LinearSketch& other) {
-  const auto* o = dynamic_cast<const StableSketch*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->p_ == p_ && o->rows_ == rows_ && o->seed_ == seed_);
-  for (size_t j = 0; j < y_.size(); ++j) y_[j] -= o->y_[j];
+  for (size_t j = 0; j < y_.size(); ++j) y_[j] += sign * o->y_[j];
 }
 
 void StableSketch::Serialize(BitWriter* writer) const {

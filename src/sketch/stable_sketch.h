@@ -7,10 +7,10 @@
 //   median_j |y_j| / median(|Stable(p)|)
 //
 // is a constant-factor estimator of ||x||_p with O(log n) rows (Lemma 2 /
-// [17] provide the derandomized version; see DESIGN.md §1.3 for the
-// substitution we make: stable variables are generated on the fly from a
-// seeded hash of (row, coordinate), so the sketch stays linear and
-// mergeable without storing any per-coordinate state).
+// [17] provide the derandomized version). Instead of that derandomization,
+// stable variables are generated on the fly from a seeded hash of (row,
+// coordinate): the sketch stays linear and mergeable without storing any
+// per-coordinate state, and replicas with one seed agree bit for bit.
 //
 // General-p variables use the Chambers-Mallows-Stuck transform; p = 1
 // (Cauchy) and p = 2 (Gaussian) use their closed forms. All three live in
@@ -60,8 +60,7 @@ class StableSketch : public LinearSketch {
   void DeserializeCounters(BitReader* reader);
 
   // LinearSketch contract: full-state serialization, merge, reset.
-  void Merge(const LinearSketch& other) override;
-  void MergeNegated(const LinearSketch& other) override;
+  void MergeSigned(const LinearSketch& other, int sign) override;
   void Serialize(BitWriter* writer) const override;
   void Deserialize(BitReader* reader) override;
   void Reset() override;

@@ -1,4 +1,4 @@
-// Workload generators for every experiment family in DESIGN.md. All are
+// Workload generators for the tests, benches and `lps_cli gen`. All are
 // deterministic in their seed. Streams are integer update streams in the
 // paper's model; letter streams (for the duplicates problems of Section 3)
 // are sequences over the alphabet [n].

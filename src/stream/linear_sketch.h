@@ -12,9 +12,10 @@
 //
 //   - Update / UpdateBatch   ingest stream updates (batch path is the
 //                            fast path; Update delegates to a batch of 1);
-//   - Merge                  coordinate-wise addition of a replica built
-//                            with identical parameters and seeds —
-//                            CHECK-fails on any mismatch;
+//   - MergeSigned            coordinate-wise addition (Merge, sign +1) or
+//                            subtraction (MergeNegated, sign -1) of a
+//                            replica built with identical parameters and
+//                            seeds — CHECK-fails on any mismatch;
 //   - Serialize/Deserialize  *full* reconstructible state: a versioned
 //                            header, the construction parameters and seed,
 //                            then the counters. Deserialize reconfigures
@@ -99,26 +100,28 @@ class LinearSketch {
   /// Batched ingestion in stream order — the hot path.
   virtual void UpdateBatch(const stream::Update* updates, size_t count) = 0;
 
-  /// Coordinate-wise addition of `other`'s state into this one. `other`
-  /// must be the same concrete type, constructed with identical parameters
-  /// and seeds (a shard replica); any mismatch CHECK-fails.
-  virtual void Merge(const LinearSketch& other) = 0;
+  /// Folds `sign` x `other`'s counters into this one. Precondition: `sign`
+  /// is +1 or -1 (the double families multiply by it, the field families
+  /// treat any positive value as +1). `other` must be the same concrete
+  /// type, constructed with identical parameters and seeds (a shard
+  /// replica); any mismatch CHECK-fails. With +1 this adds a replica
+  /// (Merge); with -1 it subtracts a checkpoint (MergeNegated): if this
+  /// sketch holds the prefix x[0..now) and `other` the prefix x[0..t),
+  /// the result is exactly the window x[t..now) without re-ingesting an
+  /// update (stream::WindowManager). Exactness, for either sign (x +
+  /// (-1 * y) rounds exactly as x - y): bit-exact for the
+  /// integer-valued-double and GF(2^61-1) counter families, exact up to
+  /// FP reassociation for the real-scaled ones. The duplicates finders
+  /// then fold -sign x their shared (i,-1) init sketch (O(state)), so the
+  /// result is again a well-formed finder over the summed or subtracted
+  /// letter multiset.
+  virtual void MergeSigned(const LinearSketch& other, int sign) = 0;
 
-  /// Coordinate-wise SUBTRACTION: folds -1 x `other`'s counters into this
-  /// one, under the same same-type/same-params/same-seeds contract as
-  /// Merge (any mismatch CHECK-fails). Linearity gives subtraction for
-  /// free, and subtraction is what makes sliding windows cheap: if this
-  /// sketch holds the prefix stream x[0..now) and `other` a checkpointed
-  /// prefix x[0..t), then after MergeNegated(other) this sketch holds
-  /// exactly the window x[t..now) — without re-ingesting a single update
-  /// (stream::WindowManager builds on this). Exactness matches Merge's
-  /// taxonomy: bit-exact for integer-valued-double and GF(2^61-1) counter
-  /// families, FP-reassociation-exact for genuinely real-scaled ones. The
-  /// duplicates finders lose their (i,-1) initialization in the
-  /// subtraction and add back their shared init sketch (O(state)), so the
-  /// difference is again a well-formed finder over the subtracted letter
-  /// multiset.
-  virtual void MergeNegated(const LinearSketch& other) = 0;
+  /// Coordinate-wise addition of a replica: MergeSigned(other, +1).
+  void Merge(const LinearSketch& other) { MergeSigned(other, +1); }
+
+  /// Coordinate-wise subtraction of a replica: MergeSigned(other, -1).
+  void MergeNegated(const LinearSketch& other) { MergeSigned(other, -1); }
 
   /// Full reconstructible state: versioned header, parameters, seed,
   /// counters.

@@ -117,7 +117,9 @@ TEST(SparseRecovery, DenseDetection) {
     SparseRecovery rec(4096, 4, 100 + seed);
     Rng rng(seed);
     for (int j = 0; j < 16; ++j) {
-      rec.Update(rng.Below(4096), 1 + static_cast<int64_t>(rng.Below(5)));
+      const int64_t delta = 1 + static_cast<int64_t>(rng.Below(5));
+      const uint64_t i = rng.Below(4096);
+      rec.Update(i, delta);
     }
     EXPECT_TRUE(rec.Recover().status().IsDense()) << "seed " << seed;
   }

@@ -73,7 +73,9 @@ TEST(CountSketch, TopMFindsDominantCoordinates) {
   cs.Update(55, 600.0);
   Rng rng(5);
   for (int j = 0; j < 200; ++j) {
-    cs.Update(rng.Below(n), (rng.Next() & 1) ? 1.0 : -1.0);
+    const double delta = (rng.Next() & 1) ? 1.0 : -1.0;
+    const uint64_t i = rng.Below(n);
+    cs.Update(i, delta);
   }
   const auto top = cs.TopM(n, 3);
   ASSERT_EQ(top.size(), 3u);

@@ -229,8 +229,7 @@ class RunRecorder : public LinearSketch {
     runs.push_back(count);
     seen.insert(seen.end(), updates, updates + count);
   }
-  void Merge(const LinearSketch&) override {}
-  void MergeNegated(const LinearSketch&) override {}
+  void MergeSigned(const LinearSketch&, int) override {}
   void Serialize(BitWriter*) const override {}
   void Deserialize(BitReader*) override {}
   void Reset() override {}

@@ -28,7 +28,8 @@
 // seeds, counters); load reconstructs without any out-of-band information
 // (DeserializeAnySketch dispatches on the kind tag, so any sketch kind
 // loads); merge requires all inputs to come from identically-parameterized
-// structures (shard replicas) and writes their coordinate-wise sum.
+// structures (shard replicas) and writes their coordinate-wise sum; an
+// input of another kind, parameters or seeds exits 2 with a message.
 // --shards k ingests through the k-shard parallel runtime and merges the
 // replicas before querying — same answers as single-stream ingestion, by
 // linearity. --threads t (t in [1, k]; omit the flag for inline
@@ -507,6 +508,23 @@ std::unique_ptr<lps::LinearSketch> LoadSketch(const char* path) {
   return sketch;
 }
 
+/// LoadSketch, plus the loaded sketch's state after Reset() in `zeroed`.
+/// Reset leaves a sketch byte-identical to a fresh one with the same
+/// parameters and seeds (the check DecodeSketchState makes), so two saved
+/// states can be merged exactly when their zeroed states agree.
+std::unique_ptr<lps::LinearSketch> LoadForMerge(const char* path,
+                                                lps::BitWriter* zeroed) {
+  auto sketch = LoadSketch(path);
+  if (sketch == nullptr) return nullptr;
+  lps::BitWriter saved;
+  sketch->Serialize(&saved);
+  sketch->Reset();
+  sketch->Serialize(zeroed);
+  lps::BitReader reader(saved);
+  sketch->Deserialize(&reader);
+  return sketch;
+}
+
 // ------------------------------------------------------------- commands --
 
 int CmdSample(int argc, char** argv) {
@@ -646,10 +664,12 @@ int CmdLoad(int argc, char** argv) {
 int CmdMerge(int argc, char** argv) {
   if (argc < 5) return Usage();
   const char* out = argv[2];
-  auto merged = LoadSketch(argv[3]);
+  lps::BitWriter first;
+  auto merged = LoadForMerge(argv[3], &first);
   if (merged == nullptr) return 1;
   for (int a = 4; a < argc; ++a) {
-    auto next = LoadSketch(argv[a]);
+    lps::BitWriter zeroed;
+    auto next = LoadForMerge(argv[a], &zeroed);
     if (next == nullptr) return 1;
     if (next->kind() != merged->kind()) {
       std::fprintf(stderr, "cannot merge %s into %s\n",
@@ -657,7 +677,14 @@ int CmdMerge(int argc, char** argv) {
                    lps::SketchKindName(merged->kind()));
       return 2;
     }
-    merged->Merge(*next);  // CHECK-fails on parameter/seed mismatch
+    // Merge would CHECK-abort on a parameter or seed mismatch.
+    if (zeroed.bit_count() != first.bit_count() ||
+        zeroed.words() != first.words()) {
+      std::fprintf(stderr, "cannot merge %s: parameters or seeds differ\n",
+                   argv[a]);
+      return 2;
+    }
+    merged->Merge(*next);
   }
   std::printf("merged %d shards\n", argc - 3);
   return SaveSketch(*merged, out);
