@@ -410,7 +410,14 @@ bool IdenticalSpecs(const SketchSpec& a, const SketchSpec& b) {
   BitWriter wb;
   SerializeSpec(a, &wa);
   SerializeSpec(b, &wb);
-  return wa.bit_count() == wb.bit_count() && wa.words() == wb.words();
+  return wa == wb;
+}
+
+BitWriter ZeroedState(LinearSketch* sketch) {
+  sketch->Reset();
+  BitWriter zeroed;
+  sketch->Serialize(&zeroed);
+  return zeroed;
 }
 
 Result<std::unique_ptr<LinearSketch>> DecodeSketchState(
@@ -437,16 +444,12 @@ Result<std::unique_ptr<LinearSketch>> DecodeSketchState(
     return Status::InvalidArgument("sketch state does not match its spec");
   }
   // A state whose interior lies (same size, another seed or parameter)
-  // decodes, but its Reset re-serialization differs from the fresh one.
+  // decodes, but its zeroed state differs from the fresh one.
   {
     BitReader reader(words, bits);
     sketch->Deserialize(&reader);
   }
-  sketch->Reset();
-  BitWriter zeroed;
-  sketch->Serialize(&zeroed);
-  if (zeroed.bit_count() != fresh.bit_count() ||
-      zeroed.words() != fresh.words()) {
+  if (!(ZeroedState(sketch.get()) == fresh)) {
     return Status::InvalidArgument(
         "sketch state parameters do not match its spec");
   }

@@ -37,6 +37,11 @@ class BitWriter {
 
   const std::vector<uint64_t>& words() const { return words_; }
 
+  /// Same bits: equal bit counts and equal words.
+  bool operator==(const BitWriter& other) const {
+    return bit_count_ == other.bit_count_ && words_ == other.words_;
+  }
+
  private:
   std::vector<uint64_t> words_;
   size_t bit_count_ = 0;

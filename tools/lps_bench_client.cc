@@ -545,17 +545,13 @@ void TenantLoad(const std::string& host, int port, uint64_t tenant,
 
 /// Single-tenant framing comparison: the same updates once as per-batch
 /// INGEST round trips and once as a pipelined INGEST_STREAM run closed
-/// by one INGEST_SYNC — the measurement behind keeping the streamed
-/// opcode. The tenant is the cheap cm_heavy_hitters kind (~0.6
-/// us/update) in 256-update batches, so framing rather than the sketch
-/// sets the difference. Returns false on any failure.
+/// by one INGEST_SYNC — the satellite measurement behind the streamed
+/// opcode. Returns false on any failure.
 bool RunFramingCompare(const std::string& host, int port, bool quick,
                        double* rpc_ups, double* stream_ups) {
   const uint64_t n = 1 << 14;
-  const size_t requests = quick ? 64 : 1024;
-  const size_t batch = 256;
-  SketchConfig config = TenantConfig(77, n);
-  config.spec.kind = lps::SketchKind::kCmHeavyHitters;
+  const size_t requests = quick ? 64 : 512;
+  const size_t batch = quick ? 256 : 1024;
   auto connected = lps::server::Client::Connect(host, port);
   if (!connected.ok()) return false;
   lps::server::Client client = std::move(connected.value());
@@ -563,7 +559,9 @@ bool RunFramingCompare(const std::string& host, int port, bool quick,
   std::vector<lps::stream::Update> updates(batch);
   const auto run = [&](const std::string& key, bool streamed,
                        double* out) -> bool {
-    if (!client.Create("framing", key, config).ok()) return false;
+    if (!client.Create("framing", key, TenantConfig(77, n)).ok()) {
+      return false;
+    }
     uint64_t position = 0;
     const auto start = Clock::now();
     for (size_t r = 0; r < requests; ++r) {

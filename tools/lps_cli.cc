@@ -508,21 +508,15 @@ std::unique_ptr<lps::LinearSketch> LoadSketch(const char* path) {
   return sketch;
 }
 
-/// LoadSketch, plus the loaded sketch's state after Reset() in `zeroed`.
-/// Reset leaves a sketch byte-identical to a fresh one with the same
-/// parameters and seeds (the check DecodeSketchState makes), so two saved
-/// states can be merged exactly when their zeroed states agree.
-std::unique_ptr<lps::LinearSketch> LoadForMerge(const char* path,
-                                                lps::BitWriter* zeroed) {
-  auto sketch = LoadSketch(path);
-  if (sketch == nullptr) return nullptr;
+/// lps::ZeroedState of `sketch`, which keeps its counters: two saved
+/// states can be merged exactly when those are equal.
+lps::BitWriter KeptZeroedState(lps::LinearSketch* sketch) {
   lps::BitWriter saved;
   sketch->Serialize(&saved);
-  sketch->Reset();
-  sketch->Serialize(zeroed);
+  lps::BitWriter zeroed = lps::ZeroedState(sketch);
   lps::BitReader reader(saved);
   sketch->Deserialize(&reader);
-  return sketch;
+  return zeroed;
 }
 
 // ------------------------------------------------------------- commands --
@@ -664,12 +658,11 @@ int CmdLoad(int argc, char** argv) {
 int CmdMerge(int argc, char** argv) {
   if (argc < 5) return Usage();
   const char* out = argv[2];
-  lps::BitWriter first;
-  auto merged = LoadForMerge(argv[3], &first);
+  auto merged = LoadSketch(argv[3]);
   if (merged == nullptr) return 1;
+  const lps::BitWriter first = KeptZeroedState(merged.get());
   for (int a = 4; a < argc; ++a) {
-    lps::BitWriter zeroed;
-    auto next = LoadForMerge(argv[a], &zeroed);
+    auto next = LoadSketch(argv[a]);
     if (next == nullptr) return 1;
     if (next->kind() != merged->kind()) {
       std::fprintf(stderr, "cannot merge %s into %s\n",
@@ -678,8 +671,7 @@ int CmdMerge(int argc, char** argv) {
       return 2;
     }
     // Merge would CHECK-abort on a parameter or seed mismatch.
-    if (zeroed.bit_count() != first.bit_count() ||
-        zeroed.words() != first.words()) {
+    if (!(KeptZeroedState(next.get()) == first)) {
       std::fprintf(stderr, "cannot merge %s: parameters or seeds differ\n",
                    argv[a]);
       return 2;
