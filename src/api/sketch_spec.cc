@@ -413,48 +413,42 @@ bool IdenticalSpecs(const SketchSpec& a, const SketchSpec& b) {
   return wa == wb;
 }
 
-BitWriter ZeroedState(LinearSketch* sketch) {
-  sketch->Reset();
-  BitWriter zeroed;
-  sketch->Serialize(&zeroed);
-  return zeroed;
-}
-
 Result<std::unique_ptr<LinearSketch>> DecodeSketchState(
     const SketchSpec& spec, const std::vector<uint64_t>& words, size_t bits) {
   // The spec may come from the wire: bound it before MakeSketch walks it.
   const Status valid = ValidateSpec(spec);
   if (!valid.ok()) return valid;
   auto sketch = MakeSketch(spec);
-  BitWriter fresh;
-  sketch->Serialize(&fresh);
-  // Plain integer tests before anything walks the state: Deserialize
-  // CHECK-aborts on corrupt input.
+  BitWriter prefix;
+  sketch->WritePrefix(&prefix);
+  // Plain integer tests before anything walks the state.
   if (bits < 32 || bits > words.size() * 64) {
     return Status::InvalidArgument("sketch state truncated");
   }
-  if (uint32_t(words[0]) != uint32_t(fresh.words()[0])) {
+  if (uint32_t(words[0]) != uint32_t(prefix.words()[0])) {
     return Status::InvalidArgument(
         "sketch state header (magic, kind, version) does not match its spec");
   }
-  // Counters change values, never layout, so the fresh sketch is an exact
-  // template for the size and the leading word (header + first parameter
-  // bits): truncated, padded and version-skewed state stops here.
-  if (bits != fresh.bit_count() || words[0] != fresh.words()[0]) {
+  // Counters change values, never layout, so the spec fixes the size:
+  // truncated and padded state stops here.
+  if (bits != prefix.bit_count() + sketch->CounterBits()) {
     return Status::InvalidArgument("sketch state does not match its spec");
   }
-  // A state whose interior lies (same size, another seed or parameter)
-  // decodes, but its zeroed state differs from the fresh one.
-  {
-    BitReader reader(words, bits);
-    sketch->Deserialize(&reader);
+  // A state whose interior lies (same size, another seed or an
+  // out-of-range parameter) differs from the spec's prefix somewhere.
+  // BitWriter leaves the bits past its count zero, so each word compares
+  // whole against the same number of state bits.
+  BitReader reader(&words, bits);
+  size_t left = prefix.bit_count();
+  for (uint64_t word : prefix.words()) {
+    const int take = int(std::min<size_t>(left, 64));
+    if (reader.ReadBits(take) != word) {
+      return Status::InvalidArgument(
+          "sketch state parameters do not match its spec");
+    }
+    left -= size_t(take);
   }
-  if (!(ZeroedState(sketch.get()) == fresh)) {
-    return Status::InvalidArgument(
-        "sketch state parameters do not match its spec");
-  }
-  BitReader reader(words, bits);
-  sketch->Deserialize(&reader);
+  sketch->DeserializeCounters(&reader);
   return sketch;
 }
 

@@ -111,23 +111,18 @@ SketchSpec DeserializeSpec(BitReader* reader);
 /// epoch into a stream only when this holds.
 bool IdenticalSpecs(const SketchSpec& a, const SketchSpec& b);
 
-/// Resets `sketch` and returns its serialization: kind, parameters and
-/// seeds, every counter zero. Reset leaves a sketch byte-identical to a
-/// fresh one with the same parameters and seeds, so two sketches may be
-/// merged exactly when their zeroed states are equal — the rule behind
-/// DecodeSketchState and `lps_cli merge`.
-BitWriter ZeroedState(LinearSketch* sketch);
-
 /// Decodes serialized state that claims to be a sketch of `spec`, with
 /// every mismatch an InvalidArgument instead of a CHECK abort — the one
 /// check for state from outside the process (snapshot RESTORE, store
-/// records, distributed epochs). In order: ValidateSpec; the length and
-/// the 32-bit header (magic, kind, version) against a fresh
-/// MakeSketch(spec)'s serialization; the total size and the leading
-/// word, which are pure functions of the spec; then Deserialize and
-/// ZeroedState, which must equal the fresh serialization — proof that
-/// every parameter and seed the state carries matches `spec`. Only then
-/// is the state decoded into the returned sketch.
+/// records, distributed epochs). In order: ValidateSpec, then one
+/// MakeSketch(spec) — the only constructor that runs, on checked
+/// values; the length and the 32-bit header (magic, kind, version)
+/// against that sketch's prefix (LinearSketch::WritePrefix); the total
+/// size, prefix plus CounterBits, which counters never change; then the
+/// state's whole parameter prefix, bit for bit against the sketch's,
+/// which proves every parameter and seed it carries is `spec`'s without
+/// parsing any of them. Only then are the counters read, once, into
+/// that sketch, through a view of `words` (no copy).
 Result<std::unique_ptr<LinearSketch>> DecodeSketchState(
     const SketchSpec& spec, const std::vector<uint64_t>& words, size_t bits);
 

@@ -60,32 +60,15 @@ Result<double> MomentEstimator::Estimate() const {
   return sum / static_cast<double>(estimates.size());
 }
 
-void MomentEstimator::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const MomentEstimator*>(&other);
-  LPS_CHECK(o != nullptr);
-  const Params& a = params_;
-  const Params& b = o->params_;
-  LPS_CHECK(a.n == b.n && a.p == b.p && a.samples == b.samples &&
-            a.q == b.q && a.seed == b.seed);
-  q_norm_.MergeSigned(o->q_norm_, sign);
-  for (size_t j = 0; j < samplers_.size(); ++j) {
-    samplers_[j].MergeSigned(o->samplers_[j], sign);
-  }
-}
-
-void MomentEstimator::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void MomentEstimator::WriteParams(BitWriter* writer) const {
   writer->WriteU64(params_.n);
   writer->WriteDouble(params_.p);
   writer->WriteBits(static_cast<uint64_t>(params_.samples), 32);
   writer->WriteDouble(params_.q);
   writer->WriteU64(params_.seed);
-  q_norm_.sketch().SerializeCounters(writer);
-  for (const auto& sampler : samplers_) sampler.SerializeCounters(writer);
 }
 
-void MomentEstimator::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void MomentEstimator::ReadParams(BitReader* reader) {
   Params params;
   params.n = reader->ReadU64();
   params.p = reader->ReadDouble();
@@ -93,13 +76,6 @@ void MomentEstimator::Deserialize(BitReader* reader) {
   params.q = reader->ReadDouble();
   params.seed = reader->ReadU64();
   *this = MomentEstimator(params);
-  q_norm_.mutable_sketch()->DeserializeCounters(reader);
-  for (auto& sampler : samplers_) sampler.DeserializeCounters(reader);
-}
-
-void MomentEstimator::Reset() {
-  q_norm_.Reset();
-  for (auto& sampler : samplers_) sampler.Reset();
 }
 
 size_t MomentEstimator::SpaceBits(int bits_per_counter) const {

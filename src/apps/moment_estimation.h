@@ -54,11 +54,14 @@ class MomentEstimator : public LinearSketch {
   /// Estimate of F_p = ||x||_p^p, or Failed if no sampler produced output.
   Result<double> Estimate() const;
 
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters (the norm sketch, then
+  // every sampler), space.
+  void Counters(CounterList* list) override {
+    q_norm_.Counters(list);
+    for (auto& sampler : samplers_) sampler.Counters(list);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kMomentEstimator; }
 

@@ -21,20 +21,4 @@ LpSamplerParams AkoSampler::AkoResolve(LpSamplerParams params) {
 AkoSampler::AkoSampler(LpSamplerParams params)
     : inner_(AkoResolve(std::move(params))) {}
 
-void AkoSampler::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const AkoSampler*>(&other);
-  LPS_CHECK(o != nullptr);
-  inner_.MergeSigned(o->inner_, sign);
-}
-
-void AkoSampler::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
-  inner_.Serialize(writer);
-}
-
-void AkoSampler::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
-  inner_.Deserialize(reader);
-}
-
 }  // namespace lps::core

@@ -32,12 +32,13 @@ class AkoSampler : public LinearSketch {
   }
   Result<SampleResult> Sample() const { return inner_.Sample(); }
 
-  // LinearSketch contract: delegates to the inner sampler under this
-  // baseline's own kind tag.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override { inner_.Reset(); }
+  // LinearSketch contract: the inner sampler's prefix (its own header and
+  // parameters) and counters, under this baseline's header.
+  void Counters(CounterList* list) override { inner_.Counters(list); }
+  void WriteParams(BitWriter* writer) const override {
+    inner_.WritePrefix(writer);
+  }
+  void ReadParams(BitReader* reader) override { inner_.ReadPrefix(reader); }
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kAkoSampler; }
 

@@ -50,42 +50,17 @@ void FisL0Sampler::UpdateBatch(const stream::Update* updates, size_t count) {
   }
 }
 
-void FisL0Sampler::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const FisL0Sampler*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->n_ == n_ && o->buckets_ == buckets_ && o->seed_ == seed_);
-  for (size_t l = 0; l < table_.size(); ++l) {
-    for (size_t b = 0; b < table_[l].size(); ++b) {
-      table_[l][b].MergeSigned(o->table_[l][b], sign);
-    }
-  }
-}
-
-void FisL0Sampler::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void FisL0Sampler::WriteParams(BitWriter* writer) const {
   writer->WriteU64(n_);
   writer->WriteU64(seed_);
   writer->WriteBits(static_cast<uint64_t>(buckets_), 32);
-  for (const auto& row : table_) {
-    for (const auto& bucket : row) bucket.SerializeCounters(writer);
-  }
 }
 
-void FisL0Sampler::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void FisL0Sampler::ReadParams(BitReader* reader) {
   const uint64_t n = reader->ReadU64();
   const uint64_t seed = reader->ReadU64();
   const int buckets = static_cast<int>(reader->ReadBits(32));
   *this = FisL0Sampler(n, seed, buckets);
-  for (auto& row : table_) {
-    for (auto& bucket : row) bucket.DeserializeCounters(reader);
-  }
-}
-
-void FisL0Sampler::Reset() {
-  for (auto& row : table_) {
-    for (auto& bucket : row) bucket.Reset();
-  }
 }
 
 Result<SampleResult> FisL0Sampler::Sample() const {

@@ -34,11 +34,15 @@ class FisL0Sampler : public LinearSketch {
 
   Result<SampleResult> Sample() const;
 
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters (bucket by bucket, level
+  // by level), space.
+  void Counters(CounterList* list) override {
+    for (auto& row : table_) {
+      for (auto& bucket : row) bucket.Counters(list);
+    }
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   SketchKind kind() const override { return SketchKind::kFisL0Sampler; }
 
   size_t SpaceBits() const override;

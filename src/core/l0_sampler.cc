@@ -92,37 +92,15 @@ Result<SampleResult> L0Sampler::SampleWithLevel(int* level_out) const {
   return Status::Failed("all levels zero or DENSE");
 }
 
-void L0Sampler::SerializeCounters(BitWriter* writer) const {
-  for (const auto& level : levels_) level.SerializeCounters(writer);
-}
-
-void L0Sampler::DeserializeCounters(BitReader* reader) {
-  for (auto& level : levels_) level.DeserializeCounters(reader);
-}
-
-void L0Sampler::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const L0Sampler*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n && o->params_.delta == params_.delta &&
-            o->params_.s == params_.s && o->params_.seed == params_.seed &&
-            o->params_.use_nisan == params_.use_nisan);
-  for (size_t k = 0; k < levels_.size(); ++k) {
-    levels_[k].MergeSigned(o->levels_[k], sign);
-  }
-}
-
-void L0Sampler::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void L0Sampler::WriteParams(BitWriter* writer) const {
   writer->WriteU64(params_.n);
   writer->WriteDouble(params_.delta);
   writer->WriteU64(params_.s);
   writer->WriteU64(params_.seed);
   writer->WriteBits(params_.use_nisan ? 1 : 0, 1);
-  SerializeCounters(writer);
 }
 
-void L0Sampler::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void L0Sampler::ReadParams(BitReader* reader) {
   L0SamplerParams params;
   params.n = reader->ReadU64();
   params.delta = reader->ReadDouble();
@@ -130,11 +108,6 @@ void L0Sampler::Deserialize(BitReader* reader) {
   params.seed = reader->ReadU64();
   params.use_nisan = reader->ReadBits(1) != 0;
   *this = L0Sampler(params);
-  DeserializeCounters(reader);
-}
-
-void L0Sampler::Reset() {
-  for (auto& level : levels_) level.Reset();
 }
 
 size_t L0Sampler::SpaceBits() const {

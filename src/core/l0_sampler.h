@@ -71,17 +71,14 @@ class L0Sampler : public LinearSketch {
   /// seed (64 bits for the oracle model, O(log^2 n) for Nisan mode).
   size_t SpaceBits() const override;
 
-  /// Counter-state serialization (levels' measurements); seeds are shared
-  /// randomness. Used by the one-round universal relation protocol
-  /// (Proposition 5).
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters (the levels'
+  // measurements, which the one-round universal relation protocol of
+  // Proposition 5 sends), space.
+  void Counters(CounterList* list) override {
+    for (auto& level : levels_) level.Counters(list);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   SketchKind kind() const override { return SketchKind::kL0Sampler; }
 
  private:

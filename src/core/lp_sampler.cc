@@ -282,35 +282,12 @@ Result<SampleResult> LpSampler::Sample() const {
   return Status::Failed("all rounds failed");
 }
 
-void LpSampler::SerializeCounters(BitWriter* writer) const {
-  norm_.sketch().SerializeCounters(writer);
-  for (const auto& round : rounds_) round.SerializeCounters(writer);
+void LpSampler::Counters(CounterList* list) {
+  norm_.Counters(list);
+  for (auto& round : rounds_) round.Counters(list);
 }
 
-void LpSampler::DeserializeCounters(BitReader* reader) {
-  norm_.mutable_sketch()->DeserializeCounters(reader);
-  for (auto& round : rounds_) round.DeserializeCounters(reader);
-}
-
-void LpSampler::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const LpSampler*>(&other);
-  LPS_CHECK(o != nullptr);
-  const LpSamplerParams& a = params_;
-  const LpSamplerParams& b = o->params_;
-  LPS_CHECK(a.n == b.n && a.p == b.p && a.eps == b.eps && a.delta == b.delta &&
-            a.repetitions == b.repetitions && a.cs_rows == b.cs_rows &&
-            a.m == b.m && a.k == b.k && a.norm_rows == b.norm_rows &&
-            a.dyadic_rows == b.dyadic_rows && a.seed == b.seed &&
-            a.override_index == b.override_index &&
-            a.override_t == b.override_t);
-  norm_.MergeSigned(o->norm_, sign);
-  for (size_t v = 0; v < rounds_.size(); ++v) {
-    rounds_[v].MergeFrom(o->rounds_[v], sign);
-  }
-}
-
-void LpSampler::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void LpSampler::WriteParams(BitWriter* writer) const {
   writer->WriteU64(params_.n);
   writer->WriteDouble(params_.p);
   writer->WriteDouble(params_.eps);
@@ -324,11 +301,9 @@ void LpSampler::Serialize(BitWriter* writer) const {
   writer->WriteU64(params_.seed);
   writer->WriteU64(static_cast<uint64_t>(params_.override_index));
   writer->WriteDouble(params_.override_t);
-  SerializeCounters(writer);
 }
 
-void LpSampler::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void LpSampler::ReadParams(BitReader* reader) {
   LpSamplerParams params;
   params.n = reader->ReadU64();
   params.p = reader->ReadDouble();
@@ -344,12 +319,6 @@ void LpSampler::Deserialize(BitReader* reader) {
   params.override_index = static_cast<int64_t>(reader->ReadU64());
   params.override_t = reader->ReadDouble();
   *this = LpSampler(params);  // serialized params are already resolved
-  DeserializeCounters(reader);
-}
-
-void LpSampler::Reset() {
-  norm_.Reset();
-  for (auto& round : rounds_) round.ResetCounters();
 }
 
 size_t LpSampler::SpaceBits(int bits_per_counter) const {

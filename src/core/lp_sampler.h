@@ -119,33 +119,14 @@ class LpSamplerRound {
   /// the paper-exact accounting of the Figure 1 structures stays visible.
   size_t DyadicSpaceBits(int bits_per_counter = 64) const;
 
-  /// Counter-state serialization for protocol messages (seeds are shared
-  /// randomness and travel out of band). The dyadic candidate counters
-  /// are part of the round's memory — the receiving party needs them to
-  /// keep streaming and to recover sub-linearly.
-  void SerializeCounters(BitWriter* writer) const {
-    cs_.SerializeCounters(writer);
-    dyadic_.SerializeCounters(writer);
-  }
-  void DeserializeCounters(BitReader* reader) {
-    cs_.DeserializeCounters(reader);
-    dyadic_.DeserializeCounters(reader);
-    snapshot_.reset();
-  }
-
-  /// Folds `sign` (+1 or -1) x a same-params round replica into this one
-  /// (used by LpSampler::MergeSigned; the sketches CHECK shape and seed).
-  void MergeFrom(const LpSamplerRound& other, int sign) {
-    cs_.MergeSigned(other.cs_, sign);
-    dyadic_.MergeSigned(other.dyadic_, sign);
-    snapshot_.reset();
-  }
-
-  /// Zeroes the round's counters, keeping hashes and allocations.
-  void ResetCounters() {
-    cs_.Reset();
-    dyadic_.Reset();
-    snapshot_.reset();
+  /// The round's counters: the flat count-sketch, then the dyadic
+  /// candidate levels — part of the round's memory, since the receiving
+  /// party needs them to keep streaming and to recover sub-linearly.
+  /// Listing them for writing drops the cached recovery snapshot.
+  void Counters(CounterList* list) {
+    if (list->writes()) snapshot_.reset();
+    cs_.Counters(list);
+    dyadic_.Counters(list);
   }
 
   int m() const { return m_; }
@@ -216,17 +197,13 @@ class LpSampler : public LinearSketch {
   /// engine's overhead on top of the paper-exact Figure 1 accounting.
   size_t DyadicSpaceBits(int bits_per_counter = 64) const;
 
-  /// Serializes every counter (all rounds + norm sketch) so another party
-  /// holding the same seeds can continue the stream — the "send the memory
-  /// contents" step of the reductions in Section 4.
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters (the norm sketch, then
+  // every round: what SerializeCounters sends so another party holding
+  // the same seeds can continue the stream — the "send the memory
+  // contents" step of the reductions in Section 4), space.
+  void Counters(CounterList* list) override;
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kLpSampler; }
 

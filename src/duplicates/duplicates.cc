@@ -158,27 +158,21 @@ const core::LpSampler& DuplicateFinder::Init() {
 }
 
 void DuplicateFinder::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const DuplicateFinder*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(SameParams(o->params_, params_));
   // (init + lettersA) ± (init + lettersB) ∓ init: again a well-formed
   // finder over the summed or subtracted letter multiset (for a window,
   // exactly the letters the window saw).
-  sampler_.MergeSigned(o->sampler_, sign);
+  LinearSketch::MergeSigned(other, sign);
   sampler_.MergeSigned(Init(), -sign);
 }
 
-void DuplicateFinder::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void DuplicateFinder::WriteParams(BitWriter* writer) const {
   writer->WriteU64(params_.n);
   writer->WriteDouble(params_.delta);
   writer->WriteBits(static_cast<uint64_t>(params_.repetitions), 32);
   writer->WriteU64(params_.seed);
-  SerializeCounters(writer);
 }
 
-void DuplicateFinder::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void DuplicateFinder::ReadParams(BitReader* reader) {
   Params params;
   params.n = reader->ReadU64();
   params.delta = reader->ReadDouble();
@@ -190,11 +184,10 @@ void DuplicateFinder::Deserialize(BitReader* reader) {
   if (!SameParams(params, params_)) init_.reset();
   params_ = params;
   sampler_ = core::LpSampler(SamplerParams(params));
-  DeserializeCounters(reader);
 }
 
 void DuplicateFinder::Reset() {
-  sampler_.Reset();
+  LinearSketch::Reset();
   sampler_.Merge(Init());
 }
 
@@ -246,36 +239,28 @@ void SparseDuplicateFinder::UpdateBatch(const stream::Update* updates,
 }
 
 void SparseDuplicateFinder::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const SparseDuplicateFinder*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(SameParams(o->params_, params_));
   // Cancel the doubled or removed initialization (see DuplicateFinder).
-  recovery_.MergeSigned(o->recovery_, sign);
+  LinearSketch::MergeSigned(other, sign);
   recovery_.MergeSigned(RecoveryInit(), -sign);
-  sampler_.MergeSigned(o->sampler_, sign);
   sampler_.MergeSigned(SamplerInit(), -sign);
 }
 
-void SparseDuplicateFinder::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void SparseDuplicateFinder::WriteParams(BitWriter* writer) const {
   writer->WriteU64(params_.n);
   writer->WriteU64(params_.s);
   writer->WriteDouble(params_.delta);
   writer->WriteBits(static_cast<uint64_t>(params_.repetitions), 32);
   writer->WriteU64(params_.seed);
-  recovery_.SerializeCounters(writer);
-  sampler_.SerializeCounters(writer);
 }
 
-void SparseDuplicateFinder::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void SparseDuplicateFinder::ReadParams(BitReader* reader) {
   Params params;
   params.n = reader->ReadU64();
   params.s = reader->ReadU64();
   params.delta = reader->ReadDouble();
   params.repetitions = static_cast<int>(reader->ReadBits(32));
   params.seed = reader->ReadU64();
-  // As in DuplicateFinder::Deserialize: the init sketches are fetched
+  // As in DuplicateFinder::ReadParams: the init sketches are fetched
   // lazily, and held ones survive an unchanged parameter set.
   if (!SameParams(params, params_)) {
     recovery_init_.reset();
@@ -284,14 +269,11 @@ void SparseDuplicateFinder::Deserialize(BitReader* reader) {
   params_ = params;
   recovery_ = MakeRecovery(params);
   sampler_ = core::LpSampler(SamplerParams(params));
-  recovery_.DeserializeCounters(reader);
-  sampler_.DeserializeCounters(reader);
 }
 
 void SparseDuplicateFinder::Reset() {
-  recovery_.Reset();
+  LinearSketch::Reset();
   recovery_.Merge(RecoveryInit());
-  sampler_.Reset();
   sampler_.Merge(SamplerInit());
 }
 

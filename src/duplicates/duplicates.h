@@ -74,26 +74,21 @@ class DuplicateFinder : public LinearSketch {
     return sampler_.SpaceBits(bits_per_counter);
   }
 
-  /// Memory-content transfer for the reduction of Theorem 7: Alice
-  /// serializes after her half of the stream; Bob (constructed with the
-  /// same params) deserializes and continues feeding items.
-  void SerializeCounters(BitWriter* writer) const {
-    sampler_.SerializeCounters(writer);
-  }
-  void DeserializeCounters(BitReader* reader) {
-    sampler_.DeserializeCounters(reader);
-  }
-
-  // LinearSketch contract. Both replicas hold the (i, -1) initialization,
-  // so MergeSigned folds sign x the replica's state and then -sign x the
-  // shared init sketch: a merge holds exactly init + lettersA + lettersB
-  // (up to floating-point reassociation in the scaled counters), a
-  // subtraction init + lettersA - lettersB. Reset is zeroed counters plus
-  // init. Deserialize stays O(state): it fetches the init sketch only when
-  // a later MergeSigned or Reset first needs it.
+  // LinearSketch contract. The counters are the sampler's; sending them
+  // is the memory-content transfer of Theorem 7's reduction (Alice
+  // serializes after her half of the stream, Bob, constructed with the
+  // same params, deserializes and continues feeding items). Both replicas
+  // hold the (i, -1) initialization, so MergeSigned folds sign x the
+  // replica's state and then -sign x the shared init sketch: a merge
+  // holds exactly init + lettersA + lettersB (up to floating-point
+  // reassociation in the scaled counters), a subtraction init + lettersA
+  // - lettersB. Reset is zeroed counters plus init. Deserialize stays
+  // O(state): it fetches the init sketch only when a later MergeSigned or
+  // Reset first needs it.
+  void Counters(CounterList* list) override { sampler_.Counters(list); }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
   void Reset() override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kDuplicateFinder; }
@@ -146,9 +141,13 @@ class SparseDuplicateFinder : public LinearSketch {
   // LinearSketch contract; MergeSigned, Reset and Deserialize
   // handle the shared init sketch exactly as in DuplicateFinder, with a
   // field-exact SparseRecovery half next to the sampler half.
+  void Counters(CounterList* list) override {
+    recovery_.Counters(list);
+    sampler_.Counters(list);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
   void Reset() override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override {

@@ -42,33 +42,15 @@ void PositiveFinder::UpdateBatch(const stream::Update* updates, size_t count) {
   sampler_.UpdateBatch(updates, count);
 }
 
-void PositiveFinder::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const PositiveFinder*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->params_.n == params_.n &&
-            o->params_.s_budget == params_.s_budget &&
-            o->params_.delta == params_.delta &&
-            o->params_.repetitions == params_.repetitions &&
-            o->params_.seed == params_.seed);
-  total_ += sign * o->total_;
-  recovery_.MergeSigned(o->recovery_, sign);
-  sampler_.MergeSigned(o->sampler_, sign);
-}
-
-void PositiveFinder::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void PositiveFinder::WriteParams(BitWriter* writer) const {
   writer->WriteU64(params_.n);
   writer->WriteU64(params_.s_budget);
   writer->WriteDouble(params_.delta);
   writer->WriteBits(static_cast<uint64_t>(params_.repetitions), 32);
   writer->WriteU64(params_.seed);
-  writer->WriteU64(static_cast<uint64_t>(total_));
-  recovery_.SerializeCounters(writer);
-  sampler_.SerializeCounters(writer);
 }
 
-void PositiveFinder::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void PositiveFinder::ReadParams(BitReader* reader) {
   Params params;
   params.n = reader->ReadU64();
   params.s_budget = reader->ReadU64();
@@ -76,15 +58,6 @@ void PositiveFinder::Deserialize(BitReader* reader) {
   params.repetitions = static_cast<int>(reader->ReadBits(32));
   params.seed = reader->ReadU64();
   *this = PositiveFinder(params);
-  total_ = static_cast<int64_t>(reader->ReadU64());
-  recovery_.DeserializeCounters(reader);
-  sampler_.DeserializeCounters(reader);
-}
-
-void PositiveFinder::Reset() {
-  total_ = 0;
-  recovery_.Reset();
-  sampler_.Reset();
 }
 
 PositiveFinder::Outcome PositiveFinder::Find() const {

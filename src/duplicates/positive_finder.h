@@ -45,11 +45,15 @@ class PositiveFinder : public LinearSketch {
   /// s = -sum_i x_i, known exactly.
   int64_t Deficit() const { return -total_; }
 
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters (the exact total, then
+  // both sub-sketches), space.
+  void Counters(CounterList* list) override {
+    list->Integer(&total_, 1);
+    recovery_.Counters(list);
+    sampler_.Counters(list);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kPositiveFinder; }
 

@@ -123,37 +123,14 @@ size_t CsHeavyHitters::DyadicSpaceBits(int bits_per_counter) const {
   return dyadic_.SpaceBits(bits_per_counter);
 }
 
-void CsHeavyHitters::SerializeCounters(BitWriter* writer) const {
-  cs_.SerializeCounters(writer);
-  dyadic_.SerializeCounters(writer);
-  writer->WriteDouble(running_sum_);
-  if (norm_) norm_->sketch().SerializeCounters(writer);
+void CsHeavyHitters::Counters(CounterList* list) {
+  cs_.Counters(list);
+  dyadic_.Counters(list);
+  list->Real(&running_sum_, 1);
+  if (norm_) norm_->Counters(list);
 }
 
-void CsHeavyHitters::DeserializeCounters(BitReader* reader) {
-  cs_.DeserializeCounters(reader);
-  dyadic_.DeserializeCounters(reader);
-  running_sum_ = reader->ReadDouble();
-  if (norm_) norm_->mutable_sketch()->DeserializeCounters(reader);
-}
-
-void CsHeavyHitters::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const CsHeavyHitters*>(&other);
-  LPS_CHECK(o != nullptr);
-  const Params& a = params_;
-  const Params& b = o->params_;
-  LPS_CHECK(a.n == b.n && a.p == b.p && a.phi == b.phi && a.rows == b.rows &&
-            a.norm_rows == b.norm_rows &&
-            a.strict_turnstile == b.strict_turnstile &&
-            a.dyadic_rows == b.dyadic_rows && a.seed == b.seed);
-  cs_.MergeSigned(o->cs_, sign);
-  dyadic_.MergeSigned(o->dyadic_, sign);
-  running_sum_ += sign * o->running_sum_;
-  if (norm_) norm_->MergeSigned(*o->norm_, sign);
-}
-
-void CsHeavyHitters::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void CsHeavyHitters::WriteParams(BitWriter* writer) const {
   writer->WriteU64(params_.n);
   writer->WriteDouble(params_.p);
   writer->WriteDouble(params_.phi);
@@ -162,11 +139,9 @@ void CsHeavyHitters::Serialize(BitWriter* writer) const {
   writer->WriteBits(params_.strict_turnstile ? 1 : 0, 1);
   writer->WriteBits(static_cast<uint64_t>(params_.dyadic_rows), 32);
   writer->WriteU64(params_.seed);
-  SerializeCounters(writer);
 }
 
-void CsHeavyHitters::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void CsHeavyHitters::ReadParams(BitReader* reader) {
   Params params;
   params.n = reader->ReadU64();
   params.p = reader->ReadDouble();
@@ -177,14 +152,6 @@ void CsHeavyHitters::Deserialize(BitReader* reader) {
   params.dyadic_rows = static_cast<int>(reader->ReadBits(32));
   params.seed = reader->ReadU64();
   *this = CsHeavyHitters(params);
-  DeserializeCounters(reader);
-}
-
-void CsHeavyHitters::Reset() {
-  cs_.Reset();
-  dyadic_.Reset();
-  running_sum_ = 0;
-  if (norm_) norm_->Reset();
 }
 
 CmHeavyHitters::CmHeavyHitters(Params params)
@@ -258,32 +225,15 @@ size_t CmHeavyHitters::DyadicSpaceBits(int bits_per_counter) const {
   return tree_.SpaceBits(bits_per_counter);
 }
 
-void CmHeavyHitters::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const CmHeavyHitters*>(&other);
-  LPS_CHECK(o != nullptr);
-  const Params& a = params_;
-  const Params& b = o->params_;
-  LPS_CHECK(a.n == b.n && a.phi == b.phi && a.rows == b.rows &&
-            a.seed == b.seed && a.use_median == b.use_median);
-  cm_.MergeSigned(o->cm_, sign);
-  tree_.MergeSigned(o->tree_, sign);
-  running_sum_ += sign * o->running_sum_;
-}
-
-void CmHeavyHitters::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void CmHeavyHitters::WriteParams(BitWriter* writer) const {
   writer->WriteU64(params_.n);
   writer->WriteDouble(params_.phi);
   writer->WriteBits(static_cast<uint64_t>(params_.rows), 32);
   writer->WriteU64(params_.seed);
   writer->WriteBits(params_.use_median ? 1 : 0, 1);
-  cm_.SerializeCounters(writer);
-  tree_.SerializeCounters(writer);
-  writer->WriteDouble(running_sum_);
 }
 
-void CmHeavyHitters::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void CmHeavyHitters::ReadParams(BitReader* reader) {
   Params params;
   params.n = reader->ReadU64();
   params.phi = reader->ReadDouble();
@@ -291,15 +241,6 @@ void CmHeavyHitters::Deserialize(BitReader* reader) {
   params.seed = reader->ReadU64();
   params.use_median = reader->ReadBits(1) != 0;
   *this = CmHeavyHitters(params);
-  cm_.DeserializeCounters(reader);
-  tree_.DeserializeCounters(reader);
-  running_sum_ = reader->ReadDouble();
-}
-
-void CmHeavyHitters::Reset() {
-  cm_.Reset();
-  tree_.Reset();
-  running_sum_ = 0;
 }
 
 DyadicHeavyHitters::DyadicHeavyHitters(int log_n, double phi, uint64_t seed)
@@ -338,38 +279,17 @@ size_t DyadicHeavyHitters::SpaceBits(int bits_per_counter) const {
          static_cast<size_t>(bits_per_counter);
 }
 
-void DyadicHeavyHitters::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const DyadicHeavyHitters*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->log_n_ == log_n_ && o->phi_ == phi_ && o->seed_ == seed_);
-  tree_.MergeSigned(o->tree_, sign);
-  running_sum_ += sign * o->running_sum_;
-}
-
-void DyadicHeavyHitters::Serialize(BitWriter* writer) const {
-  // The tree's shape derives from (log_n, phi, seed), so only its counters
-  // travel — the params + SerializeCounters style of every composite.
-  WriteSketchHeader(writer, kind());
+void DyadicHeavyHitters::WriteParams(BitWriter* writer) const {
   writer->WriteBits(static_cast<uint64_t>(log_n_), 32);
   writer->WriteDouble(phi_);
   writer->WriteU64(seed_);
-  tree_.SerializeCounters(writer);
-  writer->WriteDouble(running_sum_);
 }
 
-void DyadicHeavyHitters::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void DyadicHeavyHitters::ReadParams(BitReader* reader) {
   const int log_n = static_cast<int>(reader->ReadBits(32));
   const double phi = reader->ReadDouble();
   const uint64_t seed = reader->ReadU64();
   *this = DyadicHeavyHitters(log_n, phi, seed);
-  tree_.DeserializeCounters(reader);
-  running_sum_ = reader->ReadDouble();
-}
-
-void DyadicHeavyHitters::Reset() {
-  tree_.Reset();
-  running_sum_ = 0;
 }
 
 HeavyValidation ValidateHeavySet(const stream::ExactVector& x, double p,

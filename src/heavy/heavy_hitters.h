@@ -85,15 +85,11 @@ class CsHeavyHitters : public LinearSketch {
   size_t SpaceBits(int bits_per_counter) const;
   size_t DyadicSpaceBits(int bits_per_counter = 64) const;
 
-  /// Memory-content transfer for the Theorem 9 reduction.
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters (what the Theorem 9
+  // reduction transfers), space.
+  void Counters(CounterList* list) override;
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kCsHeavyHitters; }
 
@@ -137,11 +133,14 @@ class CmHeavyHitters : public LinearSketch {
   /// Reference oracle: the old full-universe scan, kept for tests/benches.
   std::vector<uint64_t> QueryOracle() const;
 
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters, space.
+  void Counters(CounterList* list) override {
+    cm_.Counters(list);
+    tree_.Counters(list);
+    list->Real(&running_sum_, 1);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kCmHeavyHitters; }
 
@@ -166,11 +165,14 @@ class DyadicHeavyHitters : public LinearSketch {
   void UpdateBatch(const stream::Update* updates, size_t count) override;
   std::vector<uint64_t> Query() const;
 
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters (the tree's shape derives from them,
+  // so only its counters travel), counters, space.
+  void Counters(CounterList* list) override {
+    tree_.Counters(list);
+    list->Real(&running_sum_, 1);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kDyadicHeavyHitters; }
 

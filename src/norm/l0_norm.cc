@@ -100,43 +100,17 @@ double L0Estimator::Estimate() const {
   return std::log(2.0) * std::pow(2.0, med);
 }
 
-void L0Estimator::SerializeCounters(BitWriter* writer) const {
-  for (uint64_t fp : fingerprints_) writer->WriteBits(fp, 61);
-}
-
-void L0Estimator::DeserializeCounters(BitReader* reader) {
-  for (uint64_t& fp : fingerprints_) fp = reader->ReadBits(61);
-}
-
-void L0Estimator::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const L0Estimator*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->n_ == n_ && o->reps_ == reps_ && o->seed_ == seed_);
-  for (size_t c = 0; c < fingerprints_.size(); ++c) {
-    fingerprints_[c] =
-        gf::AddSigned(fingerprints_[c], o->fingerprints_[c], sign);
-  }
-}
-
-void L0Estimator::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void L0Estimator::WriteParams(BitWriter* writer) const {
   writer->WriteU64(n_);
   writer->WriteBits(static_cast<uint64_t>(reps_), 32);
   writer->WriteU64(seed_);
-  SerializeCounters(writer);
 }
 
-void L0Estimator::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void L0Estimator::ReadParams(BitReader* reader) {
   const uint64_t n = reader->ReadU64();
   const int reps = static_cast<int>(reader->ReadBits(32));
   const uint64_t seed = reader->ReadU64();
   *this = L0Estimator(n, reps, seed);
-  DeserializeCounters(reader);
-}
-
-void L0Estimator::Reset() {
-  std::fill(fingerprints_.begin(), fingerprints_.end(), 0);
 }
 
 size_t L0Estimator::SpaceBits() const {

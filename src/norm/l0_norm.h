@@ -51,14 +51,10 @@ class L0Estimator : public LinearSketch {
   int levels() const { return levels_; }
   int reps() const { return reps_; }
 
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters, space.
+  void Counters(CounterList* list) override { list->Field(&fingerprints_); }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   SketchKind kind() const override { return SketchKind::kL0Estimator; }
 
   size_t SpaceBits() const override;

@@ -24,22 +24,6 @@ void LpNormEstimator::UpdateBatch(const stream::Update* updates,
   sketch_.UpdateBatch(updates, count);
 }
 
-void LpNormEstimator::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const LpNormEstimator*>(&other);
-  LPS_CHECK(o != nullptr);
-  sketch_.MergeSigned(o->sketch_, sign);
-}
-
-void LpNormEstimator::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
-  sketch_.Serialize(writer);
-}
-
-void LpNormEstimator::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
-  sketch_.Deserialize(reader);
-}
-
 double LpNormEstimator::Estimate2Approx() const {
   return std::sqrt(2.0) * sketch_.EstimateNorm();
 }

@@ -37,12 +37,13 @@ class LpNormEstimator : public LinearSketch {
   /// grows logarithmically as the paper requires.
   static int DefaultRows(uint64_t n);
 
-  // LinearSketch contract: delegates to the underlying stable sketch, with
-  // this estimator's own kind tag in the header.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override { sketch_.Reset(); }
+  // LinearSketch contract: the underlying stable sketch's prefix (its own
+  // header and parameters) and counters, under this estimator's header.
+  void Counters(CounterList* list) override { sketch_.Counters(list); }
+  void WriteParams(BitWriter* writer) const override {
+    sketch_.WritePrefix(writer);
+  }
+  void ReadParams(BitReader* reader) override { sketch_.ReadPrefix(reader); }
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kLpNormEstimator; }
 
@@ -51,9 +52,8 @@ class LpNormEstimator : public LinearSketch {
   }
   int rows() const { return sketch_.rows(); }
 
-  /// Access to the underlying linear sketch, for protocol serialization.
+  /// The underlying linear sketch.
   const sketch::StableSketch& sketch() const { return sketch_; }
-  sketch::StableSketch* mutable_sketch() { return &sketch_; }
 
  private:
   sketch::StableSketch sketch_;

@@ -40,40 +40,15 @@ Result<OneSparse::Entry> OneSparse::Recover() const {
   return Entry{a - 1, gf::ToInt64(s0_)};
 }
 
-void OneSparse::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const OneSparse*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->n_ == n_ && o->seed_ == seed_);
-  s0_ = gf::AddSigned(s0_, o->s0_, sign);
-  s1_ = gf::AddSigned(s1_, o->s1_, sign);
-  f_ = gf::AddSigned(f_, o->f_, sign);
-}
-
-void OneSparse::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void OneSparse::WriteParams(BitWriter* writer) const {
   writer->WriteU64(n_);
   writer->WriteU64(seed_);
-  SerializeCounters(writer);
 }
 
-void OneSparse::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void OneSparse::ReadParams(BitReader* reader) {
   const uint64_t n = reader->ReadU64();
   const uint64_t seed = reader->ReadU64();
   *this = OneSparse(n, seed);
-  DeserializeCounters(reader);
-}
-
-void OneSparse::SerializeCounters(BitWriter* writer) const {
-  writer->WriteBits(s0_, 61);
-  writer->WriteBits(s1_, 61);
-  writer->WriteBits(f_, 61);
-}
-
-void OneSparse::DeserializeCounters(BitReader* reader) {
-  s0_ = reader->ReadBits(61);
-  s1_ = reader->ReadBits(61);
-  f_ = reader->ReadBits(61);
 }
 
 }  // namespace lps::recovery

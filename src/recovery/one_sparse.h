@@ -44,14 +44,14 @@ class OneSparse : public LinearSketch {
   /// this query — callers check IsZero first).
   Result<Entry> Recover() const;
 
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override { s0_ = s1_ = f_ = 0; }
+  // LinearSketch contract: parameters, counters, space.
+  void Counters(CounterList* list) override {
+    list->Field(&s0_, 1);
+    list->Field(&s1_, 1);
+    list->Field(&f_, 1);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   SketchKind kind() const override { return SketchKind::kOneSparse; }
 
   size_t SpaceBits() const override { return 3 * 61 + 64; }

@@ -66,38 +66,17 @@ void SparseRecovery::UpdateBatch(const stream::Update* updates, size_t count) {
   }
 }
 
-void SparseRecovery::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const SparseRecovery*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->n_ == n_ && o->s_ == s_ && o->seed_ == seed_);
-  for (size_t r = 0; r < syndromes_.size(); ++r) {
-    syndromes_[r] = gf::AddSigned(syndromes_[r], o->syndromes_[r], sign);
-  }
-  fingerprints_[0] = gf::AddSigned(fingerprints_[0], o->fingerprints_[0], sign);
-  fingerprints_[1] = gf::AddSigned(fingerprints_[1], o->fingerprints_[1], sign);
-}
-
-void SparseRecovery::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void SparseRecovery::WriteParams(BitWriter* writer) const {
   writer->WriteU64(n_);
   writer->WriteU64(s_);
   writer->WriteU64(seed_);
-  SerializeCounters(writer);
 }
 
-void SparseRecovery::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void SparseRecovery::ReadParams(BitReader* reader) {
   const uint64_t n = reader->ReadU64();
   const uint64_t s = reader->ReadU64();
   const uint64_t seed = reader->ReadU64();
   *this = SparseRecovery(n, s, seed);
-  DeserializeCounters(reader);
-}
-
-void SparseRecovery::Reset() {
-  std::fill(syndromes_.begin(), syndromes_.end(), 0);
-  fingerprints_[0] = 0;
-  fingerprints_[1] = 0;
 }
 
 bool SparseRecovery::IsZero() const {
@@ -154,18 +133,6 @@ Result<SparseRecovery::SparseVector> SparseRecovery::Recover() const {
     return Status::Dense("fingerprint mismatch");
   }
   return result;
-}
-
-void SparseRecovery::SerializeCounters(BitWriter* writer) const {
-  for (uint64_t t : syndromes_) writer->WriteBits(t, 61);
-  writer->WriteBits(fingerprints_[0], 61);
-  writer->WriteBits(fingerprints_[1], 61);
-}
-
-void SparseRecovery::DeserializeCounters(BitReader* reader) {
-  for (uint64_t& t : syndromes_) t = reader->ReadBits(61);
-  fingerprints_[0] = reader->ReadBits(61);
-  fingerprints_[1] = reader->ReadBits(61);
 }
 
 }  // namespace lps::recovery

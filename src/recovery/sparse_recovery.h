@@ -66,14 +66,13 @@ class SparseRecovery : public LinearSketch {
   uint64_t s() const { return s_; }
   uint64_t n() const { return n_; }
 
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters, space.
+  void Counters(CounterList* list) override {
+    list->Field(&syndromes_);
+    list->Field(fingerprints_, 2);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   SketchKind kind() const override { return SketchKind::kSparseRecovery; }
 
   /// Paper-model space: (2s + 2) * 61 measurement bits + seed bits.

@@ -94,35 +94,17 @@ double AmsF2::EstimateResidualL2(
   return std::sqrt(EstimateF2From(shadow));
 }
 
-void AmsF2::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const AmsF2*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->groups_ == groups_ && o->per_group_ == per_group_ &&
-            o->seed_ == seed_);
-  for (size_t c = 0; c < counters_.size(); ++c) {
-    counters_[c] += sign * o->counters_[c];
-  }
-}
-
-void AmsF2::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void AmsF2::WriteParams(BitWriter* writer) const {
   writer->WriteBits(static_cast<uint64_t>(groups_), 32);
   writer->WriteBits(static_cast<uint64_t>(per_group_), 32);
   writer->WriteU64(seed_);
-  for (double counter : counters_) writer->WriteDouble(counter);
 }
 
-void AmsF2::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void AmsF2::ReadParams(BitReader* reader) {
   const int groups = static_cast<int>(reader->ReadBits(32));
   const int per_group = static_cast<int>(reader->ReadBits(32));
   const uint64_t seed = reader->ReadU64();
   *this = AmsF2(groups, per_group, seed);
-  for (double& counter : counters_) counter = reader->ReadDouble();
-}
-
-void AmsF2::Reset() {
-  std::fill(counters_.begin(), counters_.end(), 0.0);
 }
 
 size_t AmsF2::SpaceBits(int bits_per_counter) const {

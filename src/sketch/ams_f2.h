@@ -45,11 +45,10 @@ class AmsF2 : public LinearSketch {
   double EstimateResidualL2(
       const std::vector<std::pair<uint64_t, double>>& v) const;
 
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters, space.
+  void Counters(CounterList* list) override { list->Real(&counters_); }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kAmsF2; }
 

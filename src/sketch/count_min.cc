@@ -88,41 +88,17 @@ double CountMin::QueryMedian(uint64_t i) const {
   return median;
 }
 
-void CountMin::SerializeCounters(BitWriter* writer) const {
-  for (double counter : table_) writer->WriteDouble(counter);
-}
-
-void CountMin::DeserializeCounters(BitReader* reader) {
-  for (double& counter : table_) counter = reader->ReadDouble();
-}
-
-void CountMin::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const CountMin*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->rows_ == rows_ && o->buckets_ == buckets_ &&
-            o->seed_ == seed_);
-  for (size_t c = 0; c < table_.size(); ++c) table_[c] += sign * o->table_[c];
-}
-
-void CountMin::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void CountMin::WriteParams(BitWriter* writer) const {
   writer->WriteBits(static_cast<uint64_t>(rows_), 32);
   writer->WriteBits(static_cast<uint64_t>(buckets_), 32);
   writer->WriteU64(seed_);
-  SerializeCounters(writer);
 }
 
-void CountMin::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void CountMin::ReadParams(BitReader* reader) {
   const int rows = static_cast<int>(reader->ReadBits(32));
   const int buckets = static_cast<int>(reader->ReadBits(32));
   const uint64_t seed = reader->ReadU64();
   *this = CountMin(rows, buckets, seed);
-  DeserializeCounters(reader);
-}
-
-void CountMin::Reset() {
-  std::fill(table_.begin(), table_.end(), 0.0);
 }
 
 size_t CountMin::SpaceBits(int bits_per_counter) const {

@@ -205,41 +205,17 @@ double CountSketch::EstimateResidualL2(
   return std::sqrt(std::max(f2, 0.0));
 }
 
-void CountSketch::SerializeCounters(BitWriter* writer) const {
-  for (double counter : table_) writer->WriteDouble(counter);
-}
-
-void CountSketch::DeserializeCounters(BitReader* reader) {
-  for (double& counter : table_) counter = reader->ReadDouble();
-}
-
-void CountSketch::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const CountSketch*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->rows_ == rows_ && o->buckets_ == buckets_ &&
-            o->seed_ == seed_);
-  for (size_t c = 0; c < table_.size(); ++c) table_[c] += sign * o->table_[c];
-}
-
-void CountSketch::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void CountSketch::WriteParams(BitWriter* writer) const {
   writer->WriteBits(static_cast<uint64_t>(rows_), 32);
   writer->WriteBits(static_cast<uint64_t>(buckets_), 32);
   writer->WriteU64(seed_);
-  SerializeCounters(writer);
 }
 
-void CountSketch::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void CountSketch::ReadParams(BitReader* reader) {
   const int rows = static_cast<int>(reader->ReadBits(32));
   const int buckets = static_cast<int>(reader->ReadBits(32));
   const uint64_t seed = reader->ReadU64();
   *this = CountSketch(rows, buckets, seed);
-  DeserializeCounters(reader);
-}
-
-void CountSketch::Reset() {
-  std::fill(table_.begin(), table_.end(), 0.0);
 }
 
 size_t CountSketch::SpaceBits(int bits_per_counter) const {

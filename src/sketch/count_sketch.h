@@ -87,16 +87,10 @@ class CountSketch : public LinearSketch {
   double EstimateResidualL2(
       const std::vector<std::pair<uint64_t, double>>& v) const;
 
-  /// Serializes the counter state (not the seed) for protocol messages
-  /// whose bit count must be exactly the paper's message size.
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters, space.
+  void Counters(CounterList* list) override { list->Real(&table_); }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kCountSketch; }
 

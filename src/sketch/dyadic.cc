@@ -91,45 +91,19 @@ std::vector<uint64_t> DyadicCountMin::Candidates(double threshold) const {
   return frontier;
 }
 
-void DyadicCountMin::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const DyadicCountMin*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->log_n_ == log_n_ && o->rows_ == rows_ &&
-            o->buckets_ == buckets_ && o->seed_ == seed_);
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    levels_[l].MergeSigned(o->levels_[l], sign);
-  }
-}
-
-void DyadicCountMin::SerializeCounters(BitWriter* writer) const {
-  for (const auto& level : levels_) level.SerializeCounters(writer);
-}
-
-void DyadicCountMin::DeserializeCounters(BitReader* reader) {
-  for (auto& level : levels_) level.DeserializeCounters(reader);
-}
-
-void DyadicCountMin::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void DyadicCountMin::WriteParams(BitWriter* writer) const {
   writer->WriteBits(static_cast<uint64_t>(log_n_), 32);
   writer->WriteBits(static_cast<uint64_t>(rows_), 32);
   writer->WriteBits(static_cast<uint64_t>(buckets_), 32);
   writer->WriteU64(seed_);
-  SerializeCounters(writer);
 }
 
-void DyadicCountMin::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void DyadicCountMin::ReadParams(BitReader* reader) {
   const int log_n = static_cast<int>(reader->ReadBits(32));
   const int rows = static_cast<int>(reader->ReadBits(32));
   const int buckets = static_cast<int>(reader->ReadBits(32));
   const uint64_t seed = reader->ReadU64();
   *this = DyadicCountMin(log_n, rows, buckets, seed);
-  DeserializeCounters(reader);
-}
-
-void DyadicCountMin::Reset() {
-  for (auto& level : levels_) level.Reset();
 }
 
 size_t DyadicCountMin::SpaceBits(int bits_per_counter) const {
@@ -253,45 +227,19 @@ std::vector<uint64_t> DyadicCountSketch::TopCandidates(uint64_t m) const {
   return leaves;
 }
 
-void DyadicCountSketch::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const DyadicCountSketch*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->log_n_ == log_n_ && o->rows_ == rows_ &&
-            o->buckets_ == buckets_ && o->seed_ == seed_);
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    levels_[l].MergeSigned(o->levels_[l], sign);
-  }
-}
-
-void DyadicCountSketch::SerializeCounters(BitWriter* writer) const {
-  for (const auto& level : levels_) level.SerializeCounters(writer);
-}
-
-void DyadicCountSketch::DeserializeCounters(BitReader* reader) {
-  for (auto& level : levels_) level.DeserializeCounters(reader);
-}
-
-void DyadicCountSketch::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void DyadicCountSketch::WriteParams(BitWriter* writer) const {
   writer->WriteBits(static_cast<uint64_t>(log_n_), 32);
   writer->WriteBits(static_cast<uint64_t>(rows_), 32);
   writer->WriteBits(static_cast<uint64_t>(buckets_), 32);
   writer->WriteU64(seed_);
-  SerializeCounters(writer);
 }
 
-void DyadicCountSketch::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void DyadicCountSketch::ReadParams(BitReader* reader) {
   const int log_n = static_cast<int>(reader->ReadBits(32));
   const int rows = static_cast<int>(reader->ReadBits(32));
   const int buckets = static_cast<int>(reader->ReadBits(32));
   const uint64_t seed = reader->ReadU64();
   *this = DyadicCountSketch(log_n, rows, buckets, seed);
-  DeserializeCounters(reader);
-}
-
-void DyadicCountSketch::Reset() {
-  for (auto& level : levels_) level.Reset();
 }
 
 size_t DyadicCountSketch::SpaceBits(int bits_per_counter) const {

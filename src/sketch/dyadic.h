@@ -48,16 +48,13 @@ class DyadicCountMin : public LinearSketch {
   /// affects neither precision nor the verdict. Ascending order.
   std::vector<uint64_t> Candidates(double threshold) const;
 
-  /// Counters-only serialization (all levels, in order) for composites
-  /// that carry the tree's parameters themselves.
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters (all levels, in order),
+  // space.
+  void Counters(CounterList* list) override {
+    for (auto& level : levels_) level.Counters(list);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kDyadicCountMin; }
 
@@ -132,16 +129,13 @@ class DyadicCountSketch : public LinearSketch {
   /// top of the tree — the structure holds levels 0..start_level() only.
   int start_level() const;
 
-  /// Counters-only serialization (levels 0..start_level(), in order) for
-  /// composites that carry the tree's parameters themselves.
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters (levels
+  // 0..start_level(), in order), space.
+  void Counters(CounterList* list) override {
+    for (auto& level : levels_) level.Counters(list);
+  }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kDyadicCountSketch; }
 

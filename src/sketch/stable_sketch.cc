@@ -120,39 +120,18 @@ double StableSketch::EstimateNorm() const {
   return *mid / normalizer_;
 }
 
-void StableSketch::SerializeCounters(BitWriter* writer) const {
-  for (double counter : y_) writer->WriteDouble(counter);
-}
-
-void StableSketch::DeserializeCounters(BitReader* reader) {
-  for (double& counter : y_) counter = reader->ReadDouble();
-}
-
-void StableSketch::MergeSigned(const LinearSketch& other, int sign) {
-  const auto* o = dynamic_cast<const StableSketch*>(&other);
-  LPS_CHECK(o != nullptr);
-  LPS_CHECK(o->p_ == p_ && o->rows_ == rows_ && o->seed_ == seed_);
-  for (size_t j = 0; j < y_.size(); ++j) y_[j] += sign * o->y_[j];
-}
-
-void StableSketch::Serialize(BitWriter* writer) const {
-  WriteSketchHeader(writer, kind());
+void StableSketch::WriteParams(BitWriter* writer) const {
   writer->WriteDouble(p_);
   writer->WriteBits(static_cast<uint64_t>(rows_), 32);
   writer->WriteU64(seed_);
-  SerializeCounters(writer);
 }
 
-void StableSketch::Deserialize(BitReader* reader) {
-  ReadSketchHeader(reader, kind());
+void StableSketch::ReadParams(BitReader* reader) {
   const double p = reader->ReadDouble();
   const int rows = static_cast<int>(reader->ReadBits(32));
   const uint64_t seed = reader->ReadU64();
   *this = StableSketch(p, rows, seed);
-  DeserializeCounters(reader);
 }
-
-void StableSketch::Reset() { std::fill(y_.begin(), y_.end(), 0.0); }
 
 size_t StableSketch::SpaceBits(int bits_per_counter) const {
   // Counters plus the 64-bit seed that generates the stable variables.

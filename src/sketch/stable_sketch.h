@@ -56,14 +56,10 @@ class StableSketch : public LinearSketch {
   /// Constant-factor estimate of ||x||_p (median / normalizer).
   double EstimateNorm() const;
 
-  void SerializeCounters(BitWriter* writer) const;
-  void DeserializeCounters(BitReader* reader);
-
-  // LinearSketch contract: full-state serialization, merge, reset.
-  void MergeSigned(const LinearSketch& other, int sign) override;
-  void Serialize(BitWriter* writer) const override;
-  void Deserialize(BitReader* reader) override;
-  void Reset() override;
+  // LinearSketch contract: parameters, counters, space.
+  void Counters(CounterList* list) override { list->Real(&y_); }
+  void WriteParams(BitWriter* writer) const override;
+  void ReadParams(BitReader* reader) override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kStableSketch; }
 

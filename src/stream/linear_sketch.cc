@@ -1,9 +1,12 @@
 #include "src/stream/linear_sketch.h"
 
+#include <cstring>
+
 // Construction is delegated to the MakeSketch registry (the one place
 // that names every concrete LinearSketch), so the wire-format dispatch,
 // the server's CREATE path, and the CLI all build through one door.
 #include "src/api/sketch_spec.h"
+#include "src/field/gf61.h"
 #include "src/util/check.h"
 
 namespace lps {
@@ -39,7 +42,168 @@ uint32_t MinSketchFormatVersion(SketchKind kind) {
   return 1;
 }
 
+int WireBits(CounterList::Type type) {
+  return type == CounterList::Type::kField ? 61 : 64;
+}
+
+// Lists `sketch`'s counters into this thread's list `slot` (0 or 1) and
+// returns it; valid until the next walk through that slot. A merge holds
+// one list of each slot; no walk starts another while it runs. Merges,
+// resets and (de)serializations run often and between a sketch's large
+// arrays: fresh lists on every walk left freed chunks there that raised
+// the peak RSS of a repeated 2-shard duplicate_finder job (n = 2^17) from
+// a median 23.5 to 26.1 MB over 10 runs (4-vCPU AVX2 host, glibc malloc).
+CounterList& ListCounters(int slot, LinearSketch* sketch, bool writes) {
+  thread_local CounterList lists[2] = {CounterList(false), CounterList(false)};
+  CounterList& list = lists[slot];
+  list.Clear(writes);
+  sketch->Counters(&list);
+  return list;
+}
+
 }  // namespace
+
+size_t CounterList::bits() const {
+  size_t bits = 0;
+  for (const Array& a : arrays_) bits += a.size * size_t(WireBits(a.type));
+  return bits;
+}
+
+const CounterList& LinearSketch::ReadCounters() const {
+  // Listing for reading changes nothing, so it may go through the
+  // non-const Counters on a const sketch.
+  return ListCounters(1, const_cast<LinearSketch*>(this), /*writes=*/false);
+}
+
+bool Mergeable(const LinearSketch& a, const LinearSketch& b) {
+  // Every merge runs this check; per-thread writers keep it from
+  // allocating, for the reason ListCounters gives.
+  if (a.kind() != b.kind()) return false;
+  thread_local BitWriter prefix_a, prefix_b;
+  prefix_a.Clear();
+  prefix_b.Clear();
+  a.WritePrefix(&prefix_a);
+  b.WritePrefix(&prefix_b);
+  return prefix_a == prefix_b;
+}
+
+void LinearSketch::MergeSigned(const LinearSketch& other, int sign) {
+  LPS_CHECK(Mergeable(*this, other));
+  const CounterList& mine = ListCounters(0, this, /*writes=*/true);
+  const CounterList& theirs = other.ReadCounters();
+  LPS_CHECK(mine.arrays().size() == theirs.arrays().size());
+  for (size_t k = 0; k < mine.arrays().size(); ++k) {
+    const CounterList::Array& x = mine.arrays()[k];
+    const CounterList::Array& y = theirs.arrays()[k];
+    LPS_CHECK(x.type == y.type && x.size == y.size);
+    switch (x.type) {
+      case CounterList::Type::kReal: {
+        double* xs = static_cast<double*>(x.data);
+        const double* ys = static_cast<const double*>(y.data);
+        for (size_t c = 0; c < x.size; ++c) xs[c] += sign * ys[c];
+        break;
+      }
+      case CounterList::Type::kField: {
+        uint64_t* xs = static_cast<uint64_t*>(x.data);
+        const uint64_t* ys = static_cast<const uint64_t*>(y.data);
+        for (size_t c = 0; c < x.size; ++c) {
+          xs[c] = gf61::AddSigned(xs[c], ys[c], sign);
+        }
+        break;
+      }
+      case CounterList::Type::kInteger: {
+        // x += sign * y in uint64_t, which wraps where int64_t overflows.
+        int64_t* xs = static_cast<int64_t*>(x.data);
+        const int64_t* ys = static_cast<const int64_t*>(y.data);
+        const uint64_t s = uint64_t(int64_t(sign));
+        for (size_t c = 0; c < x.size; ++c) {
+          xs[c] = int64_t(uint64_t(xs[c]) + s * uint64_t(ys[c]));
+        }
+        break;
+      }
+    }
+  }
+}
+
+void LinearSketch::Reset() {
+  const CounterList& list = ListCounters(0, this, /*writes=*/true);
+  // 0.0, the field zero and integer 0 are all the all-zero word.
+  for (const CounterList::Array& a : list.arrays()) {
+    std::memset(a.data, 0, a.size * sizeof(uint64_t));
+  }
+}
+
+void LinearSketch::Serialize(BitWriter* writer) const {
+  WritePrefix(writer);
+  SerializeCounters(writer);
+}
+
+void LinearSketch::Deserialize(BitReader* reader) {
+  ReadPrefix(reader);
+  DeserializeCounters(reader);
+}
+
+void LinearSketch::WritePrefix(BitWriter* writer) const {
+  WriteSketchHeader(writer, kind());
+  WriteParams(writer);
+}
+
+void LinearSketch::ReadPrefix(BitReader* reader) {
+  ReadSketchHeader(reader, kind());
+  ReadParams(reader);
+}
+
+// Real and integer counters travel bit for bit, field elements as their
+// 61 bits. The loops call the writer's and reader's fixed-width entry
+// points: one loop over a runtime width made a 1.5 Mbit cm_heavy_hitters
+// state 8-12% slower to write and read (4-vCPU AVX2 host).
+void LinearSketch::SerializeCounters(BitWriter* writer) const {
+  const CounterList& list = ReadCounters();
+  for (const CounterList::Array& a : list.arrays()) {
+    switch (a.type) {
+      case CounterList::Type::kReal: {
+        const double* xs = static_cast<const double*>(a.data);
+        for (size_t c = 0; c < a.size; ++c) writer->WriteDouble(xs[c]);
+        break;
+      }
+      case CounterList::Type::kField: {
+        const uint64_t* xs = static_cast<const uint64_t*>(a.data);
+        for (size_t c = 0; c < a.size; ++c) writer->WriteBits(xs[c], 61);
+        break;
+      }
+      case CounterList::Type::kInteger: {
+        const int64_t* xs = static_cast<const int64_t*>(a.data);
+        for (size_t c = 0; c < a.size; ++c) writer->WriteU64(uint64_t(xs[c]));
+        break;
+      }
+    }
+  }
+}
+
+void LinearSketch::DeserializeCounters(BitReader* reader) {
+  const CounterList& list = ListCounters(0, this, /*writes=*/true);
+  for (const CounterList::Array& a : list.arrays()) {
+    switch (a.type) {
+      case CounterList::Type::kReal: {
+        double* xs = static_cast<double*>(a.data);
+        for (size_t c = 0; c < a.size; ++c) xs[c] = reader->ReadDouble();
+        break;
+      }
+      case CounterList::Type::kField: {
+        uint64_t* xs = static_cast<uint64_t*>(a.data);
+        for (size_t c = 0; c < a.size; ++c) xs[c] = reader->ReadBits(61);
+        break;
+      }
+      case CounterList::Type::kInteger: {
+        int64_t* xs = static_cast<int64_t*>(a.data);
+        for (size_t c = 0; c < a.size; ++c) xs[c] = int64_t(reader->ReadU64());
+        break;
+      }
+    }
+  }
+}
+
+size_t LinearSketch::CounterBits() const { return ReadCounters().bits(); }
 
 uint32_t SketchFormatVersion(SketchKind kind) {
   return HoldsDyadicCountSketch(kind) ? 3 : 2;

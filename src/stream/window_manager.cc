@@ -242,7 +242,7 @@ WindowManager::Window WindowManager::WindowSketch(uint64_t w) const {
   LPS_CHECK(out.sketch != nullptr);
 
   // Minus S(expired): fold -1 x the checkpointed prefix counters in.
-  BitReader expired_reader(expired.words, expired.bits);
+  BitReader expired_reader(&expired.words, expired.bits);
   auto expired_sketch = DeserializeAnySketch(&expired_reader);
   LPS_CHECK(expired_sketch != nullptr);
   out.sketch->MergeNegated(*expired_sketch);

@@ -39,6 +39,11 @@ void BitWriter::WriteBounded(uint64_t value, uint64_t bound) {
   WriteBits(value, BitWidth(bound));
 }
 
+BitReader::BitReader(const std::vector<uint64_t>* words, size_t bit_count)
+    : words_(words), total_bits_(bit_count) {
+  LPS_CHECK(bit_count <= words->size() * 64);
+}
+
 BitReader::BitReader(std::vector<uint64_t> words, size_t bit_count)
     : owned_(std::move(words)), words_(&owned_), total_bits_(bit_count) {
   LPS_CHECK(bit_count <= owned_.size() * 64);

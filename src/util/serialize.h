@@ -32,6 +32,12 @@ class BitWriter {
   /// ceil(log2(bound)) bits.
   void WriteBounded(uint64_t value, uint64_t bound);
 
+  /// Empties the stream, keeping its allocation for reuse.
+  void Clear() {
+    words_.clear();
+    bit_count_ = 0;
+  }
+
   /// Total number of bits written so far.
   size_t bit_count() const { return bit_count_; }
 
@@ -47,14 +53,18 @@ class BitWriter {
   size_t bit_count_ = 0;
 };
 
-/// Reader over a bit stream: either a non-owning view of a live BitWriter
-/// (the in-process protocol path) or an owning buffer (state loaded from a
-/// file, which must outlive no one).
+/// Reader over a bit stream: either a non-owning view of words someone
+/// else holds (a live BitWriter, a checkpoint, a state to validate) or an
+/// owning buffer (state loaded from a file, which must outlive no one).
 class BitReader {
  public:
   /// Non-owning view; `writer` must outlive this reader.
   explicit BitReader(const BitWriter& writer)
       : words_(&writer.words()), total_bits_(writer.bit_count()) {}
+
+  /// Non-owning view of `*words`, which must outlive this reader.
+  /// `bit_count` must fit in words->size() * 64 bits.
+  BitReader(const std::vector<uint64_t>* words, size_t bit_count);
 
   /// Owning buffer: the reader keeps the words alive itself. `bit_count`
   /// must fit in words.size() * 64 bits.

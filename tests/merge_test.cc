@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/api/sketch_spec.h"
 #include "src/core/fis_l0_sampler.h"
 #include "src/core/l0_sampler.h"
 #include "src/core/lp_sampler.h"
@@ -525,8 +526,22 @@ TEST(MergeEquivalence, DuplicateFinderResetRestoresInitialization) {
 }
 
 TEST(MergeDeathTest, SeedMismatchChecks) {
-  sketch::CountSketch a(7, 24, 1), b(7, 24, 2);
-  EXPECT_DEATH(a.Merge(b), "LPS_CHECK");
+  // One generic check (kind, parameter prefix, counter shape) guards the
+  // merge of every kind.
+  for (uint32_t k = 1; k <= 21; ++k) {
+    const auto kind = static_cast<SketchKind>(k);
+    SCOPED_TRACE(SketchKindName(kind));
+    SketchSpec spec;
+    spec.kind = kind;
+    spec.n = 64;
+    spec.p = kind == SketchKind::kMomentEstimator ? 3.0 : 1.0;
+    spec.repetitions = 2;
+    spec.seed = 11;
+    auto a = MakeSketch(spec);
+    spec.seed = 12;
+    auto b = MakeSketch(spec);
+    EXPECT_DEATH(a->Merge(*b), "LPS_CHECK");
+  }
 }
 
 TEST(MergeDeathTest, ShapeMismatchChecks) {

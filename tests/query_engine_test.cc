@@ -10,9 +10,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/lp_sampler.h"
+#include "src/duplicates/duplicates.h"
 #include "src/heavy/heavy_hitters.h"
 #include "src/sketch/count_sketch.h"
 #include "src/sketch/dyadic.h"
@@ -233,6 +238,160 @@ TEST(LpRecoverEquivalence, PostMergeAndPostDeserialize) {
   if (sa.ok()) {
     EXPECT_EQ(sa.value().index, sb.value().index);
     EXPECT_DOUBLE_EQ(sa.value().estimate, sb.value().estimate);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The rounds' cached recovery snapshots: every counter mutation drops them,
+// every read-only walk keeps them.
+
+// Fills every round's cache (Sample stops at the first success) and
+// returns the norm estimate it used.
+double FillCaches(const core::LpSampler& sampler) {
+  sampler.Sample();
+  const double r = sampler.NormEstimate();
+  for (int v = 0; v < sampler.repetitions(); ++v) sampler.round(v).Recover(r);
+  return r;
+}
+
+void ExpectSameAnswer(const Result<core::SampleResult>& got,
+                      const Result<core::SampleResult>& want) {
+  ASSERT_EQ(got.ok(), want.ok());
+  if (got.ok()) {
+    EXPECT_EQ(got.value().index, want.value().index);
+    EXPECT_EQ(got.value().estimate, want.value().estimate);
+  }
+}
+
+TEST(RecoveryCache, EveryCounterMutationDropsIt) {
+  const uint64_t n = 2048;
+  core::LpSamplerParams params;
+  params.n = n;
+  params.p = 1.0;
+  params.eps = 0.25;
+  params.seed = 91;
+  params.repetitions = 4;
+  const auto stream = GeneralStream(n, 17);
+  core::LpSampler other(params);
+  const auto other_stream = GeneralStream(n, 18);
+  other.UpdateBatch(other_stream.data(), other_stream.size());
+  BitWriter state, counters;
+  other.Serialize(&state);
+  other.SerializeCounters(&counters);
+  using Mutation = std::function<void(LinearSketch*)>;
+  const std::vector<std::pair<const char*, Mutation>> sampler_mutations = {
+      {"Merge", [&](LinearSketch* s) { s->Merge(other); }},
+      {"MergeNegated", [&](LinearSketch* s) { s->MergeNegated(other); }},
+      {"Reset", [](LinearSketch* s) { s->Reset(); }},
+      {"Deserialize",
+       [&](LinearSketch* s) {
+         BitReader reader(state);
+         s->Deserialize(&reader);
+       }},
+      {"DeserializeCounters", [&](LinearSketch* s) {
+         BitReader reader(counters);
+         s->DeserializeCounters(&reader);
+       }}};
+  for (const auto& [name, mutate] : sampler_mutations) {
+    SCOPED_TRACE(std::string("LpSampler, ") + name);
+    core::LpSampler queried(params), fresh(params);
+    queried.UpdateBatch(stream.data(), stream.size());
+    fresh.UpdateBatch(stream.data(), stream.size());
+    // Each round answers at the pre-mutation r, so a zeroed norm sketch
+    // cannot hide a stale round behind Sample's zero-vector exit.
+    const double r = FillCaches(queried);
+    mutate(&queried);
+    mutate(&fresh);
+    for (int v = 0; v < fresh.repetitions(); ++v) {
+      SCOPED_TRACE("round " + std::to_string(v));
+      ExpectSameAnswer(queried.round(v).Recover(r), fresh.round(v).Recover(r));
+    }
+    ExpectSameAnswer(queried.Sample(), fresh.Sample());
+  }
+
+  // The duplicate finder answers through its sampler's rounds. Each letter
+  // once plus 1000 more 7s (a vector-level update) makes 7 so heavy that a
+  // stale snapshot still names it after every mutation below, none of
+  // which leaves 7 a duplicate: MergeNegated of the same state and Reset
+  // leave the init feed alone, where Find fails, and `cancel` takes the
+  // 1000 7s back and adds one 200.
+  const uint64_t letters_n = 256;
+  const duplicates::DuplicateFinder::Params dparams{letters_n, 0.2, 0, 1001};
+  const auto letters = stream::DuplicateStream(letters_n, 0, 5);
+  auto feed = [&](duplicates::DuplicateFinder* finder) {
+    for (uint64_t l : letters) finder->ProcessItem(l);
+    finder->Update(7, 1000);
+  };
+  duplicates::DuplicateFinder cancel(dparams), same(dparams);
+  cancel.Update(7, -1000);
+  cancel.ProcessItem(200);
+  feed(&same);
+  BitWriter cancel_state;
+  cancel.Serialize(&cancel_state);
+  const std::vector<std::pair<const char*, Mutation>> finder_mutations = {
+      {"Merge", [&](LinearSketch* s) { s->Merge(cancel); }},
+      {"MergeNegated", [&](LinearSketch* s) { s->MergeNegated(same); }},
+      {"Reset", [](LinearSketch* s) { s->Reset(); }},
+      {"Deserialize", [&](LinearSketch* s) {
+         BitReader reader(cancel_state);
+         s->Deserialize(&reader);
+       }}};
+  for (const auto& [name, mutate] : finder_mutations) {
+    SCOPED_TRACE(std::string("DuplicateFinder, ") + name);
+    duplicates::DuplicateFinder queried(dparams), fresh(dparams);
+    feed(&queried);
+    feed(&fresh);
+    ASSERT_TRUE(queried.Find().ok());
+    mutate(&queried);
+    mutate(&fresh);
+    const auto got = queried.Find();
+    const auto want = fresh.Find();
+    EXPECT_EQ(got.ok(), want.ok());
+    if (got.ok() && want.ok()) {
+      EXPECT_EQ(got.value(), want.value());
+    }
+  }
+}
+
+TEST(RecoveryCache, ReadOnlyWalksKeepIt) {
+  const uint64_t n = 2048;
+  core::LpSamplerParams params;
+  params.n = n;
+  params.p = 1.0;
+  params.eps = 0.25;
+  params.seed = 93;
+  params.repetitions = 4;
+  const auto stream = GeneralStream(n, 19);
+  core::LpSampler sampler(params);
+  sampler.UpdateBatch(stream.data(), stream.size());
+  const double r = FillCaches(sampler);
+  std::vector<Result<core::SampleResult>> before;
+  int recovered = 0;
+  for (int v = 0; v < sampler.repetitions(); ++v) {
+    before.push_back(sampler.round(v).Recover(r));
+    recovered += before.back().ok();
+  }
+  ASSERT_GT(recovered, 0);
+  BitWriter w;
+  sampler.Serialize(&w);
+  sampler.SerializeCounters(&w);
+  sampler.WritePrefix(&w);
+  // Zero every counter behind the caches, through a listing that claims
+  // not to write (no library path does this): rounds whose cache the walks
+  // above kept still answer from it.
+  CounterList list(/*writes=*/false);
+  sampler.Counters(&list);
+  for (const CounterList::Array& a : list.arrays()) {
+    std::memset(a.data, 0, a.size * sizeof(uint64_t));
+  }
+  for (int v = 0; v < sampler.repetitions(); ++v) {
+    SCOPED_TRACE("round " + std::to_string(v));
+    ExpectSameAnswer(sampler.round(v).Recover(r), before[size_t(v)]);
+  }
+  // A writing walk drops them: the zeroed rounds now recover nothing.
+  sampler.Reset();
+  for (int v = 0; v < sampler.repetitions(); ++v) {
+    EXPECT_FALSE(sampler.round(v).Recover(r).ok()) << "round " << v;
   }
 }
 

@@ -487,33 +487,298 @@ TEST(SerializationDeathTest, PreV3TreeStateChecksOnLoad) {
   EXPECT_DEATH(DeserializeAnySketch(&r), "LPS_CHECK");
 }
 
-TEST(Serialization, UnchangedLayoutsStillDecode) {
-  // A count_min blob as written before format v3 (count_min stayed at v2):
-  // the library writes the same bytes today and decodes them.
-  const std::vector<uint64_t> golden = {
-      0x0000000202024c53ull, 0x0000000700000004ull, 0x0000000000000000ull,
-      0x0000000000000000ull, 0x00000000c0000000ull, 0x0000000000000000ull,
-      0x0000000040140000ull, 0x00000000c0000000ull, 0x0000000000000000ull,
-      0x0000000040140000ull, 0x0000000000000000ull};
-  const size_t golden_bits = 672;
+// A tiny spec of every kind: the states pinned below were written from
+// these.
+SketchSpec PinnedSpec(SketchKind kind) {
   SketchSpec spec;
-  spec.kind = SketchKind::kCountMin;
+  spec.kind = kind;
   spec.n = 16;
-  spec.rows = 2;
-  spec.buckets = 4;
   spec.seed = 7;
-  auto sketch = MakeSketch(spec);
-  sketch->Update(3, 5);
-  sketch->Update(9, -2);
-  BitWriter w;
-  sketch->Serialize(&w);
-  EXPECT_EQ(w.bit_count(), golden_bits);
-  EXPECT_EQ(w.words(), golden);
-  auto decoded = DecodeSketchState(spec, golden, golden_bits);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  BitWriter again;
-  decoded.value()->Serialize(&again);
-  EXPECT_EQ(again.words(), golden);
+  switch (kind) {
+    case SketchKind::kCountSketch:
+    case SketchKind::kCountMin:
+      spec.rows = 2;
+      spec.buckets = 4;
+      break;
+    case SketchKind::kAmsF2:
+      spec.rows = 2;
+      spec.buckets = 2;
+      break;
+    case SketchKind::kStableSketch:
+    case SketchKind::kLpNormEstimator:
+      spec.p = 1.5;
+      spec.rows = 2;
+      break;
+    case SketchKind::kDyadicCountMin:
+    case SketchKind::kDyadicCountSketch:
+      spec.rows = 1;
+      spec.buckets = 2;
+      break;
+    case SketchKind::kL0Estimator:
+      spec.repetitions = 1;
+      break;
+    case SketchKind::kSparseRecovery:
+    case SketchKind::kL0Sampler:
+      spec.s = 1;
+      break;
+    case SketchKind::kFisL0Sampler:
+      spec.buckets = 1;
+      break;
+    case SketchKind::kLpSampler:
+    case SketchKind::kAkoSampler:
+      spec.p = 1.5;
+      spec.repetitions = 1;
+      spec.rows = 1;
+      spec.buckets = 1;
+      break;
+    case SketchKind::kCsHeavyHitters:
+    case SketchKind::kCmHeavyHitters:
+      spec.phi = 0.5;
+      spec.rows = 1;
+      break;
+    case SketchKind::kDyadicHeavyHitters:
+      spec.phi = 0.5;
+      break;
+    case SketchKind::kDuplicateFinder:
+      spec.repetitions = 1;
+      break;
+    case SketchKind::kSparseDuplicateFinder:
+    case SketchKind::kPositiveFinder:
+      spec.s = 1;
+      spec.repetitions = 1;
+      break;
+    case SketchKind::kMomentEstimator:
+      spec.p = 3.0;
+      spec.repetitions = 1;
+      break;
+    default:
+      break;
+  }
+  return spec;
+}
+
+// The 9 kinds with real-scaled counters, only query-equivalent across
+// kernel backends; the other 12 are integer-exact.
+bool RealScaled(SketchKind kind) {
+  switch (kind) {
+    case SketchKind::kStableSketch:
+    case SketchKind::kLpNormEstimator:
+    case SketchKind::kLpSampler:
+    case SketchKind::kAkoSampler:
+    case SketchKind::kCsHeavyHitters:
+    case SketchKind::kDuplicateFinder:
+    case SketchKind::kSparseDuplicateFinder:
+    case SketchKind::kPositiveFinder:
+    case SketchKind::kMomentEstimator:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// States recorded from the library before each kind listed its counters
+// in one place, which must still write and decode the same bits: the bit
+// count and the non-zero words; every other word is zero. The 12
+// integer-exact kinds hold the updates (3, +5) and (9, -2), the same bits
+// on every backend. The real-scaled kinds are zeroed, so their counters
+// are backend-independent too — except the duplicate finders', whose
+// fresh state holds the (i, -1) init feed: only their size is pinned
+// (their word lists are empty).
+struct PinnedState {
+  SketchKind kind;
+  size_t bits;
+  std::vector<std::pair<size_t, uint64_t>> nonzero_words;
+};
+
+const std::vector<PinnedState>& PinnedStates() {
+  static const auto* states = new std::vector<PinnedState>{
+      {SketchKind::kCountSketch, 672, {
+          {0, 0x0000000202014c53ull}, {1, 0x0000000700000004ull},
+          {3, 0x00000000c0000000ull}, {5, 0x00000000c0140000ull},
+          {10, 0x0000000040080000ull}}},
+      {SketchKind::kCountMin, 672, {
+          {0, 0x0000000202024c53ull}, {1, 0x0000000700000004ull},
+          {4, 0x00000000c0000000ull}, {6, 0x0000000040140000ull},
+          {7, 0x00000000c0000000ull}, {9, 0x0000000040140000ull}}},
+      {SketchKind::kAmsF2, 416, {
+          {0, 0x0000000202034c53ull}, {1, 0x0000000700000002ull},
+          {3, 0x0000000040080000ull}, {4, 0x00000000c0080000ull},
+          {5, 0x00000000c0080000ull}, {6, 0x0000000040080000ull}}},
+      {SketchKind::kStableSketch, 320, {
+          {0, 0x0000000002044c53ull}, {1, 0x000000023ff80000ull},
+          {2, 0x0000000000000007ull}}},
+      {SketchKind::kDyadicCountMin, 832, {
+          {0, 0x0000000402054c53ull}, {1, 0x0000000200000001ull},
+          {2, 0x0000000000000007ull}, {3, 0x4014000000000000ull},
+          {4, 0xc000000000000000ull}, {5, 0xc000000000000000ull},
+          {6, 0x4014000000000000ull}, {7, 0x4008000000000000ull},
+          {9, 0x4014000000000000ull}, {10, 0xc000000000000000ull},
+          {12, 0x4008000000000000ull}}},
+      {SketchKind::kDyadicCountSketch, 320, {
+          {0, 0x0000000403064c53ull}, {1, 0x0000000200000001ull},
+          {2, 0x0000000000000007ull}, {4, 0xc008000000000000ull}}},
+      {SketchKind::kL0Estimator, 497, {
+          {0, 0x0000001002074c53ull}, {1, 0x0000000100000000ull},
+          {2, 0x0000000000000007ull}, {3, 0x12c6eebc7392c6b2ull},
+          {4, 0x82e95d5dbda265d4ull}, {5, 0x005d2babb7b44cbaull}}},
+      {SketchKind::kLpNormEstimator, 352, {
+          {0, 0x02044c5302084c53ull}, {1, 0x3ff8000000000000ull},
+          {2, 0x0000000700000002ull}}},
+      {SketchKind::kOneSparse, 343, {
+          {0, 0x0000001002094c53ull}, {1, 0x0000000700000000ull},
+          {2, 0x0000000300000000ull}, {4, 0x9eeae49508000000ull},
+          {5, 0x000000000056c324ull}}},
+      {SketchKind::kSparseRecovery, 468, {
+          {0, 0x00000010020a4c53ull}, {1, 0x0000000100000000ull},
+          {2, 0x0000000700000000ull}, {3, 0x0000000300000000ull},
+          {5, 0x9eeae49508000000ull}, {6, 0xfa1cbad884d6c324ull},
+          {7, 0x00000000000a46acull}}},
+      {SketchKind::kLpSampler, 9120, {
+          {0, 0x00000010030b4c53ull}, {2, 0x000000003ff80000ull},
+          {3, 0x000000003fe00000ull}, {4, 0x000000013fd00000ull},
+          {5, 0x0000000100000001ull}, {6, 0x0000006000000014ull},
+          {7, 0x0000000700000005ull}, {8, 0xffffffff00000000ull},
+          {9, 0x00000000ffffffffull}}},
+      {SketchKind::kL0Sampler, 1509, {
+          {0, 0x00000010020c4c53ull}, {2, 0x000000013fd00000ull},
+          {3, 0x0000000700000000ull}, {4, 0x0000000600000000ull},
+          {6, 0x47adb49f30000000ull}, {7, 0x813a21506772761full},
+          {8, 0x00000000001c6cb2ull}, {15, 0x6000000000000000ull},
+          {17, 0x6080000000000000ull}, {18, 0xbf4dd41b8b0bef81ull},
+          {19, 0x00061ed481ad1194ull}, {21, 0x796a500000000000ull},
+          {22, 0x1ca12057fbed79b8ull}, {23, 0x00000002502dc277ull}}},
+      {SketchKind::kFisL0Sampler, 1107, {
+          {0, 0x00000010020d4c53ull}, {1, 0x0000000700000000ull},
+          {2, 0x0000000100000000ull}, {3, 0x0000000000000003ull},
+          {4, 0x3c00000000000000ull}, {5, 0x006a169bb60c4a82ull}}},
+      {SketchKind::kAkoSampler, 9152, {
+          {0, 0x030b4c53030e4c53ull}, {1, 0x0000000000000010ull},
+          {2, 0x3ff8000000000000ull}, {3, 0x3fe0000000000000ull},
+          {4, 0x3fd0000000000000ull}, {5, 0x0000000100000001ull},
+          {6, 0x0000000200000001ull}, {7, 0x0000000500000060ull},
+          {8, 0x0000000000000007ull}, {9, 0xffffffffffffffffull}}},
+      {SketchKind::kCsHeavyHitters, 114113, {
+          {0, 0x00000010030f4c53ull}, {2, 0x000000003ff00000ull},
+          {3, 0x000000013fe00000ull}, {5, 0x000000000000000eull}}},
+      {SketchKind::kCmHeavyHitters, 26945, {
+          {0, 0x0000001002104c53ull}, {2, 0x000000013fe00000ull},
+          {3, 0x0000000000000007ull}, {5, 0x8028000000000000ull},
+          {16, 0x8000000000000000ull}, {17, 0x0000000000000001ull},
+          {26, 0x8000000000000000ull}, {27, 0x0000000000000001ull},
+          {34, 0x8028000000000000ull}, {37, 0x8000000000000000ull},
+          {38, 0x0000000000000001ull}, {50, 0x8028000000000000ull},
+          {65, 0x8000000000000000ull}, {66, 0x8028000000000001ull},
+          {69, 0x8028000000000000ull}, {77, 0x8000000000000000ull},
+          {78, 0x0000000000000001ull}, {87, 0x8000000000000000ull},
+          {88, 0x0000000000000001ull}, {94, 0x8028000000000000ull},
+          {106, 0x8028000000000000ull}, {109, 0x8000000000000000ull},
+          {110, 0x0000000000000001ull}, {119, 0x8000000000000000ull},
+          {120, 0x0000000000000001ull}, {124, 0x8028000000000000ull},
+          {132, 0x8000000000000000ull}, {133, 0x0000000000000001ull},
+          {141, 0x8028000000000000ull}, {155, 0x8000000000000000ull},
+          {156, 0x0000000000000001ull}, {161, 0x8028000000000000ull},
+          {172, 0x8000000000000000ull}, {173, 0x0000000000000001ull},
+          {174, 0x8028000000000000ull}, {189, 0x8000000000000000ull},
+          {190, 0x0000000000000001ull}, {193, 0x8028000000000000ull},
+          {197, 0x8000000000000000ull}, {198, 0x0000000000000001ull},
+          {207, 0x8028000000000000ull}, {213, 0x8028000000000000ull},
+          {217, 0x8000000000000000ull}, {218, 0x0000000000000001ull},
+          {232, 0x8000000000000000ull}, {233, 0x0000000000000001ull},
+          {243, 0x8028000000000000ull}, {255, 0x8028000000000000ull},
+          {259, 0x8000000000000000ull}, {260, 0x0000000000000001ull},
+          {262, 0x8000000000000000ull}, {263, 0x0000000000000001ull},
+          {268, 0x8028000000000000ull}, {284, 0x8028000000000000ull},
+          {285, 0x8000000000000000ull}, {286, 0x0000000000000001ull},
+          {297, 0x8000000000000000ull}, {298, 0x0000000000000001ull},
+          {303, 0x8028000000000000ull}, {308, 0x8028000000000000ull},
+          {310, 0x8000000000000000ull}, {311, 0x0000000000000001ull},
+          {326, 0x8000000000000000ull}, {327, 0x0000000000000001ull},
+          {334, 0x8028000000000000ull}, {355, 0x8010000000000000ull},
+          {360, 0x8010000000000000ull}, {376, 0x8010000000000000ull},
+          {399, 0x8010000000000000ull}, {418, 0x8010000000000000ull},
+          {420, 0x8010000000000000ull}}},
+      {SketchKind::kDyadicHeavyHitters, 46336, {
+          {0, 0x0000000402114c53ull}, {1, 0x3fe0000000000000ull},
+          {2, 0x0000000000000007ull}, {4, 0x4014000000000000ull},
+          {8, 0xc000000000000000ull}, {25, 0xc000000000000000ull},
+          {33, 0x4014000000000000ull}, {37, 0xc000000000000000ull},
+          {49, 0x4014000000000000ull}, {51, 0x4014000000000000ull},
+          {63, 0xc000000000000000ull}, {68, 0x4014000000000000ull},
+          {71, 0xc000000000000000ull}, {89, 0x4014000000000000ull},
+          {97, 0xc000000000000000ull}, {109, 0xc000000000000000ull},
+          {114, 0x4014000000000000ull}, {122, 0x4014000000000000ull},
+          {130, 0xc000000000000000ull}, {132, 0xc000000000000000ull},
+          {137, 0x4014000000000000ull}, {151, 0x4014000000000000ull},
+          {161, 0xc000000000000000ull}, {167, 0x4014000000000000ull},
+          {173, 0xc000000000000000ull}, {181, 0x4008000000000000ull},
+          {195, 0xc000000000000000ull}, {207, 0x4014000000000000ull},
+          {212, 0xc000000000000000ull}, {213, 0x4014000000000000ull},
+          {234, 0x4014000000000000ull}, {241, 0xc000000000000000ull},
+          {245, 0x4014000000000000ull}, {246, 0xc000000000000000ull},
+          {265, 0x4014000000000000ull}, {272, 0xc000000000000000ull},
+          {282, 0xc000000000000000ull}, {287, 0x4014000000000000ull},
+          {295, 0x4014000000000000ull}, {299, 0xc000000000000000ull},
+          {308, 0xc000000000000000ull}, {321, 0x4014000000000000ull},
+          {324, 0xc000000000000000ull}, {333, 0x4014000000000000ull},
+          {342, 0x4014000000000000ull}, {350, 0xc000000000000000ull},
+          {358, 0xc000000000000000ull}, {362, 0x4014000000000000ull},
+          {373, 0x4014000000000000ull}, {381, 0xc000000000000000ull},
+          {388, 0xc000000000000000ull}, {393, 0x4014000000000000ull},
+          {407, 0x4014000000000000ull}, {409, 0xc000000000000000ull},
+          {424, 0xc000000000000000ull}, {429, 0x4014000000000000ull},
+          {442, 0x4014000000000000ull}, {449, 0xc000000000000000ull},
+          {451, 0xc000000000000000ull}, {465, 0x4014000000000000ull},
+          {468, 0x4014000000000000ull}, {475, 0xc000000000000000ull},
+          {484, 0xc000000000000000ull}, {487, 0x4014000000000000ull},
+          {507, 0xc000000000000000ull}, {511, 0x4014000000000000ull},
+          {515, 0x4014000000000000ull}, {523, 0xc000000000000000ull},
+          {533, 0xc000000000000000ull}, {539, 0x4014000000000000ull},
+          {550, 0xc000000000000000ull}, {554, 0x4014000000000000ull},
+          {570, 0x4014000000000000ull}, {572, 0xc000000000000000ull},
+          {593, 0x4008000000000000ull}, {602, 0x4008000000000000ull},
+          {616, 0x4008000000000000ull}, {635, 0x4008000000000000ull},
+          {651, 0x4008000000000000ull}, {664, 0x4008000000000000ull},
+          {677, 0x4008000000000000ull}, {698, 0x4008000000000000ull},
+          {712, 0x4008000000000000ull}, {723, 0x4008000000000000ull}}},
+      {SketchKind::kDuplicateFinder, 27904, {}},
+      {SketchKind::kSparseDuplicateFinder, 28700, {}},
+      {SketchKind::kPositiveFinder, 28764, {
+          {0, 0x0000001003144c53ull}, {1, 0x0000000100000000ull},
+          {3, 0x000000013fd00000ull}, {4, 0x0000000000000007ull}}},
+      {SketchKind::kMomentEstimator, 1818944, {
+          {0, 0x0000001003154c53ull}, {2, 0x0000000140080000ull},
+          {3, 0x3ffe666666666666ull}, {4, 0x0000000000000007ull}}},
+  };
+  return *states;
+}
+
+TEST(Serialization, UnchangedLayoutsStillDecode) {
+  ASSERT_EQ(PinnedStates().size(), 21u);
+  for (const PinnedState& pinned : PinnedStates()) {
+    SCOPED_TRACE(SketchKindName(pinned.kind));
+    const SketchSpec spec = PinnedSpec(pinned.kind);
+    auto sketch = MakeSketch(spec);
+    if (!RealScaled(pinned.kind)) {
+      sketch->Update(3, 5);
+      sketch->Update(9, -2);
+    }
+    BitWriter w;
+    sketch->Serialize(&w);
+    EXPECT_EQ(w.bit_count(), pinned.bits);
+    std::vector<uint64_t> golden = w.words();
+    if (!pinned.nonzero_words.empty()) {
+      golden.assign((pinned.bits + 63) / 64, 0);
+      for (const auto& [index, word] : pinned.nonzero_words) {
+        golden[index] = word;
+      }
+      EXPECT_EQ(w.words(), golden);
+    }
+    auto decoded = DecodeSketchState(spec, golden, pinned.bits);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    BitWriter again;
+    decoded.value()->Serialize(&again);
+    EXPECT_EQ(again.words(), golden);
+  }
 }
 
 TEST(Serialization, BitExactAccountingMatchesSpaceModel) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -254,6 +255,37 @@ TEST(StreamState, HostileValuesAreInvalidArgumentNotAborts) {
                                  lying.words, lying.bits, 0);
     ASSERT_FALSE(built.ok());
     EXPECT_EQ(built.status().code(), Code::kInvalidArgument);
+  }
+
+  // States with the spec's header, size and leading word but a later
+  // parameter out of range, which a sketch constructor would CHECK-abort
+  // on: count_min with buckets (the low 32 bits of word 1) = 0, and an
+  // lp_sampler with p (bits 96..159) = 5.0.
+  State no_buckets = StateOf(*MakeSketch(CountMinSpec()));
+  no_buckets.words[1] &= ~0xffffffffull;
+  SketchSpec lp;
+  lp.kind = SketchKind::kLpSampler;
+  lp.n = kN;
+  lp.eps = 0.25;
+  lp.delta = 0.2;
+  lp.seed = 36;
+  State big_p = StateOf(*MakeSketch(lp));
+  const double five = 5.0;
+  uint64_t p_bits;
+  std::memcpy(&p_bits, &five, sizeof(p_bits));
+  big_p.words[1] = (big_p.words[1] & 0xffffffffull) | (p_bits << 32);
+  big_p.words[2] = (big_p.words[2] & ~0xffffffffull) | (p_bits >> 32);
+  const std::pair<SketchSpec, State> out_of_range[] = {
+      {CountMinSpec(), no_buckets}, {lp, big_p}};
+  for (const auto& [spec, state] : out_of_range) {
+    for (const Topology& topology : kTopologies) {
+      SCOPED_TRACE(std::string(SketchKindName(spec.kind)) + ", " +
+                   topology.name);
+      built = StreamState::Restore(spec, OptionsFor(topology, false),
+                                   state.words, state.bits, 0);
+      ASSERT_FALSE(built.ok());
+      EXPECT_EQ(built.status().code(), Code::kInvalidArgument);
+    }
   }
 
   // The L0 sampler CHECKs index < n on every update.

@@ -229,10 +229,9 @@ class RunRecorder : public LinearSketch {
     runs.push_back(count);
     seen.insert(seen.end(), updates, updates + count);
   }
-  void MergeSigned(const LinearSketch&, int) override {}
-  void Serialize(BitWriter*) const override {}
-  void Deserialize(BitReader*) override {}
-  void Reset() override {}
+  void Counters(CounterList*) override {}
+  void WriteParams(BitWriter*) const override {}
+  void ReadParams(BitReader*) override {}
   size_t SpaceBits() const override { return 0; }
   SketchKind kind() const override { return SketchKind::kCountSketch; }
 

@@ -508,17 +508,6 @@ std::unique_ptr<lps::LinearSketch> LoadSketch(const char* path) {
   return sketch;
 }
 
-/// lps::ZeroedState of `sketch`, which keeps its counters: two saved
-/// states can be merged exactly when those are equal.
-lps::BitWriter KeptZeroedState(lps::LinearSketch* sketch) {
-  lps::BitWriter saved;
-  sketch->Serialize(&saved);
-  lps::BitWriter zeroed = lps::ZeroedState(sketch);
-  lps::BitReader reader(saved);
-  sketch->Deserialize(&reader);
-  return zeroed;
-}
-
 // ------------------------------------------------------------- commands --
 
 int CmdSample(int argc, char** argv) {
@@ -660,7 +649,6 @@ int CmdMerge(int argc, char** argv) {
   const char* out = argv[2];
   auto merged = LoadSketch(argv[3]);
   if (merged == nullptr) return 1;
-  const lps::BitWriter first = KeptZeroedState(merged.get());
   for (int a = 4; a < argc; ++a) {
     auto next = LoadSketch(argv[a]);
     if (next == nullptr) return 1;
@@ -671,7 +659,7 @@ int CmdMerge(int argc, char** argv) {
       return 2;
     }
     // Merge would CHECK-abort on a parameter or seed mismatch.
-    if (!(KeptZeroedState(next.get()) == first)) {
+    if (!lps::Mergeable(*merged, *next)) {
       std::fprintf(stderr, "cannot merge %s: parameters or seeds differ\n",
                    argv[a]);
       return 2;
