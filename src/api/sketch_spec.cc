@@ -49,23 +49,6 @@ core::LpSamplerParams LpParamsFromSpec(const SketchSpec& spec) {
   return params;
 }
 
-SketchSpec SpecFromLpParams(SketchKind kind,
-                            const core::LpSamplerParams& params) {
-  SketchSpec spec;
-  spec.kind = kind;
-  spec.n = params.n;
-  spec.p = params.p;
-  spec.eps = params.eps;
-  spec.delta = params.delta;
-  // The resolved params reproduce the same sampler whatever the original
-  // zero-valued fields were, so the round-trip pins them explicitly.
-  spec.repetitions = static_cast<uint32_t>(params.repetitions);
-  spec.rows = static_cast<uint32_t>(params.cs_rows);
-  spec.buckets = static_cast<uint32_t>(params.m);
-  spec.seed = params.seed;
-  return spec;
-}
-
 }  // namespace
 
 bool SketchSpec::operator==(const SketchSpec& o) const {
@@ -174,57 +157,6 @@ std::unique_ptr<LinearSketch> MakeSketch(const SketchSpec& spec) {
     }
   }
   return nullptr;
-}
-
-SketchSpec SpecOf(const LinearSketch& sketch) {
-  SketchSpec spec;
-  spec.kind = sketch.kind();
-  if (const auto* lp = dynamic_cast<const core::LpSampler*>(&sketch)) {
-    return SpecFromLpParams(SketchKind::kLpSampler, lp->params());
-  }
-  if (const auto* ako = dynamic_cast<const core::AkoSampler*>(&sketch)) {
-    return SpecFromLpParams(SketchKind::kAkoSampler, ako->params());
-  }
-  if (const auto* l0 = dynamic_cast<const core::L0Sampler*>(&sketch)) {
-    spec.n = l0->params().n;
-    spec.delta = l0->params().delta;
-    spec.s = l0->params().s;
-    spec.seed = l0->params().seed;
-    return spec;
-  }
-  if (const auto* hh = dynamic_cast<const heavy::CsHeavyHitters*>(&sketch)) {
-    spec.n = hh->params().n;
-    spec.p = hh->params().p;
-    spec.phi = hh->params().phi;
-    spec.rows = static_cast<uint32_t>(hh->params().rows);
-    spec.seed = hh->params().seed;
-    return spec;
-  }
-  if (const auto* cm = dynamic_cast<const heavy::CmHeavyHitters*>(&sketch)) {
-    spec.n = cm->params().n;
-    spec.phi = cm->params().phi;
-    spec.rows = static_cast<uint32_t>(cm->params().rows);
-    spec.seed = cm->params().seed;
-    return spec;
-  }
-  if (const auto* est = dynamic_cast<const norm::LpNormEstimator*>(&sketch)) {
-    spec.p = est->sketch().p();
-    spec.rows = static_cast<uint32_t>(est->rows());
-    spec.seed = est->sketch().seed();
-    return spec;
-  }
-  if (const auto* dup =
-          dynamic_cast<const duplicates::DuplicateFinder*>(&sketch)) {
-    spec.n = dup->params().n;
-    spec.delta = dup->params().delta;
-    spec.repetitions = static_cast<uint32_t>(dup->params().repetitions);
-    spec.seed = dup->params().seed;
-    return spec;
-  }
-  // Internal kinds: the kind tag alone is still a valid (default-sized)
-  // spec; callers that need exact reconstruction use Serialize, which
-  // carries the full parameters.
-  return spec;
 }
 
 Status ValidateSpec(const SketchSpec& spec) {

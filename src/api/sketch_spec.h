@@ -13,8 +13,6 @@
 //     spec.kind = SketchKind::kCsHeavyHitters;
 //     spec.n = 1 << 20; spec.p = 1.0; spec.phi = 0.05; spec.seed = 42;
 //     auto sketch = MakeSketch(spec);       // any of the 21 kinds
-//     SketchSpec back = SpecOf(*sketch);    // round-trips for the
-//                                           // query-facing families
 //
 // MakeSketch is total over SketchKind: every kind constructs, with
 // zero-valued fields resolving to the same library defaults the concrete
@@ -22,6 +20,9 @@
 // DeserializeAnySketch) is now a thin wrapper over MakeSketch, so the
 // wire-format dispatch, the server registry, and the CLI all construct
 // through this single registry.
+// The map runs one way: a live sketch's parameters travel in its
+// serialized state, whose parameter prefix DecodeSketchState compares
+// bit for bit against the sketch a spec builds.
 //
 // Determinism contract: MakeSketch(spec) called twice yields two
 // identically-seeded replicas (all randomness derives from spec.seed) —
@@ -40,9 +41,9 @@
 namespace lps {
 
 /// One wire-encodable description of any constructible sketch. Fields a
-/// kind does not use are ignored by MakeSketch and left at their defaults
-/// by SpecOf; 0 (or 0.0) in a sized/derived field means "library
-/// default", mirroring the per-structure params structs.
+/// kind does not use are ignored by MakeSketch; 0 (or 0.0) in a
+/// sized/derived field means "library default", mirroring the
+/// per-structure params structs.
 struct SketchSpec {
   SketchKind kind = SketchKind::kLpSampler;
   uint64_t n = 0;        ///< universe size
@@ -86,14 +87,6 @@ Status ValidateSpec(const SketchSpec& spec);
 /// arbitrary 64-bit indices. Wire-facing ingest paths reject an index
 /// at or past this bound before it reaches the sketch.
 uint64_t EnforcedUniverse(const SketchSpec& spec);
-
-/// Recovers the construction spec of a live sketch. Exact round-trip
-/// (MakeSketch(SpecOf(x)) serializes bit-identically to a reset x) for
-/// the query-facing families — the samplers, heavy hitters, norm
-/// estimators, and duplicate finders the CLI and server construct. For
-/// the remaining internal kinds the result names the kind but may leave
-/// derived fields at defaults.
-SketchSpec SpecOf(const LinearSketch& sketch);
 
 /// Inverse of SketchKindName: resolves "cs_heavy_hitters" etc. to the
 /// kind tag. Status::InvalidArgument for an unknown name.

@@ -64,8 +64,6 @@ class L0Sampler : public LinearSketch {
 
   uint64_t s() const { return s_; }
   int levels() const { return static_cast<int>(levels_.size()); }
-  /// The construction parameters (with s resolved) — what SpecOf reads.
-  const L0SamplerParams& params() const { return params_; }
 
   /// Paper-model space: recovery measurements plus the randomness-source
   /// seed (64 bits for the oracle model, O(log^2 n) for Nisan mode).

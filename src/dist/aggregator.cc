@@ -36,8 +36,6 @@ Aggregator::Aggregator(Options options) : options_(std::move(options)) {
     EpochShipper::Options uplink;
     uplink.host = options_.upstream_host;
     uplink.port = options_.upstream_port;
-    uplink.max_attempts = options_.upstream_attempts;
-    uplink.retry_ms = options_.upstream_retry_ms;
     upstream_ = std::make_unique<EpochShipper>(uplink);
   }
 }
@@ -198,8 +196,8 @@ void Aggregator::FlushLoop() {
 
 void Aggregator::FlushPending() {
   // Serialize the blobs under the lock, ship OUTSIDE it: an upstream
-  // riding out a restart must not stall child folds for retry_ms *
-  // attempts.
+  // riding out a restart must not stall child folds for the shipper's
+  // whole retry budget.
   std::vector<server::EpochBlob> outbound;
   {
     std::lock_guard<std::mutex> lock(mutex_);

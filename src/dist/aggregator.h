@@ -63,8 +63,6 @@ class Aggregator : public server::FrameHandler {
     uint64_t upstream_session = 1;
     /// Cadence of the combined-delta flush to upstream.
     uint64_t flush_interval_ms = 20;
-    int upstream_attempts = 50;
-    uint64_t upstream_retry_ms = 100;
   };
 
   explicit Aggregator(Options options);

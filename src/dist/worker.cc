@@ -6,11 +6,19 @@
 
 namespace lps::dist {
 
+namespace {
+
+// Ship's retry budget (its doc comment states the resulting bound).
+constexpr int kMaxAttempts = 50;
+constexpr uint64_t kRetryMs = 100;
+
+}  // namespace
+
 Result<server::EpochAck> EpochShipper::Ship(const server::EpochBlob& blob) {
   Status last = Status::Failed("no attempts made");
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(options_.retry_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kRetryMs));
     }
     if (!client_.has_value()) {
       auto connected = server::Client::Connect(options_.host, options_.port);

@@ -42,20 +42,16 @@ class EpochShipper {
   struct Options {
     std::string host = "127.0.0.1";
     int port = 0;
-    /// Connect/round-trip attempts per epoch before giving up. Each
-    /// failed attempt sleeps retry_ms, so attempts * retry_ms bounds
-    /// how long a worker rides out an aggregator restart.
-    int max_attempts = 50;
-    uint64_t retry_ms = 100;
   };
 
   explicit EpochShipper(Options options) : options_(std::move(options)) {}
 
   /// Ships one epoch and waits for its ack, reconnecting and re-sending
-  /// on any transport failure. A duplicate-sequence ack (applied ==
-  /// false: the aggregator folded this epoch before the connection
-  /// died) is success. An ERROR response is fatal, not retried — it
-  /// means the aggregator rejected the epoch's content.
+  /// on any transport failure: 50 attempts 100 ms apart, so a worker
+  /// rides out an aggregator restart of up to ~5 s. A duplicate-sequence
+  /// ack (applied == false: the aggregator folded this epoch before the
+  /// connection died) is success. An ERROR response is fatal, not
+  /// retried — it means the aggregator rejected the epoch's content.
   Result<server::EpochAck> Ship(const server::EpochBlob& blob);
 
   /// Drops the connection; the next Ship reconnects (test hook for the

@@ -92,8 +92,6 @@ class DuplicateFinder : public LinearSketch {
   void Reset() override;
   size_t SpaceBits() const override { return SpaceBits(64); }
   SketchKind kind() const override { return SketchKind::kDuplicateFinder; }
-  /// The construction parameters — what SpecOf reads.
-  const Params& params() const { return params_; }
 
  private:
   /// The shared init sketch, fetched on first use after Deserialize.

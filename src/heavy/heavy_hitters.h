@@ -94,8 +94,6 @@ class CsHeavyHitters : public LinearSketch {
   SketchKind kind() const override { return SketchKind::kCsHeavyHitters; }
 
   int m() const { return m_; }
-  /// The construction parameters — what SpecOf reads.
-  const Params& params() const { return params_; }
 
  private:
   Params params_;
@@ -146,8 +144,6 @@ class CmHeavyHitters : public LinearSketch {
 
   size_t SpaceBits(int bits_per_counter) const;
   size_t DyadicSpaceBits(int bits_per_counter = 64) const;
-  /// The construction parameters — what SpecOf reads.
-  const Params& params() const { return params_; }
 
  private:
   Params params_;

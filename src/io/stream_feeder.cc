@@ -15,6 +15,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Decoded batches buffered between decode and ingest; the bound is the
+/// backpressure.
+constexpr size_t kQueueBatches = 8;
+
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -25,13 +29,9 @@ double SecondsSince(Clock::time_point start) {
 /// queue tells the consumer the stream ended (with its final Status).
 class DecodedQueue {
  public:
-  explicit DecodedQueue(size_t capacity) : capacity_(capacity) {
-    LPS_CHECK(capacity_ >= 1);
-  }
-
   void Push(stream::UpdateStream batch) {
     std::unique_lock<std::mutex> lock(mutex_);
-    can_push_.wait(lock, [this] { return queue_.size() < capacity_; });
+    can_push_.wait(lock, [this] { return queue_.size() < kQueueBatches; });
     queue_.push_back(std::move(batch));
     can_pop_.notify_one();
   }
@@ -65,7 +65,6 @@ class DecodedQueue {
   }
 
  private:
-  const size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable can_push_;
   std::condition_variable can_pop_;
@@ -81,7 +80,6 @@ StreamFeeder::StreamFeeder(std::unique_ptr<ByteSource> source,
     : source_(std::move(source)), options_(options) {
   LPS_CHECK(source_ != nullptr);
   LPS_CHECK(options_.batch_size >= 1);
-  LPS_CHECK(options_.queue_batches >= 1);
 }
 
 Result<uint64_t> StreamFeeder::ReadHeader() {
@@ -148,7 +146,7 @@ Result<FeedStats> StreamFeeder::Feed(const BatchSink& sink) {
       stats.sink_seconds += SecondsSince(sink_start);
     });
   } else {
-    DecodedQueue queue(options_.queue_batches);
+    DecodedQueue queue;
     std::thread decode([this, &queue] {
       Status decode_status =
           DecodeAll([&queue](const stream::Update* updates, size_t count) {

@@ -62,9 +62,6 @@ class StreamFeeder {
     /// decode runs inline on the Feed() caller — the deterministic
     /// low-thread mode, and the honest baseline for overlap numbers.
     bool async_decode = true;
-    /// Decoded batches buffered between decode and ingest; the bound is
-    /// the backpressure.
-    size_t queue_batches = 8;
   };
 
   StreamFeeder(std::unique_ptr<ByteSource> source, Options options);

@@ -266,6 +266,22 @@ Status UpdateDecoder::Finish(stream::UpdateStream* out) {
   return Status();
 }
 
+void WriteTrace(std::ostream& out, uint64_t n,
+                const stream::UpdateStream& updates) {
+  out << "n " << n << "\n";
+  for (const auto& u : updates) {
+    out << "u " << u.index << " " << u.delta << "\n";
+  }
+}
+
+void WriteLetterTrace(std::ostream& out, uint64_t n,
+                      const stream::LetterStream& letters) {
+  out << "n " << n << "\n";
+  for (uint64_t letter : letters) {
+    out << "l " << letter << "\n";
+  }
+}
+
 void WriteBinaryTrace(std::string* out, uint64_t n,
                       const stream::UpdateStream& updates) {
   auto append_u64 = [out](uint64_t value) {

@@ -1,8 +1,12 @@
-// UpdateDecoder — incremental parsing of stream traces across arbitrary
-// chunk boundaries, for both trace encodings:
+// Stream traces: the interchange format that lets a workload be
+// generated once, shared, and replayed through any sketch (lps_cli,
+// lps_worker --from, lps_bench_client --replay). This header owns both
+// encodings — the writers and the one reader, UpdateDecoder, which parses
+// either incrementally across arbitrary chunk boundaries:
 //
-//   text (src/stream/trace.h): "# comment", "n <size>" header first,
-//     then "u <index> <delta>" / "l <letter>" records, LF or CRLF.
+//   text: "# comment", "n <size>" header first, then "u <index> <delta>"
+//     update records and "l <letter>" letter records (a letter is
+//     "u <letter> 1"), LF or CRLF.
 //   binary: 8-byte magic "LPSTRC1\n", u64 LE universe size, then 16-byte
 //     records of u64 LE index + i64 LE delta — the replay format for
 //     disk-rate ingest (16 bytes/update instead of ~15 text chars plus
@@ -21,13 +25,15 @@
 // never a hard error; a replay keeps going when one producer wrote one
 // bad line. The only structural failure is a stream whose header never
 // arrives: Finish() returns InvalidArgument, because without n there is
-// no universe to validate against (ReadTrace rejects the same way).
+// no universe to validate against.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <string>
 
+#include "src/stream/generators.h"
 #include "src/stream/update.h"
 #include "src/util/status.h"
 
@@ -77,8 +83,14 @@ class UpdateDecoder {
   uint64_t decoded_ = 0;
 };
 
-/// Writes the binary trace encoding (magic, n, 16-byte records) —
-/// the counterpart of stream::WriteTrace for the text form.
+/// Writes the text trace encoding: the header, then one update record
+/// per update.
+void WriteTrace(std::ostream& out, uint64_t n,
+                const stream::UpdateStream& updates);
+/// Writes a letter stream as a text trace of letter records.
+void WriteLetterTrace(std::ostream& out, uint64_t n,
+                      const stream::LetterStream& letters);
+/// Writes the binary trace encoding (magic, n, 16-byte records).
 void WriteBinaryTrace(std::string* out, uint64_t n,
                       const stream::UpdateStream& updates);
 

@@ -5,9 +5,9 @@
 // is the supported way to consume the library: it exports the stable
 // surface and nothing else. What you get:
 //
-//   Construction      SketchSpec + MakeSketch / SpecOf (one registry for
-//                     all 21 kinds), plus the concrete classes for typed
-//                     access (core::LpSampler, heavy::CsHeavyHitters, ...)
+//   Construction      SketchSpec + MakeSketch (one registry for all 21
+//                     kinds), plus the concrete classes for typed access
+//                     (core::LpSampler, heavy::CsHeavyHitters, ...)
 //   Ingestion         stream::ParallelPipeline (the batch driver: one
 //                     inline shard by default, a thread-per-shard
 //                     runtime when asked), stream::WindowManager
@@ -24,8 +24,11 @@
 //   Persistence       LinearSketch::Serialize/Deserialize,
 //                     DeserializeAnySketch, WriteBitsToFile/
 //                     io::ReadBitsStreamed
-//   Workloads         stream::generators + trace reading/writing, and
-//                     stream::ExactVector as the test oracle
+//   Workloads         stream::generators, the trace writers
+//                     io::WriteTrace / WriteLetterTrace /
+//                     WriteBinaryTrace (io::UpdateDecoder reads both
+//                     encodings), and stream::ExactVector as the test
+//                     oracle
 //
 // Deeper internal headers (src/sketch/*, src/field/*, src/recovery/*,
 // ...) remain includable but are NOT a stability surface; new code should
@@ -54,7 +57,6 @@
 #include "src/stream/linear_sketch.h"
 #include "src/stream/parallel_pipeline.h"
 #include "src/stream/stream_state.h"
-#include "src/stream/trace.h"
 #include "src/stream/update.h"
 #include "src/stream/window_manager.h"
 #include "src/util/serialize.h"

@@ -341,9 +341,6 @@ Status CheckpointStore::Append(const std::string& key, uint8_t record_kind,
   index_[key].push_back(ref);
   active_bytes_ += frame.size();
 
-  if (options_.sync_every_append && fsync(active_fd_) != 0) {
-    return Errno("fsync failed", path);
-  }
   if (active_bytes_ >= options_.max_segment_bytes) {
     return RollActiveSegmentLocked();
   }

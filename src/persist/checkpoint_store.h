@@ -44,8 +44,6 @@ class CheckpointStore {
   struct Options {
     /// Roll the active segment once it exceeds this many bytes.
     uint64_t max_segment_bytes = 64ull << 20;
-    /// fsync after every Append (otherwise callers batch with Sync()).
-    bool sync_every_append = false;
   };
 
   /// Opens (creating if needed) the store in `dir`, scanning existing

@@ -374,7 +374,7 @@ Status WriteFrame(int fd, uint8_t first, const BitWriter& body) {
   return WriteFull(fd, bytes.data(), bytes.size());
 }
 
-Result<Frame> ReadFrame(int fd, uint32_t max_bytes) {
+Result<Frame> ReadFrame(int fd) {
   uint8_t header[4];
   const ssize_t got = ReadFull(fd, header, sizeof(header));
   if (got < 0) {
@@ -386,7 +386,7 @@ Result<Frame> ReadFrame(int fd, uint32_t max_bytes) {
   }
   uint32_t length = 0;
   for (int i = 0; i < 4; ++i) length |= uint32_t(header[i]) << (8 * i);
-  if (length > max_bytes) {
+  if (length > kMaxFrameBytes) {
     return Status::InvalidArgument("frame length exceeds limit");
   }
   std::vector<uint8_t> payload(length);

@@ -249,9 +249,9 @@ Result<Frame> DecodeFramePayload(const uint8_t* payload, size_t size);
 
 /// Blocking frame I/O over a connected socket. ReadFrame returns
 /// InvalidArgument for protocol violations (length prefix above
-/// max_bytes, truncated payload) and Failed("eof") for a clean peer
+/// kMaxFrameBytes, truncated payload) and Failed("eof") for a clean peer
 /// close before any byte of a frame.
 Status WriteFrame(int fd, uint8_t first, const BitWriter& body);
-Result<Frame> ReadFrame(int fd, uint32_t max_bytes = kMaxFrameBytes);
+Result<Frame> ReadFrame(int fd);
 
 }  // namespace lps::server

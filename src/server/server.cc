@@ -54,7 +54,6 @@ Status Server::Start() {
     store_ = std::move(opened.value());
     TenantRegistry::PersistOptions persist;
     persist.resident_checkpoints = options_.resident_checkpoints;
-    persist.keyframe_interval = options_.keyframe_interval;
     registry_.AttachStore(store_.get(), persist);
     // Boot recovery happens BEFORE the listener exists: the first
     // accepted connection already sees every restored tenant.
@@ -146,7 +145,7 @@ void Server::Stop() {
   }
   // Every serving thread is gone — a final full snapshot makes a clean
   // shutdown lossless (only run once; Stop is otherwise idempotent).
-  if (was_running && store_ != nullptr && options_.final_snapshot_on_stop) {
+  if (was_running && store_ != nullptr) {
     registry_.PersistTenants(/*only_dirty=*/false);
   }
 }
@@ -203,7 +202,7 @@ void Server::ReapFinished() {
 
 void Server::ReaderMain(Connection* connection) {
   while (running_.load()) {
-    Result<Frame> frame = ReadFrame(connection->fd, options_.max_frame_bytes);
+    Result<Frame> frame = ReadFrame(connection->fd);
     if (!frame.ok()) {
       // A protocol violation (oversized prefix, truncated payload)
       // leaves the stream unsynchronized: answer once, then close.

@@ -94,8 +94,6 @@ class Server {
     /// Bound on queued responses per connection before the reader
     /// blocks (backpressure against clients that stop reading).
     size_t outbox_capacity = 64;
-    /// Frame payload ceiling handed to ReadFrame.
-    uint32_t max_frame_bytes = kMaxFrameBytes;
     /// Durable checkpoint-store directory; "" disables persistence.
     std::string data_dir;
     /// Cadence of the background dirty-tenant snapshot pass (the crash
@@ -107,11 +105,6 @@ class Server {
     /// Window checkpoints kept resident per tenant; older ones spill
     /// delta-compressed into the store. 0 disables window spill.
     size_t resident_checkpoints = 4;
-    /// Keyframe cadence of each tenant's spill chain.
-    size_t keyframe_interval = 16;
-    /// Take one full snapshot pass in Stop() (clean shutdowns lose
-    /// nothing). Tests disable it to model a pure crash.
-    bool final_snapshot_on_stop = true;
   };
 
   explicit Server(Options options);

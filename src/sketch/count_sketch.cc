@@ -159,14 +159,6 @@ std::vector<std::pair<uint64_t, double>> CountSketch::TopM(
   return scored;
 }
 
-void CountSketch::AddScaled(const CountSketch& other, double scale) {
-  LPS_CHECK(other.rows_ == rows_ && other.buckets_ == buckets_ &&
-            other.seed_ == seed_);
-  for (size_t c = 0; c < table_.size(); ++c) {
-    table_[c] += scale * other.table_[c];
-  }
-}
-
 double CountSketch::EstimateResidualL2(
     const std::vector<std::pair<uint64_t, double>>& v) const {
   // Subtract the sparse vector in place — touching only the |v| * rows

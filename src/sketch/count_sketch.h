@@ -70,10 +70,6 @@ class CountSketch : public LinearSketch {
   std::vector<std::pair<uint64_t, double>> TopM(
       const std::vector<uint64_t>& candidates, uint64_t m) const;
 
-  /// Adds `scale` times another count-sketch drawn with the same seed and
-  /// shape (linearity of the sketch).
-  void AddScaled(const CountSketch& other, double scale);
-
   /// Estimates ||x - v||_2 for a sparse vector v by subtracting v from the
   /// counters in place (saving the few affected buckets and restoring them
   /// bit-exactly afterwards — no O(rows * buckets) clone) and taking the

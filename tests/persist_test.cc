@@ -4,8 +4,9 @@
 //     round-trips for every SketchKind (keyframe, XOR and SUB deltas),
 //     malformed-payload rejection, and the >= 4x compression the
 //     hot-set regime is built for;
-//   * checkpoint store: append/read/reopen index rebuild, torn-tail
-//     truncation and corrupt-record suffix drop at recovery;
+//   * checkpoint store: append/read/reopen index rebuild, segment rolling
+//     and a reopen over several sealed segments, torn-tail truncation and
+//     corrupt-record suffix drop at recovery;
 //   * WindowManager spill: windowed answers BIT-IDENTICAL to the
 //     all-RAM ring (including off-boundary starts that round into a
 //     rehydrated checkpoint), resident/spilled accounting, and
@@ -16,11 +17,13 @@
 //     and a boot that reports the tenant whose snapshot does not decode.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -356,6 +359,99 @@ TEST(CheckpointStoreTest, CorruptRecordDropsTheSuffix) {
   auto kept = reopened.value()->ReadRecord("k", 1);
   ASSERT_TRUE(kept.ok());
   EXPECT_EQ(std::string(kept->begin(), kept->end()), std::string(51, 'b'));
+  RemoveTree(dir);
+}
+
+/// The store's segment files in `dir`, oldest first.
+std::vector<std::string> SegmentFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (const struct dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name.rfind("seg-", 0) == 0) names.push_back(name);
+  }
+  ::closedir(d);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+bool EndsWith(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+TEST(CheckpointStoreTest, RollsSegmentsAndReopensAcrossThem) {
+  const std::string dir = MakeTempDir();
+  CheckpointStore::Options options;
+  options.max_segment_bytes = 300;  // ~55-byte frames: six per segment
+  // Record r goes under key "a" or "b" alternately; its payload names it.
+  std::vector<std::string> want[2];
+  auto append = [&](CheckpointStore& store, int r) {
+    const std::string payload =
+        "record-" + std::to_string(r) + std::string(36, char('a' + r % 26));
+    want[r % 2].push_back(payload);
+    return store.Append(r % 2 ? "b" : "a", uint8_t(r), payload.data(),
+                        payload.size());
+  };
+  auto expect_every_record = [&](const CheckpointStore& store) {
+    for (int k = 0; k < 2; ++k) {
+      const std::string key = k ? "b" : "a";
+      ASSERT_EQ(store.RecordCount(key), want[k].size()) << key;
+      for (size_t i = 0; i < want[k].size(); ++i) {
+        auto got = store.ReadRecord(key, i);
+        ASSERT_TRUE(got.ok()) << key << "[" << i << "]";
+        EXPECT_EQ(std::string(got->begin(), got->end()), want[k][i])
+            << key << "[" << i << "]";
+      }
+    }
+  };
+  {
+    auto opened = CheckpointStore::Open(dir, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    for (int r = 0; r < 13; ++r) ASSERT_TRUE(append(*opened.value(), r).ok());
+    ASSERT_TRUE(opened.value()->Sync().ok());
+    // Rolled twice: two sealed segments, and only the newest is open.
+    const auto files = SegmentFiles(dir);
+    ASSERT_GE(files.size(), 3u);
+    for (size_t f = 0; f + 1 < files.size(); ++f) {
+      EXPECT_TRUE(EndsWith(files[f], ".log")) << files[f];
+    }
+    EXPECT_TRUE(EndsWith(files.back(), ".log.open")) << files.back();
+    expect_every_record(*opened.value());
+  }
+  {
+    // A clean reopen rebuilds the index from every segment, and appends
+    // go to a fresh segment after them.
+    auto reopened = CheckpointStore::Open(dir, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened.value()->recovered_truncated_bytes(), 0u);
+    expect_every_record(*reopened.value());
+    const size_t sealed = SegmentFiles(dir).size();
+    for (int r = 13; r < 16; ++r) {
+      ASSERT_TRUE(append(*reopened.value(), r).ok());
+    }
+    ASSERT_TRUE(reopened.value()->Sync().ok());
+    const auto files = SegmentFiles(dir);
+    ASSERT_EQ(files.size(), sealed + 1);
+    EXPECT_TRUE(EndsWith(files.back(), ".log.open")) << files.back();
+    expect_every_record(*reopened.value());
+  }
+  // Tear the active segment's last record, as a crash mid-append would.
+  const std::string active = dir + "/" + SegmentFiles(dir).back();
+  struct stat st {};
+  ASSERT_EQ(::stat(active.c_str(), &st), 0);
+  ASSERT_EQ(::truncate(active.c_str(), st.st_size - 5), 0);
+  // Record 15 (key "b") was the last: frame header, kind, key, payload.
+  const uint64_t torn_frame = 8 + 3 + 1 + want[1].back().size();
+  want[1].pop_back();
+
+  auto recovered = CheckpointStore::Open(dir, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->recovered_truncated_bytes(), torn_frame - 5);
+  expect_every_record(*recovered.value());
+  ASSERT_TRUE(append(*recovered.value(), 16).ok());
+  expect_every_record(*recovered.value());
   RemoveTree(dir);
 }
 

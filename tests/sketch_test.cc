@@ -109,14 +109,6 @@ TEST(CountSketch, ResidualSubtractsSparsePart) {
   EXPECT_GT(cs.EstimateResidualL2({}), 400.0);
 }
 
-TEST(CountSketch, AddScaledIsLinear) {
-  CountSketch a(9, 48, 10), b(9, 48, 10);
-  a.Update(5, 2.0);
-  b.Update(5, 3.0);
-  a.AddScaled(b, -1.0);
-  EXPECT_DOUBLE_EQ(a.Query(5), -1.0);
-}
-
 TEST(CountSketch, SerializeRoundTrip) {
   CountSketch a(9, 48, 11);
   a.Update(1, 4.5);

@@ -20,6 +20,7 @@
 //   lps_cli save heavy <p> <phi> <seed> <file>              < trace
 //   lps_cli save norm <p> <seed> <file>                     < trace
 //   lps_cli save duplicates <delta> <seed> <file>           < trace
+//           (save takes [--from FILE] as well)
 //   lps_cli load <file>                        restore state and query it
 //   lps_cli merge <out> <in1> <in2> [in...]    add saved states (linearity)
 //   lps_cli version                            dispatched kernel + io backend
@@ -45,14 +46,14 @@
 // printed. Windows, --shards and --from compose: ingestion runs through
 // stream::StreamState, which seals checkpoints at the positions solo
 // ingestion would.
-// --from FILE ingests through the async front-end (src/io/): a prefetch
-// thread reads the file while the decoder and the pipeline run, and the
-// update stream is never materialized in memory — the path for replays
-// larger than RAM. FILE may be '-' for stdin; text and binary traces are
-// auto-detected. Without --from, the trace is read (and materialized)
-// from stdin exactly as before. Final sketch state is bit-identical
-// either way at the same --shards/--threads topology (tests/io_test.cc).
-#include <algorithm>
+// Every command that reads a trace reads --from FILE, or stdin when the
+// flag is absent ('-' names stdin too), through the async front-end
+// (src/io/): a prefetch thread reads while the decoder and the pipeline
+// run, and the update stream is never held in memory whole — the path
+// for replays larger than RAM. Text and binary traces are auto-detected.
+// Malformed records are skipped and counted ("note: skipped N malformed
+// records" on stderr); a trace whose "n <size>" header never arrives is
+// "bad trace", exit 1.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,7 +88,9 @@ int Usage() {
       "  lps_cli save duplicates <delta> <seed> <file>             < trace\n"
       "  lps_cli load <file>\n"
       "  lps_cli merge <out> <in1> <in2> [in...]\n"
-      "  lps_cli version\n");
+      "  lps_cli version\n"
+      "commands that read a trace read --from FILE (save too), or stdin"
+      " without it\n");
   return 2;
 }
 
@@ -139,9 +142,10 @@ int TakeCountFlag(int* argc, char** argv, const char* flag, int fallback,
 }
 
 /// Strips "--from PATH" from argv. Returns false (after an error message)
-/// when the flag is present without a value; *path is left empty when the
-/// flag is absent (read the trace from stdin, materialized).
+/// when the flag is present without a value; *path is "-" (stdin) when
+/// the flag is absent.
 bool TakeFromFlag(int* argc, char** argv, std::string* path) {
+  *path = "-";
   for (int a = 2; a < *argc; ++a) {
     if (std::strcmp(argv[a], "--from") != 0) continue;
     if (a + 1 >= *argc) {
@@ -217,33 +221,16 @@ bool TakeWindowFlags(int* argc, char** argv, WindowSpec* spec) {
   return true;
 }
 
-lps::Result<lps::stream::Trace> LoadTrace() {
-  auto trace = lps::stream::ReadTrace(std::cin);
-  if (!trace.ok()) {
-    std::fprintf(stderr, "bad trace: %s\n",
-                 trace.status().ToString().c_str());
-  }
-  return trace;
-}
-
-/// The stream behind a command: either a trace materialized from stdin
-/// (the historical default) or a primed async StreamFeeder over --from
-/// FILE, which never materializes the update stream.
+/// The trace behind a command: an async StreamFeeder over --from FILE
+/// ("-" = stdin) whose header is already read, so n can size the sketch
+/// before the updates stream.
 struct StreamInput {
   uint64_t n = 0;
-  lps::stream::Trace trace;                       // when feeder == nullptr
-  std::unique_ptr<lps::io::StreamFeeder> feeder;  // async when set
+  std::unique_ptr<lps::io::StreamFeeder> feeder;
 };
 
 std::unique_ptr<StreamInput> OpenInput(const std::string& from) {
   auto input = std::make_unique<StreamInput>();
-  if (from.empty()) {
-    auto trace = LoadTrace();
-    if (!trace.ok()) return nullptr;
-    input->trace = std::move(trace.value());
-    input->n = input->trace.n;
-    return input;
-  }
   auto source = lps::io::MakeFileSource(from);
   if (!source.ok()) {
     std::fprintf(stderr, "cannot open %s: %s\n", from.c_str(),
@@ -296,7 +283,7 @@ int CmdGen(int argc, char** argv) {
                                          true, seed);
   } else if (kind == "duplicates") {
     if (!binary) {
-      lps::stream::WriteLetterTrace(
+      lps::io::WriteLetterTrace(
           std::cout, n, lps::stream::DuplicateStream(n, arg, seed));
       return 0;
     }
@@ -313,23 +300,22 @@ int CmdGen(int argc, char** argv) {
     lps::io::WriteBinaryTrace(&out, n, updates);
     std::fwrite(out.data(), 1, out.size(), stdout);
   } else {
-    lps::stream::WriteTrace(std::cout, n, updates);
+    lps::io::WriteTrace(std::cout, n, updates);
   }
   return 0;
 }
 
 // ------------------------------------------------------------ structures --
 // Builders shared by the direct commands and `save`: construct the
-// structure for a command spec, ingest (optionally sharded, optionally
-// async via --from), and hand the merged structure to the caller.
+// structure for a command spec, ingest (optionally sharded), and hand the
+// merged structure to the caller.
 
 /// Ingests the input into a stream::StreamState of `spec` — sharded when
 /// shards > 1, threaded when threads > 0, windowed when window.window > 0
-/// (checkpoints every window.checkpoint updates), streamed when the input
-/// is a feeder — and returns the whole-stream sketch, or the trailing
-/// window after printing its range (the start rounds down to a
-/// checkpoint boundary). Returns nullptr on a bad spec, an
-/// out-of-universe index, or a feed error.
+/// (checkpoints every window.checkpoint updates) — and returns the
+/// whole-stream sketch, or the trailing window after printing its range
+/// (the start rounds down to a checkpoint boundary). Returns nullptr on a
+/// bad spec, an out-of-universe index, or a feed error.
 std::unique_ptr<lps::LinearSketch> Ingest(StreamInput& in, int shards,
                                           int threads,
                                           const WindowSpec& window,
@@ -346,19 +332,11 @@ std::unique_ptr<lps::LinearSketch> Ingest(StreamInput& in, int shards,
   }
   lps::stream::StreamState& state = *built.value();
   lps::Status pushed;
-  auto sink = [&](const lps::stream::Update* u, size_t c) {
-    if (pushed.ok()) pushed = state.Push(u, c);
-  };
-  if (in.feeder != nullptr) {
-    if (!ReportFeed(in.feeder->Feed(sink))) return nullptr;
-  } else {
-    // The same arrival chunks the feeder delivers.
-    const auto& updates = in.trace.updates;
-    const size_t batch = lps::stream::ParallelPipeline::kDefaultBatchSize;
-    for (size_t at = 0; at < updates.size(); at += batch) {
-      sink(updates.data() + at, std::min(batch, updates.size() - at));
-    }
-  }
+  const auto fed =
+      in.feeder->Feed([&](const lps::stream::Update* u, size_t c) {
+        if (pushed.ok()) pushed = state.Push(u, c);
+      });
+  if (!ReportFeed(fed)) return nullptr;
   if (!pushed.ok()) {
     std::fprintf(stderr, "ingest failed: %s\n", pushed.ToString().c_str());
     return nullptr;
@@ -430,30 +408,17 @@ std::unique_ptr<lps::LinearSketch> BuildDuplicates(StreamInput& in,
   spec.seed = seed;
   auto finder = lps::MakeSketch(spec);
   bool letters_only = true;
-  if (in.feeder != nullptr) {
-    auto stats =
-        in.feeder->Feed([&](const lps::stream::Update* u, size_t c) {
-          for (size_t t = 0; t < c; ++t) {
-            if (u[t].delta != 1) {
-              letters_only = false;
-              continue;
-            }
-            finder->Update(u[t].index, +1);
-          }
-        });
-    if (!ReportFeed(stats)) return nullptr;
-  } else {
-    for (const auto& u : in.trace.updates) {
-      if (u.delta != 1) {
-        letters_only = false;
-        break;
-      }
-      // A letter is a (letter, +1) update on top of the finder's built-in
-      // initialization — ProcessItem and the LinearSketch entry point are
-      // the same operation.
-      finder->Update(u.index, +1);
-    }
-  }
+  const auto fed =
+      in.feeder->Feed([&](const lps::stream::Update* u, size_t c) {
+        // A letter is a (letter, +1) update on top of the finder's
+        // built-in initialization — ProcessItem and the LinearSketch entry
+        // point are the same operation. The first other update stops it.
+        for (size_t t = 0; t < c && letters_only; ++t) {
+          letters_only = u[t].delta == 1;
+          if (letters_only) finder->Update(u[t].index, +1);
+        }
+      });
+  if (!ReportFeed(fed)) return nullptr;
   if (!letters_only) {
     std::fprintf(stderr, "duplicates mode expects a letter trace\n");
     return nullptr;
@@ -584,21 +549,15 @@ int CmdStats(int argc, char** argv) {
   auto in = OpenInput(from);
   if (in == nullptr) return 1;
   lps::stream::ExactVector x(in->n);
-  size_t count = 0;
-  if (in->feeder != nullptr) {
-    auto stats = in->feeder->Feed([&](const lps::stream::Update* u,
-                                      size_t c) {
-      for (size_t t = 0; t < c; ++t) x.Apply(u[t]);
-      count += c;
-    });
-    if (!ReportFeed(stats)) return 1;
-  } else {
-    x.Apply(in->trace.updates);
-    count = in->trace.updates.size();
-  }
-  std::printf("n %llu  updates %zu  L0 %llu  ||x||_1 %.6g  ||x||_2 %.6g  "
+  const auto fed =
+      in->feeder->Feed([&](const lps::stream::Update* u, size_t c) {
+        for (size_t t = 0; t < c; ++t) x.Apply(u[t]);
+      });
+  if (!ReportFeed(fed)) return 1;
+  std::printf("n %llu  updates %llu  L0 %llu  ||x||_1 %.6g  ||x||_2 %.6g  "
               "total %lld\n",
-              static_cast<unsigned long long>(in->n), count,
+              static_cast<unsigned long long>(in->n),
+              static_cast<unsigned long long>(fed->updates),
               static_cast<unsigned long long>(x.L0()), x.NormP(1.0),
               x.NormP(2.0), static_cast<long long>(x.Total()));
   return 0;
