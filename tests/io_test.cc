@@ -126,17 +126,6 @@ TEST(UpdateDecoder, TextRoundTripsAtEveryChunking) {
   }
 }
 
-TEST(UpdateDecoder, LetterRecordsDecodeAsUnitUpdates) {
-  std::ostringstream out;
-  io::WriteLetterTrace(out, 16, {5, 5, 9});
-  const Decoded got = DecodeChunked(out.str(), 3);
-  EXPECT_TRUE(got.status.ok());
-  EXPECT_EQ(got.n, 16u);
-  EXPECT_EQ(got.malformed, 0u);
-  const UpdateStream want = {{5, 1}, {5, 1}, {9, 1}};
-  EXPECT_TRUE(SameUpdates(got.updates, want));
-}
-
 TEST(UpdateDecoder, BinaryRoundTripsAtEveryChunking) {
   const auto updates = stream::UniformTurnstile(1 << 9, 300, 20, 11);
   const std::string bytes = BinaryTrace(1 << 9, updates);
