@@ -1,7 +1,15 @@
 #include "src/core/lp_sampler.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "src/util/bits.h"
 #include "src/util/check.h"
@@ -32,11 +40,57 @@ constexpr double kResidualInflation = 1.35;
 constexpr int kDefaultDyadicRows = 5;
 
 // LpSampler walks every batch in chunks of this many updates, so the
-// per-round scratch (and the count-sketch and dyadic-level scratch below
-// it) never outgrows one chunk, however large a batch arrives. Each
-// sketch still sees the updates in stream order, so the state is
-// unchanged wherever the batch kernels are bit-identical.
+// per-thread batch scratch of its rounds (and of the count-sketch and
+// dyadic levels below them) never outgrows one chunk, however large a
+// batch arrives. Each sketch still sees the updates in stream order, so
+// the state is unchanged wherever the batch kernels are bit-identical.
 constexpr size_t kBatchChunk = 4096;
+
+// Runs work(part) once for every part in [0, parts): on the calling thread
+// and on one helper per other CPU in its affinity mask, at most parts - 1
+// of them, which take parts from one counter. Each helper is pinned to its
+// CPU: left to the scheduler, new threads that run for a fraction of a
+// second stayed on their parent's CPU (ROADMAP item 4). Returns once every
+// helper is joined, and rethrows the first exception a part threw.
+void RunOnAllowedCpus(size_t parts, const std::function<void(size_t)>& work) {
+  std::atomic<size_t> next{0};
+  std::mutex failure_mu;
+  std::exception_ptr failure;  // guarded by failure_mu
+  const auto drain = [&] {
+    try {
+      for (size_t part = next++; part < parts; part = next++) work(part);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(failure_mu);
+      if (failure == nullptr) failure = std::current_exception();
+    }
+  };
+  std::vector<std::thread> helpers;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (parts > 1 && sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    helpers.reserve(parts - 1);
+    const int own = sched_getcpu();
+    for (int cpu = 0; cpu < CPU_SETSIZE && helpers.size() + 1 < parts;
+         ++cpu) {
+      if (cpu == own || !CPU_ISSET(cpu, &allowed)) continue;
+      try {
+        helpers.emplace_back([&drain, cpu] {
+          cpu_set_t one;
+          CPU_ZERO(&one);
+          CPU_SET(cpu, &one);
+          // Unpinned, the helper still drains; only placement is lost.
+          pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+          drain();
+        });
+      } catch (const std::system_error&) {
+        break;  // out of threads: the running ones and the caller drain
+      }
+    }
+  }
+  drain();
+  for (std::thread& helper : helpers) helper.join();
+  if (failure != nullptr) std::rethrow_exception(failure);
+}
 
 }  // namespace
 
@@ -112,22 +166,27 @@ void LpSamplerRound::Update(uint64_t i, double delta) {
 
 void LpSamplerRound::UpdateBatch(const stream::ScaledUpdate* updates,
                                  size_t count) {
+  // Batch scratch, one set per thread: the scaled batch, and the keys
+  // reduced into the field with their t_hash_ values.
+  thread_local std::vector<stream::ScaledUpdate> scaled;
+  thread_local std::vector<uint64_t> reduced_keys;
+  thread_local std::vector<uint64_t> t_evals;
   snapshot_.reset();
-  scaled_.resize(count);
+  scaled.resize(count);
   if (override_index_ >= 0) {
     // Test hook in play: keep the per-item path so the overridden
     // coordinate picks up its forced t.
     if (p_ == 1.0) {
       for (size_t t = 0; t < count; ++t) {
-        scaled_[t] = {updates[t].index,
-                      updates[t].delta / ScalingFactor(updates[t].index)};
+        scaled[t] = {updates[t].index,
+                     updates[t].delta / ScalingFactor(updates[t].index)};
       }
     } else {
       const double inv_p = 1.0 / p_;
       for (size_t t = 0; t < count; ++t) {
         const double scale = ScalingFactor(updates[t].index);
-        scaled_[t] = {updates[t].index,
-                      updates[t].delta / std::pow(scale, inv_p)};
+        scaled[t] = {updates[t].index,
+                     updates[t].delta / std::pow(scale, inv_p)};
       }
     }
   } else {
@@ -136,37 +195,37 @@ void LpSamplerRound::UpdateBatch(const stream::ScaledUpdate* updates,
     // uniform, the kMinScaling clamp and the divide replicate
     // ScalingFactor per item, so the scaled stream is bit-identical to
     // the per-item path.
-    reduced_keys_.resize(count);
-    t_evals_.resize(count);
+    reduced_keys.resize(count);
+    t_evals.resize(count);
     for (size_t t = 0; t < count; ++t) {
-      reduced_keys_[t] = gf61::Reduce(updates[t].index);
+      reduced_keys[t] = gf61::Reduce(updates[t].index);
     }
-    t_hash_.EvalBatch(reduced_keys_.data(), count, t_evals_.data());
+    t_hash_.EvalBatch(reduced_keys.data(), count, t_evals.data());
     if (p_ == 1.0) {
       // t^{1/p} = t at p = 1: the per-item std::pow is the identity, so
       // the hot loop is a single divide (std::pow(x, 1.0) returns x
       // exactly, so this is bit-identical to the general path).
       for (size_t t = 0; t < count; ++t) {
         const double scale =
-            std::max((static_cast<double>(t_evals_[t]) + 1.0) /
+            std::max((static_cast<double>(t_evals[t]) + 1.0) /
                          static_cast<double>(gf61::kP),
                      kMinScaling);
-        scaled_[t] = {updates[t].index, updates[t].delta / scale};
+        scaled[t] = {updates[t].index, updates[t].delta / scale};
       }
     } else {
       const double inv_p = 1.0 / p_;
       for (size_t t = 0; t < count; ++t) {
         const double scale =
-            std::max((static_cast<double>(t_evals_[t]) + 1.0) /
+            std::max((static_cast<double>(t_evals[t]) + 1.0) /
                          static_cast<double>(gf61::kP),
                      kMinScaling);
-        scaled_[t] = {updates[t].index,
-                      updates[t].delta / std::pow(scale, inv_p)};
+        scaled[t] = {updates[t].index,
+                     updates[t].delta / std::pow(scale, inv_p)};
       }
     }
   }
-  cs_.UpdateBatch(scaled_.data(), count);
-  dyadic_.UpdateBatch(scaled_.data(), count);
+  cs_.UpdateBatch(scaled.data(), count);
+  dyadic_.UpdateBatch(scaled.data(), count);
 }
 
 const LpSamplerRound::RecoverySnapshot& LpSamplerRound::Snapshot() const {
@@ -259,15 +318,38 @@ void LpSampler::UpdateBatch(const stream::ScaledUpdate* updates,
 }
 
 void LpSampler::UpdateBatch(const stream::Update* updates, size_t count) {
+  // This thread's converted chunk; a round's own scaled chunk is live at
+  // the same time, so the two are distinct buffers.
+  thread_local std::vector<stream::ScaledUpdate> scaled;
   for (size_t start = 0; start < count; start += kBatchChunk) {
     const size_t chunk = std::min(kBatchChunk, count - start);
-    scaled_.resize(chunk);
+    scaled.resize(chunk);
     for (size_t t = 0; t < chunk; ++t) {
-      scaled_[t] = {updates[start + t].index,
-                    static_cast<double>(updates[start + t].delta)};
+      scaled[t] = {updates[start + t].index,
+                   static_cast<double>(updates[start + t].delta)};
     }
-    UpdateBatch(scaled_.data(), chunk);
+    UpdateBatch(scaled.data(), chunk);
   }
+}
+
+void LpSampler::FeedGenerated(uint64_t count, const UpdateSource& source) {
+  // Part 0 is the norm sketch, part v + 1 round v.
+  RunOnAllowedCpus(rounds_.size() + 1, [&](size_t part) {
+    thread_local std::vector<stream::ScaledUpdate> chunk;
+    for (uint64_t start = 0; start < count; start += kBatchChunk) {
+      chunk.resize(
+          static_cast<size_t>(std::min<uint64_t>(kBatchChunk, count - start)));
+      source(start, chunk.size(), chunk.data());
+      for (const stream::ScaledUpdate& u : chunk) {
+        LPS_CHECK(u.index < params_.n);
+      }
+      if (part == 0) {
+        norm_.UpdateBatch(chunk.data(), chunk.size());
+      } else {
+        rounds_[part - 1].UpdateBatch(chunk.data(), chunk.size());
+      }
+    }
+  });
 }
 
 double LpSampler::NormEstimate() const { return norm_.Estimate2Approx(); }

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -84,7 +85,8 @@ class LpSamplerRound {
 
   /// Batched ingestion: scaling factors t_i are drawn and applied for the
   /// whole batch, then the count-sketch ingests the scaled batch through
-  /// its own fast path. Bit-identical to per-update processing.
+  /// its own fast path. Bit-identical to per-update processing. Its batch
+  /// scratch is per thread, so rounds may ingest on several threads at once.
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
 
   /// Runs the recovery stage of Figure 1 against a norm estimate r
@@ -152,10 +154,7 @@ class LpSamplerRound {
   double override_t_;
   hash::KWiseHash t_hash_;
   sketch::CountSketch cs_;
-  sketch::DyadicCountSketch dyadic_;          // candidate generator
-  std::vector<stream::ScaledUpdate> scaled_;  // batch scratch
-  std::vector<uint64_t> reduced_keys_;        // batch scratch
-  std::vector<uint64_t> t_evals_;             // batch scratch: t_hash_ values
+  sketch::DyadicCountSketch dyadic_;  // candidate generator
   mutable std::optional<RecoverySnapshot> snapshot_;  // query cache
 };
 
@@ -169,9 +168,30 @@ class LpSampler : public LinearSketch {
   /// Processes a batch of updates in fixed-size chunks: the shared norm
   /// sketch and every round consume each chunk through their own fast
   /// paths, so batch scratch stays bounded by the chunk, not the batch.
-  /// Bit-identical to calling Update once per element in stream order.
+  /// Every round lands where per-update ingestion puts it. So does the
+  /// norm sketch, except at p = 1 on a SIMD backend, whose Cauchy rows sum
+  /// each chunk quad by quad with a scalar tail: there its counters depend
+  /// on where chunks start, and agree with the per-update path only to
+  /// rounding (query-equivalent).
   void UpdateBatch(const stream::Update* updates, size_t count) override;
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
+
+  /// Writes the stream's updates at positions [start, start + length) to
+  /// `out`. FeedGenerated calls it from several threads at once, and for
+  /// each position once per part, so it must be a pure function.
+  using UpdateSource = std::function<void(uint64_t start, size_t length,
+                                          stream::ScaledUpdate* out)>;
+
+  /// Bulk feed: the state UpdateBatch reaches over the `count` updates
+  /// `source` generates, bit for bit, built on every CPU the caller may
+  /// run on. The norm sketch and each round are separate linear maps, so
+  /// each of these parts walks the whole stream on one thread, in the
+  /// chunks UpdateBatch makes from position 0. The caller and one helper
+  /// per other CPU in its affinity mask (no more helpers than parts
+  /// beyond the caller's), each pinned to its CPU, take parts from one
+  /// counter; with one allowed CPU the caller feeds every part. Returns
+  /// once every helper is joined. CHECKs every index against n.
+  void FeedGenerated(uint64_t count, const UpdateSource& source);
 
   /// Theorem 1: the first non-failing round's output, or Status::Failed.
   /// Logically const but NOT safe to call concurrently on the same object
@@ -214,7 +234,6 @@ class LpSampler : public LinearSketch {
   LpSamplerParams params_;  // resolved
   norm::LpNormEstimator norm_;
   std::vector<LpSamplerRound> rounds_;
-  std::vector<stream::ScaledUpdate> scaled_;  // batch scratch
 };
 
 }  // namespace lps::core

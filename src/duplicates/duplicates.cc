@@ -78,6 +78,12 @@ void FeedInitialMinusOnes(uint64_t n, Sink* sink) {
   }
 }
 
+// The reduction's initialization as an LpSampler::UpdateSource: the
+// update at position i is (i, -1).
+void MinusOnes(uint64_t start, size_t length, stream::ScaledUpdate* out) {
+  for (size_t t = 0; t < length; ++t) out[t] = {start + t, -1.0};
+}
+
 // Process-wide cache of init sketches. It holds weak references, so an
 // entry lives exactly as long as some finder shares it; concurrent
 // requests for one key build the sketch once. The key includes the
@@ -122,11 +128,9 @@ std::shared_ptr<const core::LpSampler> SharedSamplerInit(
   const Key key(params.n, params.p, params.eps, params.delta,
                 params.repetitions, params.seed, kernels::ActiveBackend());
   return cache->Get(key, [&params] {
-    core::LpSampler fed(params);
-    FeedInitialMinusOnes(params.n, &fed);
-    // Keep the counters without the chunk of batch scratch `fed` retains.
+    // The one O(n) feed, its parts spread over the allowed CPUs.
     core::LpSampler init(params);
-    init.Merge(fed);
+    init.FeedGenerated(params.n, MinusOnes);
     return init;
   });
 }

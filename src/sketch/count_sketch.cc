@@ -46,13 +46,16 @@ void CountSketch::Update(uint64_t i, double delta) {
 
 template <typename U>
 void CountSketch::ApplyBatch(const U* updates, size_t count) {
-  reduced_keys_.resize(count);
-  delta_scratch_.resize(count);
+  // Batch scratch, one pair per thread: keys mod 2^61 - 1, deltas widened.
+  thread_local std::vector<uint64_t> reduced_keys;
+  thread_local std::vector<double> deltas;
+  reduced_keys.resize(count);
+  deltas.resize(count);
   for (size_t t = 0; t < count; ++t) {
-    reduced_keys_[t] = gf61::Reduce(updates[t].index);
-    delta_scratch_[t] = static_cast<double>(updates[t].delta);
+    reduced_keys[t] = gf61::Reduce(updates[t].index);
+    deltas[t] = static_cast<double>(updates[t].delta);
   }
-  UpdateReduced(reduced_keys_.data(), delta_scratch_.data(), count);
+  UpdateReduced(reduced_keys.data(), deltas.data(), count);
 }
 
 void CountSketch::UpdateReduced(const uint64_t* keys, const double* deltas,

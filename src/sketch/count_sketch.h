@@ -110,8 +110,6 @@ class CountSketch : public LinearSketch {
   mutable std::vector<double> table_;    // rows_ x buckets_
   std::vector<hash::KWiseHash> bucket_;  // one pairwise hash per row
   std::vector<hash::KWiseHash> sign_;    // one pairwise sign hash per row
-  std::vector<uint64_t> reduced_keys_;   // batch scratch: keys mod 2^61 - 1
-  std::vector<double> delta_scratch_;    // batch scratch: deltas widened
 };
 
 }  // namespace lps::sketch

@@ -11,27 +11,28 @@ namespace lps::sketch {
 
 namespace {
 
-/// Feeds one batch to every level of a tree over [0, 2^log_n) from the
-/// tree's two buffers: the deltas are widened once, and per level the
+/// Feeds one batch to every level of a tree over [0, 2^log_n) from this
+/// thread's two buffers: the deltas are widened once, and per level the
 /// block ids index >> l, reduced into the field, overwrite one key buffer
 /// that the level's row sweep reads. Each level sees the same keys and
 /// deltas in stream order as UpdateBatch on block-id updates would give it,
 /// so its counters are bit-identical to that.
 template <typename Level, typename U>
 void FeedLevels(int log_n, const U* updates, size_t count,
-                std::vector<uint64_t>* keys, std::vector<double>* deltas,
                 std::vector<Level>* levels) {
-  keys->resize(count);
-  deltas->resize(count);
+  thread_local std::vector<uint64_t> keys;
+  thread_local std::vector<double> deltas;
+  keys.resize(count);
+  deltas.resize(count);
   for (size_t t = 0; t < count; ++t) {
     LPS_CHECK(updates[t].index < (1ULL << log_n));
-    (*deltas)[t] = static_cast<double>(updates[t].delta);
+    deltas[t] = static_cast<double>(updates[t].delta);
   }
   for (size_t l = 0; l < levels->size(); ++l) {
     for (size_t t = 0; t < count; ++t) {
-      (*keys)[t] = gf61::Reduce(updates[t].index >> l);
+      keys[t] = gf61::Reduce(updates[t].index >> l);
     }
-    (*levels)[l].UpdateReduced(keys->data(), deltas->data(), count);
+    (*levels)[l].UpdateReduced(keys.data(), deltas.data(), count);
   }
 }
 
@@ -54,11 +55,11 @@ void DyadicCountMin::Update(uint64_t i, double delta) {
 
 void DyadicCountMin::UpdateBatch(const stream::ScaledUpdate* updates,
                                  size_t count) {
-  FeedLevels(log_n_, updates, count, &keys_, &deltas_, &levels_);
+  FeedLevels(log_n_, updates, count, &levels_);
 }
 
 void DyadicCountMin::UpdateBatch(const stream::Update* updates, size_t count) {
-  FeedLevels(log_n_, updates, count, &keys_, &deltas_, &levels_);
+  FeedLevels(log_n_, updates, count, &levels_);
 }
 
 double DyadicCountMin::Query(uint64_t i) const {
@@ -135,12 +136,12 @@ void DyadicCountSketch::Update(uint64_t i, double delta) {
 
 void DyadicCountSketch::UpdateBatch(const stream::ScaledUpdate* updates,
                                     size_t count) {
-  FeedLevels(log_n_, updates, count, &keys_, &deltas_, &levels_);
+  FeedLevels(log_n_, updates, count, &levels_);
 }
 
 void DyadicCountSketch::UpdateBatch(const stream::Update* updates,
                                     size_t count) {
-  FeedLevels(log_n_, updates, count, &keys_, &deltas_, &levels_);
+  FeedLevels(log_n_, updates, count, &levels_);
 }
 
 double DyadicCountSketch::Query(uint64_t i) const {

@@ -29,7 +29,7 @@ class DyadicCountMin : public LinearSketch {
   void Update(uint64_t i, double delta);
 
   /// Batched ingestion: the deltas are widened once, then per level the
-  /// block ids are written into the tree's one key buffer and the level's
+  /// block ids are written into this thread's one key buffer and the level's
   /// count-min sweeps the whole batch from it.
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
@@ -68,8 +68,6 @@ class DyadicCountMin : public LinearSketch {
   int buckets_;
   uint64_t seed_;
   std::vector<CountMin> levels_;  // levels_[l] sketches blocks of size 2^l
-  std::vector<uint64_t> keys_;    // batch scratch: one level's block ids
-  std::vector<double> deltas_;    // batch scratch: deltas widened
 };
 
 /// Dyadic count-sketch: the general-update analogue of the tree above.
@@ -95,7 +93,7 @@ class DyadicCountSketch : public LinearSketch {
   void Update(uint64_t i, double delta);
 
   /// Batched ingestion: the deltas are widened once, then per level the
-  /// block ids are written into the tree's one key buffer and the level's
+  /// block ids are written into this thread's one key buffer and the level's
   /// count-sketch sweeps the whole batch from it.
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
@@ -148,8 +146,6 @@ class DyadicCountSketch : public LinearSketch {
   uint64_t seed_;
   // levels_[l] sketches blocks of size 2^l, for l <= start_level().
   std::vector<CountSketch> levels_;
-  std::vector<uint64_t> keys_;  // batch scratch: one level's block ids
-  std::vector<double> deltas_;  // batch scratch: deltas widened
 };
 
 }  // namespace lps::sketch

@@ -81,12 +81,14 @@ template <typename U>
 void StableSketch::ApplyBatch(const U* updates, size_t count) {
   // Hoist the per-item work shared by all rows — the key product of the
   // (row, i) hash and the delta widening — so the row sweep is purely the
-  // per-(row, item) mix + stable transform.
-  key_scratch_.resize(count);
-  delta_scratch_.resize(count);
+  // per-(row, item) mix + stable transform. The scratch is per thread.
+  thread_local std::vector<uint64_t> keys;
+  thread_local std::vector<double> deltas;
+  keys.resize(count);
+  deltas.resize(count);
   for (size_t t = 0; t < count; ++t) {
-    key_scratch_[t] = updates[t].index * kKeyMul;
-    delta_scratch_[t] = static_cast<double>(updates[t].delta);
+    keys[t] = updates[t].index * kKeyMul;
+    deltas[t] = static_cast<double>(updates[t].delta);
   }
   const kernels::KernelTable& kernel = kernels::Active();
   for (int j = 0; j < rows_; ++j) {
@@ -97,9 +99,9 @@ void StableSketch::ApplyBatch(const U* updates, size_t count) {
     // is query-equivalent.
     const uint64_t row_base =
         seed_ ^ (static_cast<uint64_t>(j) * kRowMul);
-    y_[static_cast<size_t>(j)] = kernel.cauchy_pow_batch(
-        p_, row_base, key_scratch_.data(), delta_scratch_.data(), count,
-        y_[static_cast<size_t>(j)]);
+    y_[static_cast<size_t>(j)] =
+        kernel.cauchy_pow_batch(p_, row_base, keys.data(), deltas.data(),
+                                count, y_[static_cast<size_t>(j)]);
   }
 }
 

@@ -49,7 +49,11 @@ class StableSketch : public LinearSketch {
   /// Batched ingestion, row-major: each row's counter accumulates the whole
   /// batch in a register, and the per-item half of the (row, i) hash — the
   /// key product and the delta widening — is hoisted out of the row sweep
-  /// and computed once per batch. Bit-identical to per-update processing.
+  /// and computed once per batch. Bit-identical to per-update processing
+  /// on every backend at p != 1 and on the scalar one at p = 1. The SIMD
+  /// p = 1 rows sum a batch quad by quad and its tail one by one, so
+  /// their counters depend on where batches start and match per-update
+  /// processing only to rounding (query-equivalent).
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
 
@@ -78,8 +82,6 @@ class StableSketch : public LinearSketch {
   uint64_t seed_;
   double normalizer_;
   std::vector<double> y_;
-  std::vector<uint64_t> key_scratch_;   // batch scratch: i * kKeyMul
-  std::vector<double> delta_scratch_;   // batch scratch: widened deltas
 };
 
 }  // namespace lps::sketch

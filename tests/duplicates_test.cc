@@ -1,4 +1,6 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cstdint>
@@ -112,25 +114,27 @@ std::vector<uint64_t> StateWords(const LinearSketch& sketch) {
 
 TEST(DuplicateFinder, FreshStateIsTheReductionsInitialization) {
   // A fresh finder's counters are the sketch of x = (-1, ..., -1): exactly
-  // what an L1 sampler fed (i, -1) for every i holds. n spans several
-  // init chunks.
-  const uint64_t n = 9000;
-  const DuplicateFinder finder(DuplicateFinder::Params{n, 0.25, 4, 31});
-  core::LpSamplerParams params;
-  params.n = n;
-  params.p = 1.0;
-  params.eps = 0.5;
-  params.delta = 0.25;
-  params.repetitions = 4;
-  params.seed = 31;
-  core::LpSampler direct(params);
-  stream::UpdateStream init;
-  for (uint64_t i = 0; i < n; ++i) init.push_back({i, -1});
-  direct.UpdateBatch(init.data(), init.size());
-  BitWriter want, got;
-  direct.SerializeCounters(&want);
-  finder.SerializeCounters(&got);
-  EXPECT_EQ(want.words(), got.words());
+  // what an L1 sampler fed (i, -1) for every i holds. The sizes put the
+  // end of the init feed inside, on and just past a 4096-update chunk.
+  for (const uint64_t n : {1, 4095, 4096, 4097, 9000}) {
+    SCOPED_TRACE(n);
+    const DuplicateFinder finder(DuplicateFinder::Params{n, 0.25, 4, 31});
+    core::LpSamplerParams params;
+    params.n = n;
+    params.p = 1.0;
+    params.eps = 0.5;
+    params.delta = 0.25;
+    params.repetitions = 4;
+    params.seed = 31;
+    core::LpSampler direct(params);
+    stream::UpdateStream init;
+    for (uint64_t i = 0; i < n; ++i) init.push_back({i, -1});
+    direct.UpdateBatch(init.data(), init.size());
+    BitWriter want, got;
+    direct.SerializeCounters(&want);
+    finder.SerializeCounters(&got);
+    EXPECT_EQ(want.words(), got.words());
+  }
 }
 
 TEST(DuplicateFinder, ConcurrentConstructionIsBitIdentical) {
@@ -165,6 +169,29 @@ TEST(DuplicateFinder, ConcurrentConstructionIsBitIdentical) {
     EXPECT_EQ(dense_words[static_cast<size_t>(t)], dense_after) << t;
     EXPECT_EQ(sparse_words[static_cast<size_t>(t)], sparse_after) << t;
   }
+}
+
+TEST(DuplicateFinder, InitSketchDoesNotDependOnTheCpuCount) {
+  // The init feed runs its parts on one pinned helper per other CPU the
+  // building thread may use. A thread allowed one CPU builds it with no
+  // helpers; no finder outlives it, so the unrestricted build after it
+  // feeds the init sketch again, and must land on the same state.
+  const DuplicateFinder::Params params{9000, 0.25, 4, 34};
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &allowed)) ++first;
+  std::vector<uint64_t> one_cpu;
+  std::thread pinned([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+    one_cpu = StateWords(DuplicateFinder(params));
+  });
+  pinned.join();
+  ASSERT_FALSE(one_cpu.empty());
+  EXPECT_EQ(one_cpu, StateWords(DuplicateFinder(params)));
 }
 
 TEST(OversampledDuplicateFinder, PicksStrategyByCrossover) {

@@ -412,11 +412,13 @@ std::unique_ptr<lps::LinearSketch> BuildDuplicates(StreamInput& in,
       in.feeder->Feed([&](const lps::stream::Update* u, size_t c) {
         // A letter is a (letter, +1) update on top of the finder's
         // built-in initialization — ProcessItem and the LinearSketch entry
-        // point are the same operation. The first other update stops it.
-        for (size_t t = 0; t < c && letters_only; ++t) {
-          letters_only = u[t].delta == 1;
-          if (letters_only) finder->Update(u[t].index, +1);
-        }
+        // point are the same operation. A batch's leading run of letters
+        // goes in as one batch; the first other update stops the feed.
+        if (!letters_only) return;
+        size_t letters = 0;
+        while (letters < c && u[letters].delta == 1) ++letters;
+        finder->UpdateBatch(u, letters);
+        letters_only = letters == c;
       });
   if (!ReportFeed(fed)) return nullptr;
   if (!letters_only) {
