@@ -5,47 +5,33 @@
 #include <string>
 #include <vector>
 
+#include "src/util/byte_io.h"
+
 namespace lps::io {
 
-namespace {
-
-// Mirrors the container constant in src/util/serialize.cc ("LPSB" LE).
-constexpr uint64_t kFileMagic = 0x4250534CULL;
-
-}  // namespace
-
 Result<BitReader> ReadBitsStreamed(ByteSource* source) {
-  // The container is a pure u64-word stream: magic, bit count, payload.
-  // Assemble words across chunk boundaries; validate the header as soon
-  // as its two words exist, and fail fast the moment the payload
-  // exceeds the declared length (never read a lying file to its end).
+  // The container is kFileMagic, then the image: a u64 bit count and its
+  // words, all u64 LE. Assemble u64s across chunk boundaries; check the
+  // magic as soon as the two header u64s exist, and fail fast the moment
+  // the words exceed the declared count (never read a lying file to its
+  // end).
   std::vector<uint64_t> words;
-  uint64_t declared_bits = 0;
-  size_t declared_words = 0;
-  bool have_header = false;
   uint64_t header[2] = {0, 0};
   size_t header_words = 0;
-  char partial[sizeof(uint64_t)];
+  uint64_t declared_words = 0;
+  uint8_t partial[sizeof(uint64_t)];
   size_t partial_len = 0;
 
-  auto take_word = [&](uint64_t word) -> Status {
-    if (!have_header) {
+  auto take_word = [&](const uint8_t* bytes) -> Status {
+    const uint64_t word = LoadLE<uint64_t>(bytes);
+    if (header_words < 2) {
       header[header_words++] = word;
       if (header_words < 2) return Status();
       if (header[0] != kFileMagic) {
         return Status::InvalidArgument("not an lps bit-stream file");
       }
-      declared_bits = header[1];
-      // (bits + 63) / 64 wraps to 0 words for bits >= 2^64 - 63, which
-      // would let a 16-byte file reach BitReader's size CHECK.
-      if (declared_bits > ~uint64_t{0} - 63) {
-        return Status::InvalidArgument("bit-stream file declares " +
-                                       std::to_string(declared_bits) +
-                                       " bits");
-      }
-      declared_words = static_cast<size_t>((declared_bits + 63) / 64);
-      words.reserve(std::min<size_t>(declared_words, size_t{1} << 16));
-      have_header = true;
+      declared_words = WordsForBits(header[1]);
+      words.reserve(std::min<uint64_t>(declared_words, uint64_t{1} << 16));
       return Status();
     }
     if (words.size() >= declared_words) {
@@ -58,40 +44,34 @@ Result<BitReader> ReadBitsStreamed(ByteSource* source) {
   for (;;) {
     auto chunk = source->Next();
     if (!chunk.ok()) return chunk.status();
-    const char* p = chunk.value().data;
+    const uint8_t* p = reinterpret_cast<const uint8_t*>(chunk.value().data);
     size_t size = chunk.value().size;
     if (size == 0) break;
     if (partial_len > 0) {
-      const size_t need = sizeof(uint64_t) - partial_len;
-      const size_t take = std::min(need, size);
+      const size_t take = std::min(sizeof(partial) - partial_len, size);
       std::memcpy(partial + partial_len, p, take);
       partial_len += take;
       p += take;
       size -= take;
-      if (partial_len < sizeof(uint64_t)) continue;
-      uint64_t word;
-      std::memcpy(&word, partial, sizeof(word));
+      if (partial_len < sizeof(partial)) continue;
       partial_len = 0;
-      auto status = take_word(word);
+      auto status = take_word(partial);
       if (!status.ok()) return status;
     }
-    while (size >= sizeof(uint64_t)) {
-      uint64_t word;
-      std::memcpy(&word, p, sizeof(word));
-      p += sizeof(uint64_t);
-      size -= sizeof(uint64_t);
-      auto status = take_word(word);
+    for (; size >= sizeof(uint64_t); p += 8, size -= 8) {
+      auto status = take_word(p);
       if (!status.ok()) return status;
     }
-    if (size > 0) {
-      std::memcpy(partial, p, size);
-      partial_len = size;
-    }
+    std::memcpy(partial, p, size);
+    partial_len = size;
   }
-  if (!have_header || partial_len > 0 || words.size() != declared_words) {
+  if (header_words < 2 || words.size() != declared_words) {
     return Status::InvalidArgument("truncated bit-stream file");
   }
-  return BitReader(std::move(words), static_cast<size_t>(declared_bits));
+  if (partial_len > 0) {
+    return Status::InvalidArgument("bit-stream file longer than declared");
+  }
+  return BitReader(std::move(words), static_cast<size_t>(header[1]));
 }
 
 Result<BitReader> ReadBitsStreamed(const std::string& path,

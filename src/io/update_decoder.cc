@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/util/byte_io.h"
+
 namespace lps::io {
 
 namespace {
@@ -52,12 +54,6 @@ bool ParseI64(const char** p, const char* end, int64_t* out) {
   *out = negative ? -static_cast<int64_t>(magnitude - 1) - 1
                   : static_cast<int64_t>(magnitude);
   return true;
-}
-
-uint64_t LoadU64Le(const char* p) {
-  uint64_t value;
-  std::memcpy(&value, p, sizeof(value));
-  return value;  // serialized and decoded on little-endian hosts
 }
 
 }  // namespace
@@ -167,7 +163,7 @@ void UpdateDecoder::ConsumeBinary(const char* data, size_t size,
   if (!have_header_) {
     while (carry_.size() < 8 && p < end) carry_.push_back(*p++);
     if (carry_.size() < 8) return;
-    const uint64_t n = LoadU64Le(carry_.data());
+    const uint64_t n = LoadLE<uint64_t>(carry_.data());
     carry_.clear();
     if (n == 0) {
       // No universe to validate against: the stream is unusable, and
@@ -180,8 +176,8 @@ void UpdateDecoder::ConsumeBinary(const char* data, size_t size,
     have_header_ = true;
   }
   auto emit = [&](const char* record) {
-    stream::Update u{LoadU64Le(record),
-                     static_cast<int64_t>(LoadU64Le(record + 8))};
+    stream::Update u{LoadLE<uint64_t>(record),
+                     static_cast<int64_t>(LoadLE<uint64_t>(record + 8))};
     if (u.index >= n_) {
       ++malformed_;
       return;
@@ -215,8 +211,7 @@ void UpdateDecoder::Consume(const char* data, size_t size,
     if (carry_.size() < sizeof(kBinaryTraceMagic)) return;
     const std::string buffered = std::move(carry_);
     carry_.clear();
-    if (std::memcmp(buffered.data(), &kBinaryTraceMagic,
-                    sizeof(kBinaryTraceMagic)) == 0) {
+    if (LoadLE<uint64_t>(buffered.data()) == kBinaryTraceMagic) {
       format_ = Format::kBinary;
       ConsumeBinary(buffered.data() + sizeof(kBinaryTraceMagic),
                     buffered.size() - sizeof(kBinaryTraceMagic), out);
@@ -286,7 +281,7 @@ void WriteBinaryTrace(std::string* out, uint64_t n,
                       const stream::UpdateStream& updates) {
   auto append_u64 = [out](uint64_t value) {
     char bytes[8];
-    std::memcpy(bytes, &value, sizeof(bytes));
+    StoreLE(value, bytes);
     out->append(bytes, sizeof(bytes));
   };
   append_u64(kBinaryTraceMagic);

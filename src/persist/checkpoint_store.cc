@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "src/util/atomic_file.h"
+#include "src/util/byte_io.h"
 #include "src/util/check.h"
 
 namespace lps::persist {
@@ -22,36 +23,6 @@ constexpr uint32_t kSegmentVersion = 1;
 constexpr size_t kSegmentHeaderBytes = 8;
 constexpr size_t kFrameHeaderBytes = 8;  // body_len:u32 crc:u32
 constexpr size_t kBodyPrefixBytes = 3;   // record_kind:u8 key_len:u16
-
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-Status Errno(const std::string& what, const std::string& path) {
-  return Status::InvalidArgument(what + " " + path + ": " + strerror(errno));
-}
-
-Status WriteFull(int fd, const uint8_t* data, size_t size,
-                 const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write failed", path);
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 std::string SegmentName(uint64_t number, bool open_suffix) {
   char buf[32];
@@ -137,7 +108,7 @@ Status CheckpointStore::ScanExisting() {
   };
   std::vector<Found> found;
   DIR* d = opendir(dir_.c_str());
-  if (d == nullptr) return Errno("cannot open directory", dir_);
+  if (d == nullptr) return Errno(errno, "cannot open directory", dir_);
   while (struct dirent* entry = readdir(d)) {
     uint64_t number = 0;
     bool is_open = false;
@@ -167,7 +138,7 @@ Status CheckpointStore::ScanExisting() {
     if (f.is_open) {
       sealed_path = dir_ + "/" + SegmentName(f.number, false);
       if (rename(path.c_str(), sealed_path.c_str()) != 0) {
-        return Errno("cannot seal recovered segment", path);
+        return Errno(errno, "cannot seal recovered segment", path);
       }
     }
     bool clean = false;
@@ -186,47 +157,38 @@ Status CheckpointStore::ScanSegment(const std::string& path,
                                     uint32_t segment_index, bool* clean) {
   *clean = false;
   const int fd = open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Errno("cannot open segment", path);
+  if (fd < 0) return Errno(errno, "cannot open segment", path);
   struct stat st;
   if (fstat(fd, &st) != 0) {
+    const int err = errno;
     close(fd);
-    return Errno("cannot stat segment", path);
+    return Errno(err, "cannot stat segment", path);
   }
   std::vector<uint8_t> data(static_cast<size_t>(st.st_size));
-  size_t got = 0;
-  while (got < data.size()) {
-    const ssize_t n = pread(fd, data.data() + got, data.size() - got,
-                            static_cast<off_t>(got));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      close(fd);
-      return Errno("cannot read segment", path);
-    }
-    got += static_cast<size_t>(n);
-  }
+  const Status read = PreadAll(fd, data.data(), data.size(), 0, path);
   close(fd);
+  if (!read.ok()) return read;
 
   // Walk the frames, remembering the last position where the segment was
   // still well-formed; anything after that position is a torn tail.
   size_t good = 0;
   std::vector<std::pair<std::string, RecordRef>> records;
   if (data.size() >= kSegmentHeaderBytes &&
-      GetU32(data.data()) == kSegmentMagic &&
-      GetU32(data.data() + 4) == kSegmentVersion) {
+      LoadLE<uint32_t>(data.data()) == kSegmentMagic &&
+      LoadLE<uint32_t>(data.data() + 4) == kSegmentVersion) {
     size_t pos = kSegmentHeaderBytes;
     good = pos;
     while (pos + kFrameHeaderBytes <= data.size()) {
-      const uint32_t body_len = GetU32(data.data() + pos);
+      const uint32_t body_len = LoadLE<uint32_t>(data.data() + pos);
       if (body_len < kBodyPrefixBytes ||
           body_len > data.size() - pos - kFrameHeaderBytes) {
         break;
       }
-      const uint32_t want_crc = GetU32(data.data() + pos + 4);
+      const uint32_t want_crc = LoadLE<uint32_t>(data.data() + pos + 4);
       const uint8_t* body = data.data() + pos + kFrameHeaderBytes;
       if (Crc32(body, body_len) != want_crc) break;
       const uint8_t kind = body[0];
-      const uint16_t key_len =
-          static_cast<uint16_t>(body[1] | static_cast<uint16_t>(body[2]) << 8);
+      const uint16_t key_len = LoadLE<uint16_t>(body + 1);
       if (static_cast<size_t>(key_len) + kBodyPrefixBytes > body_len) break;
       std::string key(reinterpret_cast<const char*>(body + kBodyPrefixBytes),
                       key_len);
@@ -252,7 +214,7 @@ Status CheckpointStore::ScanSegment(const std::string& path,
   if (good < data.size()) {
     recovered_truncated_bytes_ += data.size() - good;
     if (truncate(path.c_str(), static_cast<off_t>(good)) != 0) {
-      return Errno("cannot truncate torn tail", path);
+      return Errno(errno, "cannot truncate torn tail", path);
     }
   } else {
     *clean = true;
@@ -267,11 +229,11 @@ Status CheckpointStore::OpenActiveSegment() {
   const std::string path =
       dir_ + "/" + SegmentName(next_segment_number_, /*open_suffix=*/true);
   const int fd = open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("cannot create segment", path);
-  std::vector<uint8_t> header;
-  PutU32(kSegmentMagic, &header);
-  PutU32(kSegmentVersion, &header);
-  Status st = WriteFull(fd, header.data(), header.size(), path);
+  if (fd < 0) return Errno(errno, "cannot create segment", path);
+  uint8_t header[kSegmentHeaderBytes];
+  StoreLE(kSegmentMagic, header);
+  StoreLE(kSegmentVersion, header + 4);
+  Status st = WriteAll(fd, header, sizeof(header), path);
   if (!st.ok()) {
     close(fd);
     unlink(path.c_str());
@@ -290,11 +252,13 @@ Status CheckpointStore::RollActiveSegmentLocked() {
   LPS_CHECK(open_path.size() > 5);
   const std::string sealed_path =
       open_path.substr(0, open_path.size() - 5);  // strip ".open"
-  if (fsync(active_fd_) != 0) return Errno("fsync failed", open_path);
-  if (close(active_fd_) != 0) return Errno("close failed", open_path);
+  if (fsync(active_fd_) != 0) return Errno(errno, "fsync failed", open_path);
+  if (close(active_fd_) != 0) {
+    return Errno(errno, "close failed", open_path);
+  }
   active_fd_ = -1;
   if (rename(open_path.c_str(), sealed_path.c_str()) != 0) {
-    return Errno("cannot seal segment", open_path);
+    return Errno(errno, "cannot seal segment", open_path);
   }
   segment_paths_.back() = sealed_path;
   return SyncParentDirectory(sealed_path);
@@ -313,23 +277,21 @@ Status CheckpointStore::Append(const std::string& key, uint8_t record_kind,
     Status st = OpenActiveSegment();
     if (!st.ok()) return st;
   }
-  std::vector<uint8_t> body;
-  body.reserve(kBodyPrefixBytes + key.size() + size);
-  body.push_back(record_kind);
-  body.push_back(static_cast<uint8_t>(key.size()));
-  body.push_back(static_cast<uint8_t>(key.size() >> 8));
-  body.insert(body.end(), key.begin(), key.end());
-  const uint8_t* p = static_cast<const uint8_t*>(payload);
-  body.insert(body.end(), p, p + size);
-
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  PutU32(static_cast<uint32_t>(body.size()), &frame);
-  PutU32(Crc32(body.data(), body.size()), &frame);
-  frame.insert(frame.end(), body.begin(), body.end());
+  // One buffer: frame header, then the body the CRC covers.
+  const size_t body_size = kBodyPrefixBytes + key.size() + size;
+  std::vector<uint8_t> frame(kFrameHeaderBytes + body_size);
+  uint8_t* body = frame.data() + kFrameHeaderBytes;
+  body[0] = record_kind;
+  StoreLE(static_cast<uint16_t>(key.size()), body + 1);
+  std::memcpy(body + kBodyPrefixBytes, key.data(), key.size());
+  if (size > 0) {
+    std::memcpy(body + kBodyPrefixBytes + key.size(), payload, size);
+  }
+  StoreLE(static_cast<uint32_t>(body_size), frame.data());
+  StoreLE(Crc32(body, body_size), frame.data() + 4);
 
   const std::string& path = segment_paths_.back();
-  Status st = WriteFull(active_fd_, frame.data(), frame.size(), path);
+  Status st = WriteAll(active_fd_, frame.data(), frame.size(), path);
   if (!st.ok()) return st;
 
   RecordRef ref;
@@ -350,7 +312,7 @@ Status CheckpointStore::Append(const std::string& key, uint8_t record_kind,
 Status CheckpointStore::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (active_fd_ >= 0 && fsync(active_fd_) != 0) {
-    return Errno("fsync failed", segment_paths_.back());
+    return Errno(errno, "fsync failed", segment_paths_.back());
   }
   return Status::OK();
 }
@@ -376,20 +338,11 @@ Result<std::vector<uint8_t>> CheckpointStore::ReadRef(
     const RecordRef& ref) const {
   const std::string& path = segment_paths_[ref.segment];
   const int fd = open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Errno("cannot open segment", path);
+  if (fd < 0) return Errno(errno, "cannot open segment", path);
   std::vector<uint8_t> payload(ref.size);
-  size_t got = 0;
-  while (got < payload.size()) {
-    const ssize_t n = pread(fd, payload.data() + got, payload.size() - got,
-                            static_cast<off_t>(ref.offset + got));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      close(fd);
-      return Errno("short segment read", path);
-    }
-    got += static_cast<size_t>(n);
-  }
+  const Status read = PreadAll(fd, payload.data(), ref.size, ref.offset, path);
   close(fd);
+  if (!read.ok()) return read;
   return payload;
 }
 

@@ -1,6 +1,7 @@
 #include "src/persist/delta_codec.h"
 
-#include <cstring>
+#include "src/util/byte_io.h"
+#include "src/util/serialize.h"
 
 namespace lps::persist {
 
@@ -33,21 +34,13 @@ bool GetVarint(const std::vector<uint8_t>& in, size_t* pos, uint64_t* out) {
   return false;  // varint longer than 64 bits
 }
 
-size_t ByteLength(size_t bits) { return ((bits + 63) / 64) * 8; }
-
-std::vector<uint64_t> BytesToWords(const std::vector<uint8_t>& bytes) {
-  std::vector<uint64_t> words(bytes.size() / 8, 0);
-  if (!bytes.empty()) std::memcpy(words.data(), bytes.data(), bytes.size());
-  return words;
-}
-
 // The raw (uncompressed) difference stream for the given mode. `prev` is
 // zero-padded to cur's length; its tail beyond that is ignored.
 std::vector<uint8_t> DifferenceBytes(DeltaMode mode,
                                      const std::vector<uint64_t>& cur,
                                      size_t cur_bits,
                                      const std::vector<uint64_t>& prev) {
-  const size_t n_words = (cur_bits + 63) / 64;
+  const size_t n_words = size_t(WordsForBits(cur_bits));
   LPS_CHECK(cur.size() >= n_words);
   std::vector<uint64_t> diff(n_words);
   for (size_t i = 0; i < n_words; ++i) {
@@ -64,8 +57,8 @@ std::vector<uint8_t> DifferenceBytes(DeltaMode mode,
         break;
     }
   }
-  std::vector<uint8_t> bytes(ByteLength(cur_bits), 0);
-  if (!bytes.empty()) std::memcpy(bytes.data(), diff.data(), bytes.size());
+  std::vector<uint8_t> bytes(8 * n_words);
+  StoreWordsLE(diff.data(), n_words, bytes.data());
   return bytes;
 }
 
@@ -148,32 +141,30 @@ EncodedDelta EncodeBestDelta(const std::vector<uint64_t>& cur,
 }
 
 bool DecodeDelta(const EncodedDelta& delta, const std::vector<uint64_t>& prev,
-                 size_t prev_bits, std::vector<uint64_t>* out_words,
-                 size_t* out_bits) {
-  (void)prev_bits;
-  const size_t plain_size = ByteLength(delta.raw_bits);
+                 size_t expected_bits, std::vector<uint64_t>* out_words) {
+  // The record's claimed size is checked before anything is sized by it.
+  if (delta.raw_bits != expected_bits || delta.mode > DeltaMode::kSub) {
+    return false;
+  }
+  const size_t n_words = size_t(WordsForBits(delta.raw_bits));
   std::vector<uint8_t> diff_bytes;
-  if (!DecompressBytes(delta.bytes, plain_size, &diff_bytes)) return false;
-  std::vector<uint64_t> diff = BytesToWords(diff_bytes);
-  std::vector<uint64_t> words(diff.size());
-  for (size_t i = 0; i < diff.size(); ++i) {
+  if (!DecompressBytes(delta.bytes, 8 * n_words, &diff_bytes)) return false;
+  std::vector<uint64_t> words(n_words);
+  LoadWordsLE(diff_bytes.data(), n_words, words.data());
+  for (size_t i = 0; i < n_words; ++i) {
     const uint64_t p = i < prev.size() ? prev[i] : 0;
     switch (delta.mode) {
       case DeltaMode::kKeyframe:
-        words[i] = diff[i];
         break;
       case DeltaMode::kXor:
-        words[i] = diff[i] ^ p;
+        words[i] ^= p;
         break;
       case DeltaMode::kSub:
-        words[i] = diff[i] + p;
+        words[i] += p;
         break;
-      default:
-        return false;
     }
   }
   *out_words = std::move(words);
-  *out_bits = static_cast<size_t>(delta.raw_bits);
   return true;
 }
 

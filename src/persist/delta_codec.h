@@ -75,13 +75,16 @@ EncodedDelta EncodeBestDelta(const std::vector<uint64_t>& cur,
                              size_t prev_bits);
 
 /// Inverts EncodeDelta: reconstructs the plaintext words from `delta` and
-/// the same predecessor it was encoded against. Returns false (leaving
-/// outputs untouched) on a malformed payload — a truncated varint, a
-/// stream that does not decode to exactly raw_bits worth of bytes, or an
-/// unknown mode. Never aborts: store payloads come from disk.
+/// the same predecessor it was encoded against. `expected_bits` is the
+/// bit count the caller knows the state has (every checkpoint of one
+/// sketch serializes to the same count); a record claiming another is
+/// rejected before anything is sized by its claim. Returns false
+/// (leaving `out_words` untouched) on that, on a malformed payload — a
+/// truncated varint, a stream that does not decode to exactly raw_bits
+/// worth of bytes — or on an unknown mode. Never aborts or throws: store
+/// payloads come from disk.
 bool DecodeDelta(const EncodedDelta& delta, const std::vector<uint64_t>& prev,
-                 size_t prev_bits, std::vector<uint64_t>* out_words,
-                 size_t* out_bits);
+                 size_t expected_bits, std::vector<uint64_t>* out_words);
 
 /// The byte-compressor layer on its own (exposed for tests and for the
 /// store's internal framing): LEB128 varints framing alternating

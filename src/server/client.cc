@@ -10,6 +10,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "src/util/byte_io.h"
+
 namespace lps::server {
 
 Result<Client> Client::Connect(const std::string& host, int port) {
@@ -180,17 +182,7 @@ Result<DistStats> Client::FetchDistStats() {
 }
 
 Status Client::SendRaw(const std::vector<uint8_t>& bytes) {
-  size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + done, bytes.size() - done,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Failed(std::string("send: ") + std::strerror(errno));
-    }
-    done += size_t(n);
-  }
-  return Status::OK();
+  return SendAll(fd_, bytes.data(), bytes.size());
 }
 
 Result<Frame> Client::ReadReply() { return ReadFrame(fd_); }

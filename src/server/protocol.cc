@@ -1,63 +1,18 @@
 #include "src/server/protocol.h"
 
-#include <cerrno>
-#include <cstring>
+#include <algorithm>
 
-#include <sys/socket.h>
-#include <unistd.h>
+#include "src/util/byte_io.h"
 
 namespace lps::server {
 
 namespace {
 
-// The body bit stream is carried as [u64 LE bit count][packed words LE];
-// bytes are assembled explicitly so the wire format does not depend on
-// host endianness.
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(uint8_t(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(uint8_t(v >> (8 * i)));
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= uint64_t(p[i]) << (8 * i);
-  return v;
-}
-
-/// Reads exactly `size` bytes. Returns the byte count actually read
-/// (short only on EOF), or -1 on a hard socket error.
-ssize_t ReadFull(int fd, uint8_t* buffer, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::read(fd, buffer + done, size - done);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    done += size_t(n);
-  }
-  return ssize_t(done);
-}
-
-Status WriteFull(int fd, const uint8_t* buffer, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    // MSG_NOSIGNAL: a peer that hung up must surface as EPIPE, not kill
-    // the daemon with SIGPIPE.
-    const ssize_t n =
-        ::send(fd, buffer + done, size - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Failed(std::string("send: ") + std::strerror(errno));
-    }
-    done += size_t(n);
-  }
-  return Status::OK();
-}
+// A frame up to this size (an ingest batch of up to ~65,000 updates) is
+// read into one buffer sized by its length prefix. A longer one grows
+// with the bytes that actually arrive, so a peer that sends a length
+// prefix and stalls commits at most this much, not kMaxFrameBytes.
+constexpr size_t kFrameAllowance = size_t{1} << 20;
 
 }  // namespace
 
@@ -114,26 +69,24 @@ std::vector<stream::Update> ReadUpdates(BitReader* reader) {
 void WriteState(BitWriter* writer, const std::vector<uint64_t>& words,
                 size_t bits) {
   writer->WriteU64(bits);
-  const size_t count = (bits + 63) / 64;
-  for (size_t i = 0; i < count; ++i) writer->WriteU64(words[i]);
+  const uint64_t count = WordsForBits(bits);
+  for (uint64_t i = 0; i < count; ++i) writer->WriteU64(words[i]);
 }
 
 void ReadState(BitReader* reader, std::vector<uint64_t>* words, size_t* bits) {
   words->clear();
   const uint64_t claimed = reader->ReadU64();
-  // The state is packed as ceil(bits/64) whole words; reject a claimed
-  // bit count the body cannot hold before sizing the buffer. The first
-  // comparison also rules out the (claimed + 63) wraparound.
-  if (claimed > reader->bits_remaining() ||
-      ((claimed + 63) / 64) * 64 > reader->bits_remaining()) {
+  // The state is packed as whole words; reject a claimed bit count the
+  // body cannot hold before sizing the buffer.
+  const uint64_t count = WordsForBits(claimed);
+  if (count > reader->bits_remaining() / 64) {
     *bits = 0;
     reader->Fail();
     return;
   }
   *bits = size_t(claimed);
-  const size_t count = (*bits + 63) / 64;
-  words->reserve(count);
-  for (size_t i = 0; i < count; ++i) words->push_back(reader->ReadU64());
+  words->reserve(size_t(count));
+  for (uint64_t i = 0; i < count; ++i) words->push_back(reader->ReadU64());
 }
 
 void SerializeConfig(const SketchConfig& config, BitWriter* writer) {
@@ -320,50 +273,24 @@ DistStats DeserializeDistStats(BitReader* reader) {
 // --------------------------------------------------------------- framing --
 
 std::vector<uint8_t> EncodeFrame(uint8_t first, const BitWriter& body) {
-  const std::vector<uint64_t>& words = body.words();
-  const uint64_t word_count = (uint64_t(body.bit_count()) + 63) / 64;
-  const uint64_t payload = 1 + 8 + 8 * word_count;
+  const uint64_t payload = 1 + uint64_t(ImageSize(body));
   // A body that does not fit the u32 length prefix (or the protocol's
   // own frame ceiling) must fail loudly, not wrap and emit a corrupt
   // frame. A valid frame is never empty (>= 13 bytes), so the empty
   // vector is an unambiguous failure sentinel.
   if (payload > kMaxFrameBytes) return {};
-  std::vector<uint8_t> out;
-  out.reserve(size_t(4 + payload));
-  PutU32(&out, uint32_t(payload));
-  out.push_back(first);
-  PutU64(&out, body.bit_count());
-  for (uint64_t i = 0; i < word_count; ++i) PutU64(&out, words[i]);
+  std::vector<uint8_t> out(size_t(4 + payload));
+  StoreLE(uint32_t(payload), out.data());
+  out[4] = first;
+  WriteImage(body, out.data() + 5);
   return out;
 }
 
 Result<Frame> DecodeFramePayload(const uint8_t* payload, size_t size) {
-  if (size < 1 + 8) {
-    return Status::InvalidArgument("frame payload shorter than its header");
-  }
-  const uint8_t first = payload[0];
-  const uint64_t bit_count = GetU64(payload + 1);
-  // Bound the declared bit count by the bits actually delivered before
-  // any ceil-division: for bit_count near 2^64 the (bit_count + 63)
-  // rounding wraps to a tiny word count that would slip past the
-  // truncation check below.
-  if (bit_count > uint64_t(size - (1 + 8)) * 8) {
-    return Status::InvalidArgument("frame body truncated");
-  }
-  const size_t word_count = size_t((bit_count + 63) / 64);
-  if (size < 1 + 8 + 8 * word_count) {
-    return Status::InvalidArgument("frame body truncated");
-  }
-  std::vector<uint64_t> words;
-  words.reserve(word_count);
-  for (size_t i = 0; i < word_count; ++i) {
-    words.push_back(GetU64(payload + 1 + 8 + 8 * i));
-  }
-  BitReader body(std::move(words), size_t(bit_count));
-  // Frames arrive from the network: a body that lies about its interior
-  // lengths must read as failed(), never CHECK-abort the process.
-  body.set_permissive(true);
-  return Frame{first, std::move(body)};
+  if (size == 0) return Status::InvalidArgument("empty frame payload");
+  auto body = ParseImage(payload + 1, size - 1);
+  if (!body.ok()) return body.status();
+  return Frame{payload[0], std::move(body.value())};
 }
 
 Status WriteFrame(int fd, uint8_t first, const BitWriter& body) {
@@ -371,31 +298,37 @@ Status WriteFrame(int fd, uint8_t first, const BitWriter& body) {
   if (bytes.empty()) {
     return Status::InvalidArgument("frame body exceeds kMaxFrameBytes");
   }
-  return WriteFull(fd, bytes.data(), bytes.size());
+  return SendAll(fd, bytes.data(), bytes.size());
 }
 
 Result<Frame> ReadFrame(int fd) {
-  uint8_t header[4];
-  const ssize_t got = ReadFull(fd, header, sizeof(header));
-  if (got < 0) {
-    return Status::Failed(std::string("read: ") + std::strerror(errno));
-  }
-  if (got == 0) return Status::Failed("eof");
-  if (size_t(got) < sizeof(header)) {
+  // ReadAll fails a socket error as Failed("read: ...") and calls EOF
+  // before the last byte InvalidArgument.
+  uint8_t prefix[4];
+  size_t got = 0;
+  Status status = ReadAll(fd, prefix, sizeof(prefix), &got);
+  if (!status.ok()) {
+    if (status.IsFailed()) return status;
+    if (got == 0) return Status::Failed("eof");
     return Status::InvalidArgument("truncated length prefix");
   }
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) length |= uint32_t(header[i]) << (8 * i);
+  const uint32_t length = LoadLE<uint32_t>(prefix);
   if (length > kMaxFrameBytes) {
     return Status::InvalidArgument("frame length exceeds limit");
   }
-  std::vector<uint8_t> payload(length);
-  const ssize_t body = ReadFull(fd, payload.data(), payload.size());
-  if (body < 0) {
-    return Status::Failed(std::string("read: ") + std::strerror(errno));
-  }
-  if (size_t(body) < payload.size()) {
-    return Status::InvalidArgument("frame payload truncated");
+  // The prefix is a claim: past the allowance the buffer at most doubles
+  // per read, so it never exceeds twice the bytes delivered.
+  std::vector<uint8_t> payload;
+  size_t have = 0;
+  while (have < length) {
+    const size_t grown = std::max(kFrameAllowance, 2 * have);
+    payload.resize(std::min<size_t>(length, grown));
+    status = ReadAll(fd, payload.data() + have, payload.size() - have, &got);
+    have += got;
+    if (!status.ok()) {
+      if (status.IsFailed()) return status;
+      return Status::InvalidArgument("frame payload truncated");
+    }
   }
   return DecodeFramePayload(payload.data(), payload.size());
 }

@@ -9,8 +9,9 @@
 //     [u32 LE payload length] [payload bytes]
 //     payload[0]   = opcode (requests) / status byte (responses: 0 = ok,
 //                    1 = error)
-//     payload[1..] = body, a BitWriter bit stream: u64 LE bit count,
-//                    then ceil(bits/64) packed 64-bit words, LE
+//     payload[1..] = body, a BitWriter bit stream's image (WriteImage,
+//                    src/util/serialize.h): u64 LE bit count, then
+//                    ceil(bits/64) packed 64-bit words, LE
 //
 // The body re-uses the library's bit-exact serialization layer, so the
 // payloads carry the SAME unified types the library and CLI consume:
@@ -244,13 +245,16 @@ struct Frame {
 std::vector<uint8_t> EncodeFrame(uint8_t first, const BitWriter& body);
 
 /// Decodes a payload (everything after the length prefix) into a Frame.
-/// Fails on an empty payload or a malformed body header.
+/// Fails on an empty payload or a body that is not exactly one image
+/// (ParseImage).
 Result<Frame> DecodeFramePayload(const uint8_t* payload, size_t size);
 
 /// Blocking frame I/O over a connected socket. ReadFrame returns
 /// InvalidArgument for protocol violations (length prefix above
-/// kMaxFrameBytes, truncated payload) and Failed("eof") for a clean peer
-/// close before any byte of a frame.
+/// kMaxFrameBytes, truncated payload, malformed body image),
+/// Failed("read: ...") for a socket error and Failed("eof") for a clean
+/// peer close before any byte of a frame. It commits memory for a
+/// payload as its bytes arrive, not as its length prefix claims.
 Status WriteFrame(int fd, uint8_t first, const BitWriter& body);
 Result<Frame> ReadFrame(int fd);
 

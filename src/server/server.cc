@@ -11,6 +11,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "src/util/byte_io.h"
+
 namespace lps::server {
 
 // --------------------------------------------------------------- Outbox --
@@ -224,19 +226,7 @@ void Server::ReaderMain(Connection* connection) {
 void Server::WriterMain(Connection* connection) {
   std::vector<uint8_t> bytes;
   while (connection->outbox.Pop(&bytes)) {
-    size_t done = 0;
-    bool failed = false;
-    while (done < bytes.size()) {
-      const ssize_t n = ::send(connection->fd, bytes.data() + done,
-                               bytes.size() - done, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        failed = true;
-        break;
-      }
-      done += size_t(n);
-    }
-    if (failed) {
+    if (!SendAll(connection->fd, bytes.data(), bytes.size()).ok()) {
       // Peer is gone: stop draining, and CLOSE the outbox so a reader
       // blocked in Push (bounded queue full — exactly what a peer that
       // stopped reading and then died produces) wakes up instead of

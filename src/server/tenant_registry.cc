@@ -1,7 +1,6 @@
 #include "src/server/tenant_registry.h"
 
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "src/kernels/kernels.h"
@@ -20,33 +19,6 @@ uint64_t NowMs() {
   return uint64_t(std::chrono::duration_cast<std::chrono::milliseconds>(
                       std::chrono::steady_clock::now().time_since_epoch())
                       .count());
-}
-
-// Store payloads are BitWriter streams packed as [u64 LE bit count]
-// [words LE] — the same shape the wire protocol uses for nested state.
-std::vector<uint8_t> PackBits(const BitWriter& writer) {
-  const std::vector<uint64_t>& words = writer.words();
-  std::vector<uint8_t> bytes(8 + words.size() * 8);
-  const uint64_t bits = writer.bit_count();
-  std::memcpy(bytes.data(), &bits, 8);
-  if (!words.empty()) {
-    std::memcpy(bytes.data() + 8, words.data(), words.size() * 8);
-  }
-  return bytes;
-}
-
-bool UnpackBits(const std::vector<uint8_t>& bytes, BitReader* out) {
-  if (bytes.size() < 8 || (bytes.size() - 8) % 8 != 0) return false;
-  uint64_t bits = 0;
-  std::memcpy(&bits, bytes.data(), 8);
-  if (bits > (bytes.size() - 8) * 8) return false;
-  std::vector<uint64_t> words((bytes.size() - 8) / 8);
-  if (!words.empty()) {
-    std::memcpy(words.data(), bytes.data() + 8, bytes.size() - 8);
-  }
-  *out = BitReader(std::move(words), size_t(bits));
-  out->set_permissive(true);
-  return true;
 }
 
 }  // namespace
@@ -311,7 +283,10 @@ Status TenantRegistry::PersistEntryLocked(Entry* entry,
   WriteString(&writer, entry->key);
   const SnapshotBlob blob = SnapshotLocked(entry);
   SerializeSnapshot(blob, &writer);
-  const std::vector<uint8_t> payload = PackBits(writer);
+  // The payload is the writer's image, the same bytes a frame body
+  // carries.
+  std::vector<uint8_t> payload(ImageSize(writer));
+  WriteImage(writer, payload.data());
   const Status st = store_->Append("t:" + map_key, kTenantSnapshotRecord,
                                    payload.data(), payload.size());
   if (st.ok()) entry->persisted_updates = blob.updates_seen;
@@ -375,10 +350,12 @@ TenantRegistry::RehydrateTenant(const std::string& map_key) {
   }
   auto payload = store_->ReadRecord(store_key, records - 1);
   if (!payload.ok()) return payload.status();
-  BitReader reader((std::vector<uint64_t>()), 0);
-  if (!UnpackBits(*payload, &reader)) {
-    return Status::InvalidArgument("snapshot record is not a bit stream");
+  auto image = ParseImage(payload->data(), payload->size());
+  if (!image.ok()) {
+    return Status::InvalidArgument("snapshot record is not a bit stream: " +
+                                   image.status().message());
   }
+  BitReader& reader = image.value();
   const std::string tenant = ReadString(&reader);
   const std::string key = ReadString(&reader);
   const SnapshotBlob blob = DeserializeSnapshot(&reader);

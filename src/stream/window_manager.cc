@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/util/byte_io.h"
 #include "src/util/check.h"
 #include "src/util/serialize.h"
 
@@ -15,13 +16,10 @@ constexpr uint8_t kWindowDeltaRecord = 1;
 
 // Spilled record payload: [mode:u8][raw_bits:u64 LE][compressed bytes].
 std::vector<uint8_t> PackDelta(const persist::EncodedDelta& delta) {
-  std::vector<uint8_t> payload;
-  payload.reserve(9 + delta.bytes.size());
-  payload.push_back(static_cast<uint8_t>(delta.mode));
-  for (int i = 0; i < 8; ++i) {
-    payload.push_back(static_cast<uint8_t>(delta.raw_bits >> (8 * i)));
-  }
-  payload.insert(payload.end(), delta.bytes.begin(), delta.bytes.end());
+  std::vector<uint8_t> payload(9 + delta.bytes.size());
+  payload[0] = static_cast<uint8_t>(delta.mode);
+  StoreLE(delta.raw_bits, payload.data() + 1);
+  std::copy(delta.bytes.begin(), delta.bytes.end(), payload.begin() + 9);
   return payload;
 }
 
@@ -29,10 +27,7 @@ bool UnpackDelta(const std::vector<uint8_t>& payload,
                  persist::EncodedDelta* delta) {
   if (payload.size() < 9) return false;
   delta->mode = static_cast<persist::DeltaMode>(payload[0]);
-  delta->raw_bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    delta->raw_bits |= static_cast<uint64_t>(payload[1 + i]) << (8 * i);
-  }
+  delta->raw_bits = LoadLE<uint64_t>(payload.data() + 1);
   delta->bytes.assign(payload.begin() + 9, payload.end());
   return true;
 }
@@ -138,6 +133,9 @@ WindowManager::Checkpoint WindowManager::Rehydrate(size_t meta_index) const {
     LPS_CHECK(anchor > 0);
     --anchor;
   }
+  // Every checkpoint of one sketch serializes to the same bit count, so
+  // a resident one states the size each record must decode to.
+  const size_t bits = ring_.front().bits;
   Checkpoint state;
   size_t next = anchor;
   if (cache_valid_) {
@@ -156,9 +154,7 @@ WindowManager::Checkpoint WindowManager::Rehydrate(size_t meta_index) const {
     persist::EncodedDelta delta;
     LPS_CHECK(UnpackDelta(payload.value(), &delta));
     std::vector<uint64_t> words;
-    size_t bits = 0;
-    LPS_CHECK(persist::DecodeDelta(delta, state.words, state.bits, &words,
-                                   &bits));
+    LPS_CHECK(persist::DecodeDelta(delta, state.words, bits, &words));
     state.words = std::move(words);
     state.bits = bits;
     state.count = spilled_[i].count;

@@ -3,12 +3,13 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <stdio.h>
-#include <string.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
 
 #include <string>
+
+#include "src/util/byte_io.h"
 
 namespace lps {
 
@@ -19,10 +20,6 @@ std::string ParentOf(const std::string& path) {
   if (slash == std::string::npos) return ".";
   if (slash == 0) return "/";
   return path.substr(0, slash);
-}
-
-Status Errno(const std::string& what, const std::string& path) {
-  return Status::InvalidArgument(what + " " + path + ": " + strerror(errno));
 }
 
 }  // namespace
@@ -36,33 +33,22 @@ Status AtomicWriteFile(const std::string& path, const void* data,
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(getpid()));
   const int fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("cannot open for writing", tmp);
+  if (fd < 0) return Errno(errno, "cannot open for writing", tmp);
 
-  const char* p = static_cast<const char*>(data);
-  size_t left = size;
-  while (left > 0) {
-    const ssize_t n = write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      close(fd);
-      unlink(tmp.c_str());
-      return Errno("short write", tmp);
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
+  // Each failure is stated before the cleanup below can clobber errno.
+  Status status = WriteAll(fd, data, size, tmp);
+  if (status.ok() && fsync(fd) != 0) {
+    status = Errno(errno, "fsync failed", tmp);
   }
-  if (fsync(fd) != 0) {
-    close(fd);
-    unlink(tmp.c_str());
-    return Errno("fsync failed", tmp);
+  if (close(fd) != 0 && status.ok()) {
+    status = Errno(errno, "close failed", tmp);
   }
-  if (close(fd) != 0) {
-    unlink(tmp.c_str());
-    return Errno("close failed", tmp);
+  if (status.ok() && rename(tmp.c_str(), path.c_str()) != 0) {
+    status = Errno(errno, "rename failed", path);
   }
-  if (rename(tmp.c_str(), path.c_str()) != 0) {
+  if (!status.ok()) {
     unlink(tmp.c_str());
-    return Errno("rename failed", path);
+    return status;
   }
   return SyncParentDirectory(path);
 }
@@ -81,7 +67,7 @@ Status EnsureDirectory(const std::string& path) {
     if (slash > start) {
       prefix.append(path, start, slash - start);
       if (mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
-        return Errno("mkdir failed", prefix);
+        return Errno(errno, "mkdir failed", prefix);
       }
       prefix.push_back('/');
     }
@@ -98,10 +84,10 @@ Status SyncParentDirectory(const std::string& path) {
   const std::string dir = ParentOf(path);
   const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return Status::OK();  // best-effort on exotic filesystems
-  const int rc = fsync(fd);
+  const int err = fsync(fd) != 0 ? errno : 0;
   close(fd);
-  if (rc != 0 && errno != EINVAL && errno != EROFS) {
-    return Errno("directory fsync failed", dir);
+  if (err != 0 && err != EINVAL && err != EROFS) {
+    return Errno(err, "directory fsync failed", dir);
   }
   return Status::OK();
 }

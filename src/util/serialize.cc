@@ -4,15 +4,9 @@
 
 #include "src/util/atomic_file.h"
 #include "src/util/bits.h"
+#include "src/util/byte_io.h"
 
 namespace lps {
-
-namespace {
-
-// Container magic for on-disk bit streams ("LPSB" little-endian).
-constexpr uint64_t kFileMagic = 0x4250534CULL;
-
-}  // namespace
 
 void BitWriter::WriteBits(uint64_t value, int bits) {
   LPS_CHECK(bits >= 0 && bits <= 64);
@@ -99,18 +93,40 @@ uint64_t BitReader::ReadBounded(uint64_t bound) {
   return ReadBits(BitWidth(bound));
 }
 
+size_t ImageSize(const BitWriter& writer) {
+  return 8 + 8 * writer.words().size();
+}
+
+void WriteImage(const BitWriter& writer, uint8_t* out) {
+  StoreLE<uint64_t>(writer.bit_count(), out);
+  StoreWordsLE(writer.words().data(), writer.words().size(), out + 8);
+}
+
+Result<BitReader> ParseImage(const uint8_t* data, size_t size) {
+  if (size < 8) return Status::InvalidArgument("bit-stream image truncated");
+  const uint64_t bits = LoadLE<uint64_t>(data);
+  const uint64_t words = WordsForBits(bits);
+  const size_t delivered = (size - 8) / 8;
+  if (words > delivered) {
+    return Status::InvalidArgument("bit-stream image truncated");
+  }
+  if (words < delivered || (size - 8) % 8 != 0) {
+    return Status::InvalidArgument("bit-stream image longer than its count");
+  }
+  std::vector<uint64_t> owned(static_cast<size_t>(words));
+  LoadWordsLE(data + 8, owned.size(), owned.data());
+  BitReader reader(std::move(owned), static_cast<size_t>(bits));
+  reader.set_permissive(true);
+  return reader;
+}
+
 Status WriteBitsToFile(const BitWriter& writer, const std::string& path) {
   // Publish atomically (tmp + fsync + rename): a crash mid-save leaves
   // the previous file intact instead of a torn container.
-  const auto& words = writer.words();
-  std::vector<uint64_t> image(2 + words.size());
-  image[0] = kFileMagic;
-  image[1] = writer.bit_count();
-  if (!words.empty()) {
-    std::memcpy(image.data() + 2, words.data(),
-                words.size() * sizeof(uint64_t));
-  }
-  return AtomicWriteFile(path, image.data(), image.size() * sizeof(uint64_t));
+  std::vector<uint8_t> file(8 + ImageSize(writer));
+  StoreLE(kFileMagic, file.data());
+  WriteImage(writer, file.data() + 8);
+  return AtomicWriteFile(path, file.data(), file.size());
 }
 
 }  // namespace lps

@@ -114,9 +114,39 @@ class BitReader {
   bool failed_ = false;
 };
 
-/// Writes a BitWriter's contents to `path` in a self-describing binary
-/// container (magic, bit count, packed words), so serialized sketch state
-/// round-trips through disk for the CLI save/load/merge commands.
+/// Words a stream of `bits` bits fills: ceil(bits / 64), without the
+/// (bits + 63) wrap near 2^64. Every parser bounds a claimed bit count
+/// through this before it sizes or reads anything.
+inline uint64_t WordsForBits(uint64_t bits) {
+  return bits / 64 + (bits % 64 != 0 ? 1 : 0);
+}
+
+// The image: the one byte form a bit stream takes on the wire (a frame
+// body), in tenant store records and in .lps files —
+//
+//     [u64 LE bit count] [WordsForBits(bit count) u64 LE words]
+//
+// On a little-endian host each half is one memcpy.
+
+/// Bytes of `writer`'s image.
+size_t ImageSize(const BitWriter& writer);
+
+/// Writes `writer`'s image to `out`, which holds ImageSize(writer) bytes.
+void WriteImage(const BitWriter& writer, uint8_t* out);
+
+/// Parses an image that spans exactly `size` bytes. The bytes come from a
+/// peer or a disk, so the reader is permissive (see BitReader). A short
+/// header, a bit count the bytes cannot hold and trailing bytes are
+/// InvalidArgument; nothing is sized from the claimed count.
+Result<BitReader> ParseImage(const uint8_t* data, size_t size);
+
+/// Container magic of .lps files, the u64 in front of the image. Stored
+/// little-endian, its first four bytes read "LSPB".
+inline constexpr uint64_t kFileMagic = 0x4250534CULL;
+
+/// Writes kFileMagic and `writer`'s image to `path`, so serialized sketch
+/// state round-trips through disk for the CLI save/load/merge commands.
+/// io::ReadBitsStreamed reads it back.
 Status WriteBitsToFile(const BitWriter& writer, const std::string& path);
 
 }  // namespace lps

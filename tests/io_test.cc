@@ -332,6 +332,14 @@ TEST(BitsIo, CorruptContainersAreCleanErrors) {
   path = MakeTempFile(bytes.substr(0, bytes.size() - 4));
   EXPECT_FALSE(io::ReadBitsStreamed(path).ok());
   std::remove(path.c_str());
+  // Header claims one whole word more than the file holds.
+  path = MakeTempFile(bytes.substr(0, bytes.size() - 8));
+  EXPECT_FALSE(io::ReadBitsStreamed(path).ok());
+  std::remove(path.c_str());
+  // A trailing byte after a whole image.
+  path = MakeTempFile(bytes + '\0');
+  EXPECT_FALSE(io::ReadBitsStreamed(path).ok());
+  std::remove(path.c_str());
   std::remove(container.c_str());
   // Header-only containers whose bit count rounds up past 2^64 words:
   // the word count must not wrap to zero and slip past every check.

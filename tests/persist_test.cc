@@ -2,11 +2,12 @@
 //
 //   * delta codec: varint/zero-RLE byte layer edge cases, bit-exact
 //     round-trips for every SketchKind (keyframe, XOR and SUB deltas),
-//     malformed-payload rejection, and the >= 4x compression the
-//     hot-set regime is built for;
-//   * checkpoint store: append/read/reopen index rebuild, segment rolling
-//     and a reopen over several sealed segments, torn-tail truncation and
-//     corrupt-record suffix drop at recovery;
+//     malformed-payload and lying-size rejection, and the >= 4x
+//     compression the hot-set regime is built for;
+//   * checkpoint store: append/read/reopen index rebuild, a short read
+//     of a segment that shrank, segment rolling and a reopen over
+//     several sealed segments, torn-tail truncation and corrupt-record
+//     suffix drop at recovery;
 //   * WindowManager spill: windowed answers BIT-IDENTICAL to the
 //     all-RAM ring (including off-boundary starts that round into a
 //     rehydrated checkpoint), resident/spilled accounting, and
@@ -14,7 +15,9 @@
 //   * server persistence: clean-restart restore, idle eviction with
 //     lazy rehydration (STATS observability), a fork + SIGKILL crash of
 //     a live daemon over real sockets whose reboot answers identically,
-//     and a boot that reports the tenant whose snapshot does not decode.
+//     and a boot that reports the tenants whose snapshots do not decode;
+//   * one image: a frame body, a tenant store record and a .lps file
+//     carry the same hand-written bytes.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -28,7 +31,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -161,16 +163,17 @@ TEST(DeltaCodec, RoundTripsEveryKindBitExactly) {
     const EncodedDelta keyframe = EncodeDelta(
         DeltaMode::kKeyframe, prev_words, prev_bits, {}, 0);
     std::vector<uint64_t> out_words;
-    size_t out_bits = 0;
-    ASSERT_TRUE(DecodeDelta(keyframe, {}, 0, &out_words, &out_bits))
+    ASSERT_TRUE(DecodeDelta(keyframe, {}, prev_bits, &out_words))
         << SketchKindName(kind);
     EXPECT_EQ(out_words, prev_words) << SketchKindName(kind);
-    EXPECT_EQ(out_bits, prev_bits);
 
     for (uint64_t i = 0; i < 100; ++i) {
       sketch->Update((7 * i) % spec.n, -int64_t(1 + i % 3));
     }
     const auto [cur_words, cur_bits] = StateOf(*sketch);
+    // The size WindowManager::Rehydrate expects of every record: updates
+    // never change how many bits a kind serializes to.
+    EXPECT_EQ(cur_bits, prev_bits) << SketchKindName(kind);
 
     // Best-of (XOR/SUB) and each explicit mode invert bit-exactly.
     for (const EncodedDelta& delta :
@@ -180,11 +183,9 @@ TEST(DeltaCodec, RoundTripsEveryKindBitExactly) {
           EncodeDelta(DeltaMode::kSub, cur_words, cur_bits, prev_words,
                       prev_bits)}) {
       out_words.clear();
-      ASSERT_TRUE(
-          DecodeDelta(delta, prev_words, prev_bits, &out_words, &out_bits))
+      ASSERT_TRUE(DecodeDelta(delta, prev_words, cur_bits, &out_words))
           << SketchKindName(kind);
       EXPECT_EQ(out_words, cur_words) << SketchKindName(kind);
-      EXPECT_EQ(out_bits, cur_bits);
     }
   }
 }
@@ -194,21 +195,57 @@ TEST(DeltaCodec, RejectsCorruptDeltas) {
   const size_t bits = 4 * 64;
   EncodedDelta delta = EncodeBestDelta(words, bits, {}, 0);
   std::vector<uint64_t> out_words;
-  size_t out_bits = 0;
-  ASSERT_TRUE(DecodeDelta(delta, {}, 0, &out_words, &out_bits));
+  ASSERT_TRUE(DecodeDelta(delta, {}, bits, &out_words));
+  EXPECT_EQ(out_words, words);
 
   EncodedDelta bad_mode = delta;
   bad_mode.mode = DeltaMode(0x7F);
-  EXPECT_FALSE(DecodeDelta(bad_mode, {}, 0, &out_words, &out_bits));
+  EXPECT_FALSE(DecodeDelta(bad_mode, {}, bits, &out_words));
 
   EncodedDelta truncated = delta;
   ASSERT_FALSE(truncated.bytes.empty());
   truncated.bytes.pop_back();
-  EXPECT_FALSE(DecodeDelta(truncated, {}, 0, &out_words, &out_bits));
+  EXPECT_FALSE(DecodeDelta(truncated, {}, bits, &out_words));
 
-  EncodedDelta wrong_size = delta;
-  wrong_size.raw_bits += 64;
-  EXPECT_FALSE(DecodeDelta(wrong_size, {}, 0, &out_words, &out_bits));
+  // The image parsers' hostile table, as far as a delta record can carry
+  // it: bit counts that round past 2^64, one word more than the payload
+  // decodes to (the caller expecting it too), and a trailing byte.
+  for (const uint64_t claimed : {~uint64_t{0}, ~uint64_t{0} - 62}) {
+    EncodedDelta lying = delta;
+    lying.raw_bits = claimed;
+    EXPECT_FALSE(DecodeDelta(lying, {}, bits, &out_words)) << claimed;
+  }
+  EncodedDelta one_word_past = delta;
+  one_word_past.raw_bits += 64;
+  EXPECT_FALSE(DecodeDelta(one_word_past, {}, bits, &out_words));
+  EXPECT_FALSE(DecodeDelta(one_word_past, {}, bits + 64, &out_words));
+  EncodedDelta trailing = delta;
+  trailing.bytes.push_back(0);
+  EXPECT_FALSE(DecodeDelta(trailing, {}, bits, &out_words));
+  EXPECT_EQ(out_words, words);  // every rejection left the output alone
+}
+
+// raw_bits is read from disk. 2^64 - 1 once rounded to zero words, so an
+// empty record decoded "ok" to a state WindowManager::Rehydrate then
+// CHECK-aborted on.
+TEST(DeltaCodec, WrappingRawBitsIsRejected) {
+  EncodedDelta empty;
+  empty.raw_bits = ~uint64_t{0};
+  std::vector<uint64_t> out_words;
+  EXPECT_FALSE(DecodeDelta(empty, {}, 4 * 64, &out_words));
+  EXPECT_TRUE(out_words.empty());
+}
+
+// raw_bits = 2^50 over a 2-byte payload threw std::bad_alloc out of the
+// decompressor's reserve; the claim is now checked before any reserve.
+TEST(DeltaCodec, HugeRawBitsIsRejectedBeforeAnyReserve) {
+  EncodedDelta huge;
+  huge.raw_bits = uint64_t{1} << 50;
+  huge.bytes = {0, 0};
+  std::vector<uint64_t> out_words;
+  bool decoded = true;
+  EXPECT_NO_THROW(decoded = DecodeDelta(huge, {}, 4 * 64, &out_words));
+  EXPECT_FALSE(decoded);
 }
 
 TEST(DeltaCodec, HotSetCheckpointsCompressFourfold) {
@@ -291,6 +328,15 @@ TEST(CheckpointStoreTest, AppendReadReopen) {
   const std::string more = "alpha-5";
   ASSERT_TRUE(store.Append("a", 1, more.data(), more.size()).ok());
   EXPECT_EQ(store.RecordCount("a"), 6u);
+  // A segment that shrank under the store is a short read, not a
+  // message built from a stale errno.
+  const std::string active = dir + "/seg-000001.log.open";
+  struct stat st;
+  ASSERT_EQ(::stat(active.c_str(), &st), 0);
+  ASSERT_EQ(::truncate(active.c_str(), st.st_size - 3), 0);
+  auto cut = store.ReadRecord("a", 5);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().message(), "short read " + active);
   RemoveTree(dir);
 }
 
@@ -784,8 +830,9 @@ TEST(ServerPersist, SigkilledDaemonRebootsAnsweringIdentically) {
 #endif  // !LPS_UNDER_TSAN
 
 // A tenant record whose snapshot no longer decodes — here cs_heavy_hitters
-// state stamped with the pre-v3 layout version, the upgrade case — is
-// reported at boot under its store key, and the other tenants restore.
+// state stamped with the pre-v3 layout version, the upgrade case, and
+// records whose image is hostile — is reported at boot under its store
+// key, and the other tenants restore.
 TEST(ServerPersist, BootReportsTenantsItCannotRestore) {
   const std::string dir = MakeTempDir();
   server::Server::Options options;
@@ -810,8 +857,9 @@ TEST(ServerPersist, BootReportsTenantsItCannotRestore) {
 
   // Append a copy of the "old" tenant's latest snapshot record with its
   // state's header version byte (bits 24..31: after the 16-bit magic and
-  // the 8-bit kind) set to 2. Store payloads are [u64 bit count][words].
+  // the 8-bit kind) set to 2. Store payloads are bit-stream images.
   std::string old_key;
+  std::vector<std::string> failing_keys;
   {
     auto opened = CheckpointStore::Open(dir);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -821,11 +869,9 @@ TEST(ServerPersist, BootReportsTenantsItCannotRestore) {
       const size_t last = store.RecordCount(store_key) - 1;
       auto payload = store.ReadRecord(store_key, last);
       ASSERT_TRUE(payload.ok());
-      uint64_t bits = 0;
-      std::memcpy(&bits, payload->data(), 8);
-      std::vector<uint64_t> words((payload->size() - 8) / 8);
-      std::memcpy(words.data(), payload->data() + 8, words.size() * 8);
-      BitReader reader(std::move(words), size_t(bits));
+      auto image = ParseImage(payload->data(), payload->size());
+      ASSERT_TRUE(image.ok()) << image.status().ToString();
+      BitReader& reader = image.value();
       const std::string tenant = server::ReadString(&reader);
       const std::string key = server::ReadString(&reader);
       server::SnapshotBlob blob = server::DeserializeSnapshot(&reader);
@@ -839,27 +885,50 @@ TEST(ServerPersist, BootReportsTenantsItCannotRestore) {
       server::WriteString(&writer, tenant);
       server::WriteString(&writer, key);
       server::SerializeSnapshot(blob, &writer);
-      std::vector<uint8_t> restamped(8 + writer.words().size() * 8);
-      const uint64_t restamped_bits = writer.bit_count();
-      std::memcpy(restamped.data(), &restamped_bits, 8);
-      std::memcpy(restamped.data() + 8, writer.words().data(),
-                  writer.words().size() * 8);
+      std::vector<uint8_t> restamped(ImageSize(writer));
+      WriteImage(writer, restamped.data());
       const uint8_t kind = store.RecordKind(store_key, last);
       ASSERT_TRUE(
           store.Append(store_key, kind, restamped.data(), restamped.size())
               .ok());
-      ASSERT_TRUE(store.Sync().ok());
+      failing_keys.push_back(store_key);
     }
+    // The image parsers' hostile table as snapshot records: bit counts
+    // that round past 2^64, one word past the delivered bytes, and a
+    // trailing byte after a whole image.
+    const auto image_of = [](uint64_t bits, size_t words) {
+      std::vector<uint8_t> bytes(8 + 8 * words, 0);
+      for (int i = 0; i < 8; ++i) bytes[i] = uint8_t(bits >> (8 * i));
+      return bytes;
+    };
+    std::vector<uint8_t> trailing = image_of(130, 3);
+    trailing.push_back(0);
+    const std::vector<std::vector<uint8_t>> hostile = {
+        image_of(~uint64_t{0}, 0), image_of(~uint64_t{0} - 62, 0),
+        image_of(130, 2), trailing};
+    for (size_t i = 0; i < hostile.size(); ++i) {
+      const std::string store_key = "t:hostile/" + std::to_string(i);
+      const std::vector<uint8_t>& bytes = hostile[i];
+      // Record kind 1 is the registry's snapshot tag.
+      ASSERT_TRUE(store.Append(store_key, 1, bytes.data(), bytes.size()).ok());
+      failing_keys.push_back(store_key);
+    }
+    ASSERT_TRUE(store.Sync().ok());
   }
   ASSERT_FALSE(old_key.empty());
 
   server::Server daemon(options);
   ASSERT_TRUE(daemon.Start().ok());
   EXPECT_EQ(daemon.restored_tenants(), 1u);
-  ASSERT_EQ(daemon.restore_failures().size(), 1u);
-  EXPECT_EQ(daemon.restore_failures()[0].store_key, old_key);
-  EXPECT_EQ(daemon.restore_failures()[0].status.code(),
-            Code::kInvalidArgument);
+  std::vector<std::string> failed_keys;
+  for (const auto& failure : daemon.restore_failures()) {
+    failed_keys.push_back(failure.store_key);
+    EXPECT_EQ(failure.status.code(), Code::kInvalidArgument)
+        << failure.store_key;
+  }
+  std::sort(failed_keys.begin(), failed_keys.end());
+  std::sort(failing_keys.begin(), failing_keys.end());
+  EXPECT_EQ(failed_keys, failing_keys);
   server::Client client = MustConnect(daemon);
   auto good = client.Query("good", "s");
   ASSERT_TRUE(good.ok()) << good.status().ToString();
@@ -897,6 +966,107 @@ TEST(AtomicBitFiles, WriteReportsFailureAndLeavesNoDebris) {
   while (std::fgets(line, sizeof(line), listing) != nullptr) ++files;
   ::pclose(listing);
   EXPECT_EQ(files, 1u);
+  RemoveTree(dir);
+}
+
+// --------------------------------------------------------- one image --
+
+// The image of a 130-bit (3-word) stream, written out by hand: the u64
+// LE bit count, then three u64 LE words; the last holds bits 128..129.
+const std::vector<uint8_t> kGoldenImage = {
+    0x82, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+    0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  //
+    0x10, 0x32, 0x54, 0x76, 0x98, 0xBA, 0xDC, 0xFE,  //
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+
+BitWriter GoldenStream() {
+  BitWriter writer;
+  writer.WriteU64(0x0123456789ABCDEFull);
+  writer.WriteU64(0xFEDCBA9876543210ull);
+  writer.WriteBits(2, 2);
+  return writer;
+}
+
+/// The image spelled out byte by byte, independently of WriteImage.
+std::vector<uint8_t> HandImage(const BitWriter& writer) {
+  std::vector<uint8_t> bytes;
+  const auto put = [&bytes](uint64_t value) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(uint8_t(value >> (8 * i)));
+  };
+  put(writer.bit_count());
+  for (const uint64_t word : writer.words()) put(word);
+  return bytes;
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(file, nullptr) << path;
+  if (file == nullptr) return bytes;
+  for (int c; (c = std::fgetc(file)) != EOF;) bytes.push_back(uint8_t(c));
+  std::fclose(file);
+  return bytes;
+}
+
+// A frame body, a tenant store record and a .lps file carry one image,
+// byte for byte.
+TEST(OneImage, FrameStoreRecordAndFileCarryTheSameBytes) {
+  const BitWriter golden = GoldenStream();
+  ASSERT_EQ(HandImage(golden), kGoldenImage);
+
+  // Frame: u32 LE payload length, the first byte, the image.
+  std::vector<uint8_t> want = {33, 0, 0, 0, 7};
+  want.insert(want.end(), kGoldenImage.begin(), kGoldenImage.end());
+  const std::vector<uint8_t> frame = server::EncodeFrame(7, golden);
+  EXPECT_EQ(frame, want);
+  const uint8_t* after_prefix = frame.data() + 4;
+  auto decoded = server::DecodeFramePayload(after_prefix, frame.size() - 4);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().body.ReadU64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(decoded.value().body.ReadU64(), 0xFEDCBA9876543210ull);
+  EXPECT_EQ(decoded.value().body.ReadBits(2), 2u);
+  EXPECT_EQ(decoded.value().body.bits_remaining(), 0u);
+
+  // .lps file: kFileMagic as a u64 LE (the bytes "LSPB"), the image.
+  const std::string dir = MakeTempDir();
+  ASSERT_TRUE(WriteBitsToFile(golden, dir + "/golden.lps").ok());
+  want = {'L', 'S', 'P', 'B', 0, 0, 0, 0};
+  want.insert(want.end(), kGoldenImage.begin(), kGoldenImage.end());
+  EXPECT_EQ(FileBytes(dir + "/golden.lps"), want);
+
+  // Tenant store record: the image of tenant, key and snapshot.
+  server::Server::Options options;
+  options.port = 0;
+  options.data_dir = dir + "/data";
+  options.snapshot_interval_ms = 0;  // the final Stop() snapshot only
+  server::SnapshotBlob blob;
+  {
+    server::Server daemon(options);
+    ASSERT_TRUE(daemon.Start().ok());
+    server::Client client = MustConnect(daemon);
+    ASSERT_TRUE(client.Create("acme", "clicks", WindowedConfig(1)).ok());
+    ASSERT_TRUE(client.Ingest("acme", "clicks", TenantStream(7, 700)).ok());
+    auto snapshot = client.Snapshot("acme", "clicks");
+    ASSERT_TRUE(snapshot.ok());
+    blob = *snapshot;
+    daemon.Stop();
+  }
+  BitWriter record;
+  server::WriteString(&record, "acme");
+  server::WriteString(&record, "clicks");
+  server::SerializeSnapshot(blob, &record);
+  auto opened = CheckpointStore::Open(options.data_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  size_t tenant_records = 0;
+  for (const std::string& key : opened.value()->Keys()) {
+    if (key.compare(0, 2, "t:") != 0) continue;
+    ++tenant_records;
+    const size_t count = opened.value()->RecordCount(key);
+    auto payload = opened.value()->ReadRecord(key, count - 1);
+    ASSERT_TRUE(payload.ok());
+    EXPECT_EQ(*payload, HandImage(record));
+  }
+  EXPECT_EQ(tenant_records, 1u);
   RemoveTree(dir);
 }
 

@@ -13,8 +13,10 @@
 //   * snapshot -> daemon restart -> restore equivalence, byte-for-byte
 //     on the re-snapshotted state;
 //   * malformed-frame containment: oversized length prefix, truncated
-//     payload, unknown opcode — each answered or dropped without taking
-//     the daemon down for anyone else;
+//     payload, unknown opcode, a body image whose bit count wraps, falls
+//     a word short or runs a byte long — each answered or dropped without
+//     taking the daemon down for anyone else — and a stalled length
+//     prefix that commits no frame-sized buffer;
 //   * malformed-BODY containment: well-formed frames whose bodies lie
 //     (string lengths, update counts, state bit counts, a bit count
 //     that wraps the word-count arithmetic) or carry hostile VALUES
@@ -29,7 +31,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -414,14 +418,18 @@ TEST(ServerTest, MalformedBodiesAreErrorsNotAborts) {
     WriteString(&body, "k");
     expect_error_then_alive(body, Opcode::kWindow, "truncated body");
   }
-  {
-    // RESTORE whose snapshot state claims 2^40 bits it does not carry.
+  // RESTORE whose snapshot state claims bits it does not carry: 2^40,
+  // counts that round past 2^64, and one word more than it ships.
+  const std::pair<uint64_t, int> lying_states[] = {
+      {1ull << 40, 0}, {~0ull, 0}, {~0ull - 62, 0}, {130, 2}};
+  for (const auto& [claimed, shipped] : lying_states) {
     BitWriter body;
     WriteString(&body, "a");
     WriteString(&body, "other");
     SerializeConfig(HeavyConfig(1), &body);
-    body.WriteU64(0);           // updates_seen
-    body.WriteU64(1ull << 40);  // state bit count, nothing behind it
+    body.WriteU64(0);        // updates_seen
+    body.WriteU64(claimed);  // state bit count
+    for (int i = 0; i < shipped; ++i) body.WriteU64(0);
     expect_error_then_alive(body, Opcode::kRestore, "lying state size");
   }
 
@@ -430,23 +438,93 @@ TEST(ServerTest, MalformedBodiesAreErrorsNotAborts) {
   server->Stop();
 }
 
-// A frame whose declared body bit count sits near 2^64 must not wrap
-// the ceil-to-words arithmetic into a "valid" tiny frame (that abort
-// lived in DecodeFramePayload): it is a framing violation, answered
-// once before the connection closes.
+// A frame body is an image spanning exactly the payload. A declared bit
+// count near 2^64 must not wrap the ceil-to-words arithmetic into a
+// "valid" tiny frame (that abort lived in DecodeFramePayload), and a body
+// one word short or one byte long must not pass either: each is a
+// framing violation, answered once before the connection closes.
 TEST(ServerTest, HostileBitCountDoesNotKillTheDaemon) {
   auto server = MustStart();
-  Client attacker = MustConnect(*server);
-  std::vector<uint8_t> frame = {9, 0, 0, 0, uint8_t(Opcode::kStats)};
-  for (int i = 0; i < 8; ++i) frame.push_back(0xFF);  // bit count 2^64 - 1
-  ASSERT_TRUE(attacker.SendRaw(frame).ok());
-  auto reply = attacker.ReadReply();
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply->first, kStatusError);
-  EXPECT_FALSE(attacker.ReadReply().ok());  // closed after answering
+  const auto frame_of = [](uint64_t bits, size_t words, size_t extra) {
+    const uint32_t payload = uint32_t(1 + 8 + 8 * words + extra);
+    std::vector<uint8_t> frame(4 + payload, 0);
+    for (int i = 0; i < 4; ++i) frame[i] = uint8_t(payload >> (8 * i));
+    frame[4] = uint8_t(Opcode::kStats);
+    for (int i = 0; i < 8; ++i) frame[5 + i] = uint8_t(bits >> (8 * i));
+    return frame;
+  };
+  const std::vector<std::vector<uint8_t>> hostile = {
+      frame_of(~0ull, 0, 0),       // bit count 2^64 - 1
+      frame_of(~0ull - 62, 0, 0),  // bit count 2^64 - 63
+      frame_of(130, 2, 0),         // one word past the delivered bytes
+      frame_of(130, 3, 1),         // a trailing byte
+  };
+  for (const std::vector<uint8_t>& frame : hostile) {
+    EXPECT_FALSE(DecodeFramePayload(frame.data() + 4, frame.size() - 4).ok());
+    Client attacker = MustConnect(*server);
+    ASSERT_TRUE(attacker.SendRaw(frame).ok());
+    auto reply = attacker.ReadReply();
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->first, kStatusError);
+    EXPECT_FALSE(attacker.ReadReply().ok());  // closed after answering
+  }
 
   Client fresh = MustConnect(*server);
   EXPECT_TRUE(fresh.Stats().ok());
+  server->Stop();
+}
+
+/// This process's resident set, from /proc/self/statm.
+uint64_t ResidentBytes() {
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (statm == nullptr) return 0;
+  unsigned long long pages = 0, resident = 0;
+  const int read = std::fscanf(statm, "%llu %llu", &pages, &resident);
+  std::fclose(statm);
+  return read == 2 ? resident * uint64_t(::sysconf(_SC_PAGESIZE)) : 0;
+}
+
+// A length prefix is a claim, not an allocation. Two peers that each
+// announce a kMaxFrameBytes frame and stall once made the daemon zero
+// 256 MiB apiece while it waited; now the buffer grows with the bytes
+// that arrive. Closing such a connection ends the frame early: a
+// truncation error, then the close.
+TEST(ServerTest, StalledLengthPrefixCommitsNoFrameBuffer) {
+  auto server = MustStart();
+  // A round trip each first, so the connections' threads are running
+  // before the baseline is taken.
+  std::vector<Client> stalled;
+  for (int i = 0; i < 2; ++i) {
+    stalled.push_back(MustConnect(*server));
+    ASSERT_TRUE(stalled.back().Stats().ok());
+  }
+  const uint64_t before = ResidentBytes();
+  std::vector<uint8_t> prefix(4);
+  for (int b = 0; b < 4; ++b) prefix[b] = uint8_t(kMaxFrameBytes >> (8 * b));
+  for (Client& client : stalled) ASSERT_TRUE(client.SendRaw(prefix).ok());
+  // Let each reader take its prefix and block on the payload.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const uint64_t after = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  EXPECT_LT(after, before + (16u << 20))
+      << "resident set grew by " << (after - before) << " bytes";
+
+  for (Client& client : stalled) {
+    ::shutdown(client.fd(), SHUT_WR);
+    auto reply = client.ReadReply();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->first, kStatusError);
+    EXPECT_EQ(ReadString(&reply.value().body), "frame payload truncated");
+    EXPECT_FALSE(client.ReadReply().ok());  // closed after answering
+  }
+
+  // A frame past the allowance still arrives whole (1.6 MB of updates).
+  Client healthy = MustConnect(*server);
+  ASSERT_TRUE(healthy.Create("big", "k", HeavyConfig(3)).ok());
+  const auto updates = TenantStream(3, 100000);
+  auto accepted = healthy.Ingest("big", "k", updates);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_EQ(*accepted, updates.size());
   server->Stop();
 }
 

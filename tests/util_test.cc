@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/util/bits.h"
+#include "src/util/byte_io.h"
 #include "src/util/random.h"
 #include "src/util/serialize.h"
 #include "src/util/status.h"
@@ -160,6 +167,93 @@ TEST(BitWriter, BoundedUsesMinimalBits) {
   BitReader reader(writer);
   EXPECT_EQ(reader.ReadBounded(10), 5u);
   EXPECT_EQ(reader.ReadBounded(2), 0u);
+}
+
+TEST(BitWriter, WordsForBitsNeverWraps) {
+  EXPECT_EQ(WordsForBits(0), 0u);
+  EXPECT_EQ(WordsForBits(1), 1u);
+  EXPECT_EQ(WordsForBits(64), 1u);
+  EXPECT_EQ(WordsForBits(65), 2u);
+  // (bits + 63) / 64 wraps to 0 for these two.
+  EXPECT_EQ(WordsForBits(~uint64_t{0}), uint64_t{1} << 58);
+  EXPECT_EQ(WordsForBits(~uint64_t{0} - 62), uint64_t{1} << 58);
+}
+
+TEST(BitWriter, ImageRoundTripsAndParsesExactly) {
+  BitWriter writer;
+  writer.WriteU64(0x0123456789ABCDEFull);
+  writer.WriteBits(5, 3);
+  std::vector<uint8_t> image(ImageSize(writer));
+  ASSERT_EQ(image.size(), 8u + 2 * 8);
+  WriteImage(writer, image.data());
+  auto parsed = ParseImage(image.data(), image.size());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().ReadU64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(parsed.value().ReadBits(3), 5u);
+  // Permissive: a read past the end fails the reader, never aborts.
+  EXPECT_EQ(parsed.value().ReadBits(1), 0u);
+  EXPECT_TRUE(parsed.value().failed());
+
+  EXPECT_FALSE(ParseImage(image.data(), 7).ok());
+  EXPECT_FALSE(ParseImage(image.data(), image.size() - 8).ok());
+  image.push_back(0);
+  EXPECT_FALSE(ParseImage(image.data(), image.size()).ok());
+}
+
+TEST(ByteIo, LittleEndianWhateverTheHost) {
+  uint8_t bytes[8];
+  StoreLE(uint32_t{0x11223344}, bytes);
+  EXPECT_EQ(bytes[0], 0x44);
+  EXPECT_EQ(bytes[3], 0x11);
+  EXPECT_EQ(LoadLE<uint32_t>(bytes), 0x11223344u);
+  StoreLE(uint16_t{0xBEEF}, bytes);
+  EXPECT_EQ(bytes[0], 0xEF);
+  EXPECT_EQ(LoadLE<uint16_t>(bytes), 0xBEEF);
+  const uint64_t word = 0x0102030405060708ull;
+  StoreWordsLE(&word, 1, bytes);
+  EXPECT_EQ(bytes[0], 0x08);
+  EXPECT_EQ(bytes[7], 0x01);
+  EXPECT_EQ(LoadLE<uint64_t>(bytes), word);
+  uint64_t loaded = 0;
+  LoadWordsLE(bytes, 1, &loaded);
+  EXPECT_EQ(loaded, word);
+}
+
+// The loops name the failing call's errno, and EOF before the end of the
+// buffer is a short read, not a stale errno.
+TEST(ByteIo, LoopsReportShortReadsAndTheFailingCall) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_TRUE(WriteAll(fds[1], "abc", 3, "pipe").ok());
+  ::close(fds[1]);
+  char buffer[8];
+  size_t got = 0;
+  const Status short_read = ReadAll(fds[0], buffer, sizeof(buffer), &got);
+  EXPECT_EQ(short_read.code(), Code::kInvalidArgument);
+  EXPECT_EQ(short_read.message(), "short read");
+  EXPECT_EQ(got, 3u);
+  EXPECT_EQ(std::string(buffer, 3), "abc");
+  const Status not_a_socket = SendAll(fds[0], "x", 1);
+  EXPECT_TRUE(not_a_socket.IsFailed());
+  EXPECT_EQ(not_a_socket.message().rfind("send: ", 0), 0u);
+  const Status read_only = WriteAll(fds[0], "x", 1, "pipe");
+  EXPECT_EQ(read_only.message(),
+            "write failed pipe: " + std::string(std::strerror(EBADF)));
+  const Status past_end = PreadAll(fds[0], buffer, 1, 0, "pipe");
+  EXPECT_EQ(past_end.message(),
+            "read failed pipe: " + std::string(std::strerror(ESPIPE)));
+  ::close(fds[0]);
+
+  char path[] = "/tmp/lps_util_byteio_XXXXXX";
+  const int fd = ::mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WriteAll(fd, "abcd", 4, path).ok());
+  ASSERT_TRUE(PreadAll(fd, buffer, 2, 1, path).ok());
+  EXPECT_EQ(std::string(buffer, 2), "bc");
+  EXPECT_EQ(PreadAll(fd, buffer, 4, 2, path).message(),
+            "short read " + std::string(path));
+  ::close(fd);
+  ::unlink(path);
 }
 
 TEST(Status, Basics) {
