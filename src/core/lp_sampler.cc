@@ -50,7 +50,7 @@ constexpr size_t kBatchChunk = 4096;
 // and on one helper per other CPU in its affinity mask, at most parts - 1
 // of them, which take parts from one counter. Each helper is pinned to its
 // CPU: left to the scheduler, new threads that run for a fraction of a
-// second stayed on their parent's CPU (ROADMAP item 4). Returns once every
+// second stayed on their parent's CPU (ROADMAP item 8). Returns once every
 // helper is joined, and rethrows the first exception a part threw.
 void RunOnAllowedCpus(size_t parts, const std::function<void(size_t)>& work) {
   std::atomic<size_t> next{0};

@@ -15,33 +15,11 @@
 
 namespace lps::server {
 
-// --------------------------------------------------------------- Outbox --
+namespace {
 
-void Server::Outbox::Push(std::vector<uint8_t> frame) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  can_push_.wait(lock,
-                 [&] { return closed_ || queue_.size() < capacity_; });
-  if (closed_) return;
-  queue_.push_back(std::move(frame));
-  can_pop_.notify_one();
-}
+constexpr char kMalformedBody[] = "malformed request body";
 
-bool Server::Outbox::Pop(std::vector<uint8_t>* out) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  can_pop_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  can_push_.notify_one();
-  return true;
-}
-
-void Server::Outbox::Close() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  closed_ = true;
-  can_push_.notify_all();
-  can_pop_.notify_all();
-}
+}  // namespace
 
 // --------------------------------------------------------------- Server --
 
@@ -139,10 +117,9 @@ void Server::Stop() {
     connections.swap(connections_);
   }
   for (auto& connection : connections) {
+    // Wakes a reader blocked in read() or in send() to a stalled peer.
     ::shutdown(connection->fd, SHUT_RDWR);
-    connection->outbox.Close();
     if (connection->reader.joinable()) connection->reader.join();
-    if (connection->writer.joinable()) connection->writer.join();
     ::close(connection->fd);
   }
   // Every serving thread is gone — a final full snapshot makes a clean
@@ -164,11 +141,9 @@ void Server::AcceptLoop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto connection = std::make_unique<Connection>(
-        fd, next_connection_id_.fetch_add(1, std::memory_order_relaxed),
-        options_.outbox_capacity);
+        fd, next_connection_id_.fetch_add(1, std::memory_order_relaxed));
     Connection* raw = connection.get();
     raw->reader = std::thread([this, raw] { ReaderMain(raw); });
-    raw->writer = std::thread([this, raw] { WriterMain(raw); });
     {
       std::lock_guard<std::mutex> lock(connections_mutex_);
       connections_.push_back(std::move(connection));
@@ -179,10 +154,9 @@ void Server::AcceptLoop() {
 
 void Server::ReapFinished() {
   // Unlink finished connections under the lock, but JOIN outside it: a
-  // reader can still be finishing its last request when the writer
-  // flags done, and Stop() takes the same mutex — joining under it
-  // would stall the accept loop (and could deadlock it) behind one
-  // straggling connection.
+  // reader flags done just before its thread returns, and Stop() takes
+  // the same mutex — joining under it would stall the accept loop
+  // behind one straggling connection.
   std::vector<std::unique_ptr<Connection>> finished;
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -197,7 +171,6 @@ void Server::ReapFinished() {
   }
   for (auto& connection : finished) {
     if (connection->reader.joinable()) connection->reader.join();
-    if (connection->writer.joinable()) connection->writer.join();
     ::close(connection->fd);
   }
 }
@@ -217,88 +190,61 @@ void Server::ReaderMain(Connection* connection) {
     if (!HandleFrame(connection, std::move(frame.value()))) break;
   }
   if (extension_ != nullptr) extension_->OnConnectionClosed(connection->id);
-  connection->outbox.Close();
-  // Wake the writer if it is mid-send on a dead peer, and mark the
-  // connection reapable once the writer drains.
-  ::shutdown(connection->fd, SHUT_RD);
-}
-
-void Server::WriterMain(Connection* connection) {
-  std::vector<uint8_t> bytes;
-  while (connection->outbox.Pop(&bytes)) {
-    if (!SendAll(connection->fd, bytes.data(), bytes.size()).ok()) {
-      // Peer is gone: stop draining, and CLOSE the outbox so a reader
-      // blocked in Push (bounded queue full — exactly what a peer that
-      // stopped reading and then died produces) wakes up instead of
-      // waiting forever on a queue nothing will ever pop.
-      connection->outbox.Close();
-      ::shutdown(connection->fd, SHUT_RDWR);
-      break;
-    }
-  }
-  // The outbox only closes once the reader has exited, so every reply is
-  // on the wire: signal EOF to the peer (the fd itself is closed when the
-  // connection is reaped or the server stops).
-  ::shutdown(connection->fd, SHUT_WR);
+  // The last reply is on the wire (or the peer is gone): signal EOF. The
+  // fd itself is closed when the connection is reaped or the server
+  // stops, after this thread is joined.
+  ::shutdown(connection->fd, SHUT_RDWR);
   connection->done.store(true);
 }
 
-void Server::SendOk(Connection* connection, const BitWriter& body) {
-  std::vector<uint8_t> frame = EncodeFrame(kStatusOk, body);
+bool Server::SendOk(Connection* connection, const BitWriter& body) {
+  const std::vector<uint8_t> frame = EncodeFrame(kStatusOk, body);
   if (frame.empty()) {
     // Body larger than a frame can carry: answer with an error rather
     // than silently dropping the reply (the client is owed exactly one
     // response per request).
-    SendError(connection, "response exceeds the frame size limit");
-    return;
+    return SendError(connection, "response exceeds the frame size limit");
   }
-  connection->outbox.Push(std::move(frame));
+  return SendAll(connection->fd, frame.data(), frame.size()).ok();
 }
 
-void Server::SendError(Connection* connection, const std::string& message) {
+bool Server::SendError(Connection* connection, const std::string& message) {
   BitWriter body;
   WriteString(&body, message);
-  connection->outbox.Push(EncodeFrame(kStatusError, body));
+  const std::vector<uint8_t> frame = EncodeFrame(kStatusError, body);
+  return SendAll(connection->fd, frame.data(), frame.size()).ok();
 }
 
-bool Server::SendMalformed(Connection* connection) {
-  // The frame boundary was sound — only the body lied about its
-  // interior — so the byte stream is still synchronized and the
-  // connection keeps serving, like the unknown-opcode case.
-  SendError(connection, "malformed request body");
-  return true;
+bool Server::Reply(Connection* connection, const Status& status,
+                   const BitWriter& body) {
+  return status.ok() ? SendOk(connection, body)
+                     : SendError(connection, status.message());
 }
 
 bool Server::HandleFrame(Connection* connection, Frame frame) {
+  // A body that lies about its interior lengths is answered with
+  // kMalformedBody: the frame boundary was sound, so the byte stream is
+  // still synchronized and the connection keeps serving, like the
+  // unknown-opcode case.
   BitReader& body = frame.body;
   switch (Opcode(frame.first)) {
     case Opcode::kCreate: {
       const std::string tenant = ReadString(&body);
       const std::string key = ReadString(&body);
       const SketchConfig config = DeserializeConfig(&body);
-      if (body.failed()) return SendMalformed(connection);
-      const Status status = registry_.Create(tenant, key, config);
-      if (!status.ok()) {
-        SendError(connection, status.message());
-      } else {
-        SendOk(connection, BitWriter());
-      }
-      return true;
+      if (body.failed()) return SendError(connection, kMalformedBody);
+      return Reply(connection, registry_.Create(tenant, key, config));
     }
     case Opcode::kIngest: {
       const std::string tenant = ReadString(&body);
       const std::string key = ReadString(&body);
       const std::vector<stream::Update> updates = ReadUpdates(&body);
-      if (body.failed()) return SendMalformed(connection);
+      if (body.failed()) return SendError(connection, kMalformedBody);
       const Result<uint64_t> seen = registry_.Ingest(tenant, key, updates);
-      if (!seen.ok()) {
-        SendError(connection, seen.status().message());
-      } else {
-        BitWriter reply;
-        reply.WriteU64(updates.size());
-        SendOk(connection, reply);
-      }
-      return true;
+      if (!seen.ok()) return SendError(connection, seen.status().message());
+      BitWriter reply;
+      reply.WriteU64(updates.size());
+      return SendOk(connection, reply);
     }
     case Opcode::kIngestStream: {
       // Pipelined ingest: NO response frame. The sender streams a run
@@ -308,124 +254,92 @@ bool Server::HandleFrame(Connection* connection, Frame frame) {
       // decoded but not applied) and surfaces exactly once, on the
       // sync — the frame boundary stays sound throughout, so the
       // connection itself keeps serving.
+      StreamRun& run = connection->run;
       const std::string tenant = ReadString(&body);
       const std::string key = ReadString(&body);
       const std::vector<stream::Update> updates = ReadUpdates(&body);
       if (body.failed()) {
-        if (connection->stream_error.empty()) {
-          connection->stream_error = "malformed request body";
-        }
+        if (run.error.empty()) run.error = kMalformedBody;
         return true;
       }
-      if (!connection->stream_error.empty()) return true;
+      if (!run.error.empty()) return true;
       const Result<uint64_t> seen = registry_.Ingest(tenant, key, updates);
       if (!seen.ok()) {
-        connection->stream_error = seen.status().message();
+        run.error = seen.status().message();
         return true;
       }
-      connection->stream_count += updates.size();
-      connection->stream_seen = seen.value();
+      run.count += updates.size();
+      run.seen = seen.value();
       return true;
     }
     case Opcode::kIngestSync: {
       // Close the streamed run: one ack carrying the cumulative accepted
       // count and the target stream's updates_seen, or the run's first
       // deferred error. Either way the run state resets.
-      if (connection->stream_error.empty()) {
-        BitWriter reply;
-        reply.WriteU64(connection->stream_count);
-        reply.WriteU64(connection->stream_seen);
-        SendOk(connection, reply);
-      } else {
-        SendError(connection, connection->stream_error);
-      }
-      connection->stream_count = 0;
-      connection->stream_seen = 0;
-      connection->stream_error.clear();
-      return true;
+      const StreamRun run = std::exchange(connection->run, StreamRun());
+      if (!run.error.empty()) return SendError(connection, run.error);
+      BitWriter reply;
+      reply.WriteU64(run.count);
+      reply.WriteU64(run.seen);
+      return SendOk(connection, reply);
     }
     case Opcode::kQuery: {
       const std::string tenant = ReadString(&body);
       const std::string key = ReadString(&body);
-      if (body.failed()) return SendMalformed(connection);
+      if (body.failed()) return SendError(connection, kMalformedBody);
       const Result<QueryResult> result = registry_.Query(tenant, key);
-      if (!result.ok()) {
-        SendError(connection, result.status().message());
-      } else {
-        BitWriter reply;
-        SerializeQueryResult(*result, &reply);
-        SendOk(connection, reply);
-      }
-      return true;
+      if (!result.ok()) return SendError(connection, result.status().message());
+      BitWriter reply;
+      SerializeQueryResult(*result, &reply);
+      return SendOk(connection, reply);
     }
     case Opcode::kWindow: {
       const std::string tenant = ReadString(&body);
       const std::string key = ReadString(&body);
       const uint64_t w = body.ReadU64();
       const bool want_state = body.ReadBits(8) != 0;
-      if (body.failed()) return SendMalformed(connection);
+      if (body.failed()) return SendError(connection, kMalformedBody);
       Result<TenantRegistry::WindowAnswer> answer =
           registry_.Window(tenant, key, w, want_state);
-      if (!answer.ok()) {
-        SendError(connection, answer.status().message());
-      } else {
-        BitWriter reply;
-        SerializeQueryResult(answer->result, &reply);
-        reply.WriteU64(answer->start);
-        reply.WriteU64(answer->length);
-        reply.WriteBits(want_state ? 1 : 0, 8);
-        if (want_state) {
-          WriteState(&reply, answer.value().state_words,
-                     answer.value().state_bits);
-        }
-        SendOk(connection, reply);
+      if (!answer.ok()) return SendError(connection, answer.status().message());
+      BitWriter reply;
+      SerializeQueryResult(answer->result, &reply);
+      reply.WriteU64(answer->start);
+      reply.WriteU64(answer->length);
+      reply.WriteBits(want_state ? 1 : 0, 8);
+      if (want_state) {
+        WriteState(&reply, answer.value().state_words,
+                   answer.value().state_bits);
       }
-      return true;
+      return SendOk(connection, reply);
     }
     case Opcode::kSnapshot: {
       const std::string tenant = ReadString(&body);
       const std::string key = ReadString(&body);
-      if (body.failed()) return SendMalformed(connection);
+      if (body.failed()) return SendError(connection, kMalformedBody);
       const Result<SnapshotBlob> blob = registry_.Snapshot(tenant, key);
-      if (!blob.ok()) {
-        SendError(connection, blob.status().message());
-      } else {
-        BitWriter reply;
-        SerializeSnapshot(*blob, &reply);
-        SendOk(connection, reply);
-      }
-      return true;
+      if (!blob.ok()) return SendError(connection, blob.status().message());
+      BitWriter reply;
+      SerializeSnapshot(*blob, &reply);
+      return SendOk(connection, reply);
     }
     case Opcode::kRestore: {
       const std::string tenant = ReadString(&body);
       const std::string key = ReadString(&body);
       const SnapshotBlob blob = DeserializeSnapshot(&body);
-      if (body.failed()) return SendMalformed(connection);
-      const Status status = registry_.Restore(tenant, key, blob);
-      if (!status.ok()) {
-        SendError(connection, status.message());
-      } else {
-        SendOk(connection, BitWriter());
-      }
-      return true;
+      if (body.failed()) return SendError(connection, kMalformedBody);
+      return Reply(connection, registry_.Restore(tenant, key, blob));
     }
     case Opcode::kDrop: {
       const std::string tenant = ReadString(&body);
       const std::string key = ReadString(&body);
-      if (body.failed()) return SendMalformed(connection);
-      const Status status = registry_.Drop(tenant, key);
-      if (!status.ok()) {
-        SendError(connection, status.message());
-      } else {
-        SendOk(connection, BitWriter());
-      }
-      return true;
+      if (body.failed()) return SendError(connection, kMalformedBody);
+      return Reply(connection, registry_.Drop(tenant, key));
     }
     case Opcode::kStats: {
       BitWriter reply;
       SerializeStats(registry_.Stats(), &reply);
-      SendOk(connection, reply);
-      return true;
+      return SendOk(connection, reply);
     }
     case Opcode::kEpoch:
     case Opcode::kDistStats:
@@ -438,19 +352,13 @@ bool Server::HandleFrame(Connection* connection, Frame frame) {
     Status status = Status::OK();
     if (extension_->HandleOpcode(connection->id, frame.first, &body, &reply,
                                  &status)) {
-      if (!status.ok()) {
-        SendError(connection, status.message());
-      } else {
-        SendOk(connection, reply);
-      }
-      return true;
+      return Reply(connection, status, reply);
     }
   }
   // Well-formed frame, unknown opcode: report and keep serving — the
   // stream is still synchronized.
-  SendError(connection,
-            "unknown opcode " + std::to_string(int(frame.first)));
-  return true;
+  return SendError(connection,
+                   "unknown opcode " + std::to_string(int(frame.first)));
 }
 
 }  // namespace lps::server

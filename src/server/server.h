@@ -1,22 +1,17 @@
 // Server — the TCP transport of lps_serve.
 //
-// Threading model (the classic reader/writer-thread shape used by
-// high-throughput pipeline tools): one accept thread owns the listening
-// socket; each accepted connection gets
+// Threading model: one accept thread owns the listening socket; each
+// accepted connection gets ONE thread, which reads a length-prefixed
+// frame, decodes the request, calls the matching TenantRegistry method
+// and sends the encoded reply before it reads the next frame. Replies
+// therefore leave in request order, and a connection holds at most one
+// encoded reply: a peer that stops reading blocks only its own thread,
+// in send(), once the socket buffers are full. A failed send (the peer
+// reset or went away) ends the connection.
 //
-//   - a READER thread: reads length-prefixed frames, decodes the
-//     request, calls the matching TenantRegistry method, and pushes the
-//     encoded response into the connection's outbox;
-//   - a WRITER thread: the only thread that writes the socket, draining
-//     the outbox in order. The outbox is a BOUNDED queue — a client
-//     that stops reading its responses eventually blocks its own reader
-//     thread (per-connection backpressure) instead of growing server
-//     memory.
-//
-// Responses therefore leave in request order, and no lock is held
-// across socket I/O. Cross-tenant parallelism comes from the registry's
-// entry-level locking: N connections ingesting into N tenants proceed
-// concurrently, serialized only per stream.
+// No lock is held across socket I/O. Cross-tenant parallelism comes
+// from the registry's entry-level locking: N connections ingesting into
+// N tenants proceed concurrently, serialized only per stream.
 //
 // Failure containment: a malformed frame must never take the daemon
 // down. An oversized length prefix or truncated payload makes the byte
@@ -48,7 +43,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -64,7 +58,7 @@ namespace lps::server {
 /// (the distributed-aggregation tier in src/dist/ registers one).
 /// Server offers every non-core opcode here before answering "unknown
 /// opcode". Implementations must be thread-safe: HandleOpcode runs
-/// concurrently on connection reader threads.
+/// concurrently on connection threads.
 class FrameHandler {
  public:
   virtual ~FrameHandler() = default;
@@ -91,9 +85,6 @@ class Server {
     /// TCP port to bind on 127.0.0.1; 0 asks the kernel for an
     /// ephemeral port (tests/bench), reported by port() after Start().
     int port = 0;
-    /// Bound on queued responses per connection before the reader
-    /// blocks (backpressure against clients that stop reading).
-    size_t outbox_capacity = 64;
     /// Durable checkpoint-store directory; "" disables persistence.
     std::string data_dir;
     /// Cadence of the background dirty-tenant snapshot pass (the crash
@@ -142,56 +133,36 @@ class Server {
   persist::CheckpointStore* store() { return store_.get(); }
 
  private:
-  /// Bounded FIFO of encoded response frames, closed on teardown.
-  class Outbox {
-   public:
-    explicit Outbox(size_t capacity) : capacity_(capacity) {}
-
-    /// Blocks while full; drops the frame if the outbox was closed.
-    void Push(std::vector<uint8_t> frame);
-    /// Blocks while empty; false once closed and drained.
-    bool Pop(std::vector<uint8_t>* out);
-    void Close();
-
-   private:
-    std::mutex mutex_;
-    std::condition_variable can_push_;
-    std::condition_variable can_pop_;
-    std::deque<std::vector<uint8_t>> queue_;
-    size_t capacity_;
-    bool closed_ = false;
+  /// An INGEST_STREAM run: what the next INGEST_SYNC acknowledges.
+  struct StreamRun {
+    uint64_t count = 0;  ///< updates accepted since the last sync
+    uint64_t seen = 0;   ///< target stream's updates_seen, last frame
+    std::string error;   ///< first deferred error; empty = clean run
   };
 
   struct Connection {
-    explicit Connection(int fd_in, uint64_t id_in, size_t outbox_capacity)
-        : fd(fd_in), id(id_in), outbox(outbox_capacity) {}
+    Connection(int fd_in, uint64_t id_in) : fd(fd_in), id(id_in) {}
     int fd;
     /// Monotonic per-server id, handed to the FrameHandler extension so
     /// it can track per-connection peers (never reused).
     uint64_t id;
-    Outbox outbox;
     std::thread reader;
-    std::thread writer;
     std::atomic<bool> done{false};
-    // ---- INGEST_STREAM run state (touched by the reader thread only) --
-    uint64_t stream_count = 0;  ///< updates accepted since the last sync
-    uint64_t stream_seen = 0;   ///< target stream's updates_seen, last frame
-    std::string stream_error;   ///< first deferred error; empty = clean run
+    StreamRun run;  ///< touched by the connection's thread only
   };
 
   void AcceptLoop();
   void ReaderMain(Connection* connection);
-  void WriterMain(Connection* connection);
-  /// Decodes and executes one request, enqueueing exactly one response.
-  /// Returns false when the connection must close (unsynchronized
-  /// stream).
+  /// Decodes and executes one request and sends its reply (INGEST_STREAM
+  /// has none). Returns false when the connection must close: the
+  /// stream is unsynchronized or the reply could not be sent.
   bool HandleFrame(Connection* connection, Frame frame);
-  void SendOk(Connection* connection, const BitWriter& body);
-  void SendError(Connection* connection, const std::string& message);
-  /// Answers a body whose interior lengths lied about the frame's
-  /// contents. Returns true: the frame boundary was sound, so the
-  /// connection keeps serving.
-  bool SendMalformed(Connection* connection);
+  /// Each returns false when the send failed (the peer is gone).
+  bool SendOk(Connection* connection, const BitWriter& body);
+  bool SendError(Connection* connection, const std::string& message);
+  /// An ok reply with `body` when `status` is OK, else its error.
+  bool Reply(Connection* connection, const Status& status,
+             const BitWriter& body = BitWriter());
   /// Unlinks finished connections under connections_mutex_, then joins
   /// them outside it (called from the accept loop so long-lived servers
   /// do not accumulate dead threads, without the accept loop ever

@@ -1,5 +1,6 @@
 #include "src/server/tenant_registry.h"
 
+#include <charconv>
 #include <chrono>
 #include <utility>
 
@@ -458,11 +459,17 @@ ServerStats TenantRegistry::Stats() const {
     }
     TenantPersistStats tenant;
     // Recover the wire names from the map key's length-prefixed form:
-    // "<tenant_len>:<tenant><key>".
+    // "<tenant_len>:<tenant><key>". A key that does not parse is skipped,
+    // not thrown on: boot already reported it as not restored.
     const size_t colon = map_key.find(':');
     if (colon == std::string::npos) continue;
-    const size_t tenant_len = size_t(std::stoull(map_key.substr(0, colon)));
-    if (colon + 1 + tenant_len > map_key.size()) continue;
+    uint64_t tenant_len = 0;
+    const char* digits_end = map_key.data() + colon;
+    const auto parsed = std::from_chars(map_key.data(), digits_end, tenant_len);
+    if (parsed.ec != std::errc() || parsed.ptr != digits_end ||
+        tenant_len > map_key.size() - colon - 1) {
+      continue;
+    }
     tenant.name = map_key.substr(colon + 1, tenant_len) + "/" +
                   map_key.substr(colon + 1 + tenant_len);
     tenant.resident = false;

@@ -913,6 +913,15 @@ TEST(ServerPersist, BootReportsTenantsItCannotRestore) {
       ASSERT_TRUE(store.Append(store_key, 1, bytes.data(), bytes.size()).ok());
       failing_keys.push_back(store_key);
     }
+    // Tenant keys are "t:<tenant_len>:<tenant><key>". A length prefix
+    // that is not a number, is empty or overflows must not take STATS
+    // down once boot has reported the key.
+    for (const std::string store_key :
+         {"t:a:b", "t::x", "t:99999999999999999999:x"}) {
+      const std::vector<uint8_t> bytes = image_of(0, 0);
+      ASSERT_TRUE(store.Append(store_key, 1, bytes.data(), bytes.size()).ok());
+      failing_keys.push_back(store_key);
+    }
     ASSERT_TRUE(store.Sync().ok());
   }
   ASSERT_FALSE(old_key.empty());
@@ -934,6 +943,8 @@ TEST(ServerPersist, BootReportsTenantsItCannotRestore) {
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   EXPECT_EQ(*good, good_before);
   EXPECT_FALSE(client.Query("old", "s").ok());
+  auto stats = client.Stats();
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   daemon.Stop();
   RemoveTree(dir);
 }

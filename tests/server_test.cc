@@ -23,10 +23,12 @@
 //     (out-of-range spec parameters, out-of-universe indices, NUL-
 //     aliased tenant names) — every one an error response, never an
 //     abort;
-//   * a client that stops reading its replies and then dies must not
-//     wedge the writer/reader pair or the accept loop.
+//   * a client that stops reading its replies costs the daemon one
+//     reply, and when it then dies it must not wedge its connection's
+//     thread or the accept loop; each connection is one thread.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -474,6 +476,14 @@ TEST(ServerTest, HostileBitCountDoesNotKillTheDaemon) {
   server->Stop();
 }
 
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define LPS_UNDER_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define LPS_UNDER_SANITIZER 1
+#endif
+#endif
+
 /// This process's resident set, from /proc/self/statm.
 uint64_t ResidentBytes() {
   std::FILE* statm = std::fopen("/proc/self/statm", "r");
@@ -593,19 +603,16 @@ TEST(ServerTest, OutOfRangeValuesAreErrorsNotAborts) {
   server->Stop();
 }
 
-// A client that stops reading its replies (filling the bounded outbox
-// and the socket buffers) and then dies with a RST must not leave the
-// reader blocked in Outbox::Push forever — the writer's failure path
-// closes the outbox, the pair exits, and the accept loop keeps serving.
+// A client that pipelines requests and never reads a reply costs the
+// daemon one reply: the connection's thread sends each reply itself and
+// blocks in send() once the socket buffers are full, instead of
+// building more ~2 MiB SNAPSHOT replies for a queue. When the client
+// then dies with a RST, the failed send ends the connection and the
+// accept loop keeps serving.
 TEST(ServerTest, DeadSlowClientDoesNotWedgeTheServer) {
-  Server::Options options;
-  options.port = 0;
-  options.outbox_capacity = 2;
-  Server server(options);
-  ASSERT_TRUE(server.Start().ok());
-
+  auto server = MustStart();
   {
-    Client setup = MustConnect(server);
+    Client setup = MustConnect(*server);
     // A deliberately wide CountSketch so each SNAPSHOT reply is ~2 MiB
     // and a few pipelined replies overrun any default socket buffer.
     SketchConfig big;
@@ -615,17 +622,34 @@ TEST(ServerTest, DeadSlowClientDoesNotWedgeTheServer) {
     ASSERT_TRUE(setup.Create("t", "big", big).ok());
   }
   {
-    Client slow = MustConnect(server);
+    Client slow = MustConnect(*server);
+    // One round trip first, so the connection's thread runs and has
+    // built one reply before the baseline is taken.
+    ASSERT_TRUE(slow.Snapshot("t", "big").ok());
+    const uint64_t before = ResidentBytes();
     BitWriter body;
     WriteString(&body, "t");
     WriteString(&body, "big");
     const std::vector<uint8_t> request =
         EncodeFrame(uint8_t(Opcode::kSnapshot), body);
-    // Pipeline far more replies than the outbox + socket buffers hold,
-    // never reading any of them...
-    for (int i = 0; i < 32; ++i) {
-      if (!slow.SendRaw(request).ok()) break;  // buffers already full
+    // Pipeline far more replies than the socket buffers hold, never
+    // reading any of them...
+    for (int i = 0; i < 64; ++i) ASSERT_TRUE(slow.SendRaw(request).ok());
+    uint64_t peak = before;
+    for (int i = 0; i < 10; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      peak = std::max(peak, ResidentBytes());
     }
+    // The reader stops at the reply it cannot send, so most requests are
+    // never read; a reply queue would have built one for each.
+    EXPECT_LT(server->registry().Stats().snapshots, 32u);
+#ifndef LPS_UNDER_SANITIZER
+    // Sanitizers shadow every byte and ASan quarantines freed buffers, so
+    // only a plain build's resident set measures what the server holds.
+    ASSERT_GT(before, 0u);
+    EXPECT_LT(peak, before + (16u << 20))
+        << "resident set grew by " << (peak - before) << " bytes";
+#endif
     // ...then die abruptly: linger(0) turns close() into a RST, which
     // is what makes the server's in-flight send() fail.
     const linger abort_on_close{1, 0};
@@ -635,9 +659,36 @@ TEST(ServerTest, DeadSlowClientDoesNotWedgeTheServer) {
 
   // The accept loop (which also reaps finished connections) must still
   // serve newcomers, and Stop() must join everything without hanging.
-  Client fresh = MustConnect(server);
+  Client fresh = MustConnect(*server);
   EXPECT_TRUE(fresh.Stats().ok());
-  server.Stop();
+  server->Stop();
+}
+
+/// This process's threads, from /proc/self/task (0 without procfs).
+size_t ThreadCount() {
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  size_t count = 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++count;
+  }
+  ::closedir(dir);
+  return count;
+}
+
+// Each connection is served by exactly one thread, which reads its
+// requests and sends its own replies.
+TEST(ServerTest, OneThreadPerConnection) {
+  auto server = MustStart();
+  const size_t before = ThreadCount();
+  if (before == 0) GTEST_SKIP() << "/proc/self/task unavailable";
+  std::vector<Client> clients;
+  for (int i = 0; i < 8; ++i) {
+    clients.push_back(MustConnect(*server));
+    ASSERT_TRUE(clients.back().Stats().ok());
+  }
+  EXPECT_EQ(ThreadCount(), before + 8);
+  server->Stop();
 }
 
 TEST(ServerTest, StreamedIngestMatchesRpcIngestBitForBit) {

@@ -34,7 +34,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -42,6 +41,7 @@
 #include "src/dist/aggregator.h"
 #include "src/kernels/kernels.h"
 #include "src/server/server.h"
+#include "tools/flag_parse.h"
 
 namespace {
 
@@ -60,13 +60,8 @@ int Usage() {
   return 2;
 }
 
-bool ParseU64(const char* text, uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = uint64_t(value);
-  return true;
-}
+using lps::tools::kMaxDuration;
+using lps::tools::ParseU64;
 
 }  // namespace
 
@@ -80,7 +75,7 @@ int main(int argc, char** argv) {
       const std::string upstream = argv[a + 1];
       const size_t colon = upstream.rfind(':');
       if (colon == std::string::npos ||
-          !ParseU64(upstream.c_str() + colon + 1, &value) || value > 65535) {
+          !ParseU64(upstream.c_str() + colon + 1, &value, 65535)) {
         return Usage();
       }
       dist_options.upstream_host = upstream.substr(0, colon);
@@ -92,11 +87,13 @@ int main(int argc, char** argv) {
       ++a;
     } else if (std::strcmp(argv[a], "--flush-interval-ms") == 0 &&
                a + 1 < argc) {
-      if (!ParseU64(argv[a + 1], &value) || value == 0) return Usage();
+      if (!ParseU64(argv[a + 1], &value, kMaxDuration) || value == 0) {
+        return Usage();
+      }
       dist_options.flush_interval_ms = value;
       ++a;
     } else if (std::strcmp(argv[a], "--port") == 0 && a + 1 < argc) {
-      if (!ParseU64(argv[a + 1], &value) || value > 65535) return Usage();
+      if (!ParseU64(argv[a + 1], &value, 65535)) return Usage();
       options.port = int(value);
       ++a;
     } else if (std::strcmp(argv[a], "--data-dir") == 0 && a + 1 < argc) {
@@ -104,11 +101,11 @@ int main(int argc, char** argv) {
       ++a;
     } else if (std::strcmp(argv[a], "--snapshot-interval-ms") == 0 &&
                a + 1 < argc) {
-      if (!ParseU64(argv[a + 1], &value)) return Usage();
+      if (!ParseU64(argv[a + 1], &value, kMaxDuration)) return Usage();
       options.snapshot_interval_ms = value;
       ++a;
     } else if (std::strcmp(argv[a], "--idle-timeout-ms") == 0 && a + 1 < argc) {
-      if (!ParseU64(argv[a + 1], &value)) return Usage();
+      if (!ParseU64(argv[a + 1], &value, kMaxDuration)) return Usage();
       options.idle_timeout_ms = value;
       ++a;
     } else if (std::strcmp(argv[a], "--resident-checkpoints") == 0 &&

@@ -30,7 +30,6 @@
 // feed each worker its own file).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -43,6 +42,7 @@
 #include "src/dist/worker.h"
 #include "src/io/byte_source.h"
 #include "src/io/stream_feeder.h"
+#include "tools/flag_parse.h"
 
 namespace {
 
@@ -57,13 +57,8 @@ int Usage() {
   return 2;
 }
 
-bool ParseU64(const char* text, uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = uint64_t(value);
-  return true;
-}
+using lps::tools::kMaxDuration;
+using lps::tools::ParseU64;
 
 }  // namespace
 
@@ -85,7 +80,7 @@ int main(int argc, char** argv) {
   for (int a = 1; a < argc; ++a) {
     uint64_t value = 0;
     if (std::strcmp(argv[a], "--port") == 0 && a + 1 < argc) {
-      if (!ParseU64(argv[a + 1], &value) || value > 65535) return Usage();
+      if (!ParseU64(argv[a + 1], &value, 65535)) return Usage();
       options.uplink.port = int(value);
       have_port = true;
       ++a;
@@ -117,11 +112,11 @@ int main(int argc, char** argv) {
       if (!ParseU64(argv[a + 1], &options.epoch_interval)) return Usage();
       ++a;
     } else if (std::strcmp(argv[a], "--shards") == 0 && a + 1 < argc) {
-      if (!ParseU64(argv[a + 1], &value) || value > 1024) return Usage();
+      if (!ParseU64(argv[a + 1], &value, 1024)) return Usage();
       options.config.shards = int32_t(value);
       ++a;
     } else if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc) {
-      if (!ParseU64(argv[a + 1], &value) || value > 1024) return Usage();
+      if (!ParseU64(argv[a + 1], &value, 1024)) return Usage();
       options.config.threads = int32_t(value);
       ++a;
     } else if (std::strcmp(argv[a], "--worker-id") == 0 && a + 1 < argc) {
@@ -134,7 +129,7 @@ int main(int argc, char** argv) {
       if (!ParseU64(argv[a + 1], &batch) || batch == 0) return Usage();
       ++a;
     } else if (std::strcmp(argv[a], "--throttle-us") == 0 && a + 1 < argc) {
-      if (!ParseU64(argv[a + 1], &throttle_us)) return Usage();
+      if (!ParseU64(argv[a + 1], &throttle_us, kMaxDuration)) return Usage();
       ++a;
     } else {
       return Usage();
