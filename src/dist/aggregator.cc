@@ -225,8 +225,8 @@ void Aggregator::FlushPending() {
       blob.config = pending.config;
       BitWriter state;
       pending.sketch->Serialize(&state);
-      blob.state_words = state.words();
       blob.state_bits = state.bit_count();
+      blob.state_words = state.TakeWords();
       pending.sketch->Reset();
       pending.count = 0;
       pending.dirty = false;

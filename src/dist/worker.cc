@@ -99,8 +99,8 @@ Status Worker::ShipEpoch(uint64_t count, bool final_epoch) {
   blob.config = options_.config;
   BitWriter state;
   stream_->sketch().Serialize(&state);
-  blob.state_words = state.words();
   blob.state_bits = state.bit_count();
+  blob.state_words = state.TakeWords();
   // Reset BEFORE shipping: replica 0 must restart from zero so the next
   // epoch is again a pure delta. The blob keeps the serialized bytes,
   // so a reconnect re-send needs no sketch state.

@@ -1,6 +1,7 @@
 #include "src/server/protocol.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "src/util/byte_io.h"
 
@@ -39,13 +40,16 @@ std::string ReadString(BitReader* reader) {
   return s;
 }
 
+// An update is two 64-bit words, index then delta, so a batch moves as
+// one run of words.
+static_assert(sizeof(stream::Update) == 16 &&
+                  offsetof(stream::Update, delta) == 8,
+              "Update must be the words (index, delta)");
+
 void WriteUpdates(BitWriter* writer, const stream::Update* updates,
                   size_t count) {
   writer->WriteU64(count);
-  for (size_t i = 0; i < count; ++i) {
-    writer->WriteU64(updates[i].index);
-    writer->WriteU64(uint64_t(updates[i].delta));
-  }
+  writer->WriteWords(updates, 2 * count);
 }
 
 std::vector<stream::Update> ReadUpdates(BitReader* reader) {
@@ -55,22 +59,15 @@ std::vector<stream::Update> ReadUpdates(BitReader* reader) {
     reader->Fail();
     return {};
   }
-  std::vector<stream::Update> updates;
-  updates.reserve(size_t(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    stream::Update u;
-    u.index = reader->ReadU64();
-    u.delta = int64_t(reader->ReadU64());
-    updates.push_back(u);
-  }
+  std::vector<stream::Update> updates(static_cast<size_t>(count));
+  reader->ReadWords(updates.data(), 2 * updates.size());
   return updates;
 }
 
 void WriteState(BitWriter* writer, const std::vector<uint64_t>& words,
                 size_t bits) {
   writer->WriteU64(bits);
-  const uint64_t count = WordsForBits(bits);
-  for (uint64_t i = 0; i < count; ++i) writer->WriteU64(words[i]);
+  writer->WriteWords(words.data(), size_t(WordsForBits(bits)));
 }
 
 void ReadState(BitReader* reader, std::vector<uint64_t>* words, size_t* bits) {
@@ -85,8 +82,8 @@ void ReadState(BitReader* reader, std::vector<uint64_t>* words, size_t* bits) {
     return;
   }
   *bits = size_t(claimed);
-  words->reserve(size_t(count));
-  for (uint64_t i = 0; i < count; ++i) words->push_back(reader->ReadU64());
+  words->resize(size_t(count));
+  reader->ReadWords(words->data(), words->size());
 }
 
 void SerializeConfig(const SketchConfig& config, BitWriter* writer) {

@@ -197,8 +197,10 @@ void Server::ReaderMain(Connection* connection) {
   connection->done.store(true);
 }
 
-bool Server::SendOk(Connection* connection, const BitWriter& body) {
+bool Server::SendOk(Connection* connection, BitWriter body) {
   const std::vector<uint8_t> frame = EncodeFrame(kStatusOk, body);
+  // Only the frame stays alive while the send blocks on a slow peer.
+  body = BitWriter();
   if (frame.empty()) {
     // Body larger than a frame can carry: answer with an error rather
     // than silently dropping the reply (the client is owed exactly one
@@ -216,8 +218,8 @@ bool Server::SendError(Connection* connection, const std::string& message) {
 }
 
 bool Server::Reply(Connection* connection, const Status& status,
-                   const BitWriter& body) {
-  return status.ok() ? SendOk(connection, body)
+                   BitWriter body) {
+  return status.ok() ? SendOk(connection, std::move(body))
                      : SendError(connection, status.message());
 }
 
@@ -244,7 +246,7 @@ bool Server::HandleFrame(Connection* connection, Frame frame) {
       if (!seen.ok()) return SendError(connection, seen.status().message());
       BitWriter reply;
       reply.WriteU64(updates.size());
-      return SendOk(connection, reply);
+      return SendOk(connection, std::move(reply));
     }
     case Opcode::kIngestStream: {
       // Pipelined ingest: NO response frame. The sender streams a run
@@ -281,7 +283,7 @@ bool Server::HandleFrame(Connection* connection, Frame frame) {
       BitWriter reply;
       reply.WriteU64(run.count);
       reply.WriteU64(run.seen);
-      return SendOk(connection, reply);
+      return SendOk(connection, std::move(reply));
     }
     case Opcode::kQuery: {
       const std::string tenant = ReadString(&body);
@@ -291,7 +293,7 @@ bool Server::HandleFrame(Connection* connection, Frame frame) {
       if (!result.ok()) return SendError(connection, result.status().message());
       BitWriter reply;
       SerializeQueryResult(*result, &reply);
-      return SendOk(connection, reply);
+      return SendOk(connection, std::move(reply));
     }
     case Opcode::kWindow: {
       const std::string tenant = ReadString(&body);
@@ -299,29 +301,35 @@ bool Server::HandleFrame(Connection* connection, Frame frame) {
       const uint64_t w = body.ReadU64();
       const bool want_state = body.ReadBits(8) != 0;
       if (body.failed()) return SendError(connection, kMalformedBody);
-      Result<TenantRegistry::WindowAnswer> answer =
-          registry_.Window(tenant, key, w, want_state);
-      if (!answer.ok()) return SendError(connection, answer.status().message());
       BitWriter reply;
-      SerializeQueryResult(answer->result, &reply);
-      reply.WriteU64(answer->start);
-      reply.WriteU64(answer->length);
-      reply.WriteBits(want_state ? 1 : 0, 8);
-      if (want_state) {
-        WriteState(&reply, answer.value().state_words,
-                   answer.value().state_bits);
-      }
-      return SendOk(connection, reply);
+      {
+        Result<TenantRegistry::WindowAnswer> answer =
+            registry_.Window(tenant, key, w, want_state);
+        if (!answer.ok()) {
+          return SendError(connection, answer.status().message());
+        }
+        SerializeQueryResult(answer->result, &reply);
+        reply.WriteU64(answer->start);
+        reply.WriteU64(answer->length);
+        reply.WriteBits(want_state ? 1 : 0, 8);
+        if (want_state) {
+          WriteState(&reply, answer.value().state_words,
+                     answer.value().state_bits);
+        }
+      }  // the answer's copy of the state goes before the frame is built
+      return SendOk(connection, std::move(reply));
     }
     case Opcode::kSnapshot: {
       const std::string tenant = ReadString(&body);
       const std::string key = ReadString(&body);
       if (body.failed()) return SendError(connection, kMalformedBody);
-      const Result<SnapshotBlob> blob = registry_.Snapshot(tenant, key);
-      if (!blob.ok()) return SendError(connection, blob.status().message());
       BitWriter reply;
-      SerializeSnapshot(*blob, &reply);
-      return SendOk(connection, reply);
+      {
+        const Result<SnapshotBlob> blob = registry_.Snapshot(tenant, key);
+        if (!blob.ok()) return SendError(connection, blob.status().message());
+        SerializeSnapshot(*blob, &reply);
+      }  // the blob's copy of the state goes before the frame is built
+      return SendOk(connection, std::move(reply));
     }
     case Opcode::kRestore: {
       const std::string tenant = ReadString(&body);
@@ -339,7 +347,7 @@ bool Server::HandleFrame(Connection* connection, Frame frame) {
     case Opcode::kStats: {
       BitWriter reply;
       SerializeStats(registry_.Stats(), &reply);
-      return SendOk(connection, reply);
+      return SendOk(connection, std::move(reply));
     }
     case Opcode::kEpoch:
     case Opcode::kDistStats:
@@ -352,7 +360,7 @@ bool Server::HandleFrame(Connection* connection, Frame frame) {
     Status status = Status::OK();
     if (extension_->HandleOpcode(connection->id, frame.first, &body, &reply,
                                  &status)) {
-      return Reply(connection, status, reply);
+      return Reply(connection, status, std::move(reply));
     }
   }
   // Well-formed frame, unknown opcode: report and keep serving — the

@@ -157,12 +157,14 @@ class Server {
   /// has none). Returns false when the connection must close: the
   /// stream is unsynchronized or the reply could not be sent.
   bool HandleFrame(Connection* connection, Frame frame);
-  /// Each returns false when the send failed (the peer is gone).
-  bool SendOk(Connection* connection, const BitWriter& body);
+  /// Each returns false when the send failed (the peer is gone). SendOk
+  /// frees `body` once the frame is built, so a reply blocked on a slow
+  /// peer holds one copy of its bytes.
+  bool SendOk(Connection* connection, BitWriter body);
   bool SendError(Connection* connection, const std::string& message);
   /// An ok reply with `body` when `status` is OK, else its error.
   bool Reply(Connection* connection, const Status& status,
-             const BitWriter& body = BitWriter());
+             BitWriter body = BitWriter());
   /// Unlinks finished connections under connections_mutex_, then joins
   /// them outside it (called from the accept loop so long-lived servers
   /// do not accumulate dead threads, without the accept loop ever

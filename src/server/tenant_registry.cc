@@ -208,8 +208,8 @@ Result<TenantRegistry::WindowAnswer> TenantRegistry::Window(
   if (want_state) {
     BitWriter writer;
     window.sketch->Serialize(&writer);
-    answer.state_words = writer.words();
     answer.state_bits = writer.bit_count();
+    answer.state_words = writer.TakeWords();
   }
   queries_.fetch_add(1, std::memory_order_relaxed);
   return answer;
@@ -234,8 +234,8 @@ SnapshotBlob TenantRegistry::SnapshotLocked(Entry* entry) {
   blob.updates_seen = entry->stream->updates_seen();
   BitWriter state;
   entry->stream->sketch().Serialize(&state);
-  blob.state_words = state.words();
   blob.state_bits = state.bit_count();
+  blob.state_words = state.TakeWords();
   return blob;
 }
 

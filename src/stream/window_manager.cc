@@ -55,8 +55,8 @@ void WindowManager::Seal() {
   cp.count = updates_seen_;
   BitWriter writer;
   live_->Serialize(&writer);
-  cp.words = writer.words();
   cp.bits = writer.bit_count();
+  cp.words = writer.TakeWords();
   ring_.push_back(std::move(cp));
   Trim();
 }
@@ -71,24 +71,28 @@ void WindowManager::AttachSpill(SpillOptions spill) {
 }
 
 void WindowManager::Trim() {
-  if (spill_.store != nullptr) {
-    while (ring_.size() > spill_.resident_checkpoints &&
-           spill_.store != nullptr) {
-      SpillOldest();
-    }
-    if (max_checkpoints_ > 0) {
-      // Retention bounds resident + spilled together; the oldest spilled
-      // entries become unreachable first (the append-only store keeps
-      // their records, but no window can select them).
-      while (!spilled_.empty() &&
-             ring_.size() + spilled_.size() > max_checkpoints_) {
-        spilled_.pop_front();
-      }
+  while (spill_.store != nullptr &&
+         ring_.size() > spill_.resident_checkpoints) {
+    SpillOldest();
+  }
+  if (max_checkpoints_ == 0) return;
+  while (ring_.size() > max_checkpoints_) ring_.pop_front();
+  // The oldest spilled entries stop being selectable first, but each
+  // selectable one decodes from its chain back to a keyframe: only the
+  // entries in front of that keyframe go.
+  while (anchor_only_ < spilled_.size() &&
+         checkpoint_count() > max_checkpoints_) {
+    ++anchor_only_;
+  }
+  size_t keep_from = anchor_only_;
+  if (keep_from < spilled_.size()) {
+    while (!spilled_[keep_from].keyframe) {
+      LPS_CHECK(keep_from > 0);
+      --keep_from;
     }
   }
-  if (max_checkpoints_ > 0) {
-    while (ring_.size() > max_checkpoints_) ring_.pop_front();
-  }
+  spilled_.erase(spilled_.begin(), spilled_.begin() + keep_from);
+  anchor_only_ -= keep_from;
 }
 
 void WindowManager::SpillOldest() {
@@ -111,9 +115,14 @@ void WindowManager::SpillOldest() {
                                          payload.size());
   if (!st.ok()) {
     // Disk trouble: keep the checkpoint resident and stop spilling. The
-    // window capability degrades to the all-RAM ring, never to data loss.
+    // spilled entries go with the store: without it none can be read,
+    // so windows clamp to the resident ring, never to a wrong answer.
     last_spill_error_ = st;
     spill_.store = nullptr;
+    spilled_.clear();
+    anchor_only_ = 0;
+    cache_valid_ = false;
+    last_spilled_words_ = {};
     return;
   }
   spilled_.push_back({cp.count, record_index, keyframe});
@@ -124,10 +133,11 @@ void WindowManager::SpillOldest() {
   ring_.pop_front();
 }
 
-WindowManager::Checkpoint WindowManager::Rehydrate(size_t meta_index) const {
+Status WindowManager::Rehydrate(size_t meta_index, Checkpoint* out) const {
   LPS_CHECK(meta_index < spilled_.size());
   // Walk back to the chain anchor: the nearest keyframe at or before the
-  // target, or the cached plaintext if it lies on the chain.
+  // target (Trim keeps it), or the cached plaintext if it lies on the
+  // chain.
   size_t anchor = meta_index;
   while (!spilled_[anchor].keyframe) {
     LPS_CHECK(anchor > 0);
@@ -147,21 +157,27 @@ WindowManager::Checkpoint WindowManager::Rehydrate(size_t meta_index) const {
       }
     }
   }
+  // The records come from disk: a read, unpack or decode that fails is
+  // reported, never CHECKed.
   for (size_t i = next; i <= meta_index; ++i) {
     const auto payload =
         spill_.store->ReadRecord(spill_.stream_key, spilled_[i].record_index);
-    LPS_CHECK(payload.ok());
+    if (!payload.ok()) return payload.status();
     persist::EncodedDelta delta;
-    LPS_CHECK(UnpackDelta(payload.value(), &delta));
     std::vector<uint64_t> words;
-    LPS_CHECK(persist::DecodeDelta(delta, state.words, bits, &words));
+    if (!UnpackDelta(payload.value(), &delta) ||
+        !persist::DecodeDelta(delta, state.words, bits, &words)) {
+      return Status::InvalidArgument("undecodable window record in " +
+                                     spill_.stream_key);
+    }
     state.words = std::move(words);
     state.bits = bits;
     state.count = spilled_[i].count;
   }
   cache_ = state;
   cache_valid_ = true;
-  return state;
+  *out = std::move(state);
+  return Status::OK();
 }
 
 void WindowManager::PushBatch(const Update* updates, size_t count) {
@@ -204,22 +220,28 @@ WindowManager::Window WindowManager::WindowSketch(uint64_t w) const {
   // rounds DOWN so the materialized window always contains the last w
   // updates. A start behind the resident ring falls through to the
   // spilled history (rehydrated through the codec); reaching behind
-  // everything retained clamps to the oldest materializable snapshot.
+  // everything retained clamps to the oldest selectable snapshot. A
+  // spilled checkpoint that can no longer be read clamps the same way,
+  // to the next one that can be built.
   Checkpoint rehydrated;
   const Checkpoint* expired_ptr = nullptr;
-  if (!spilled_.empty() && want_start < ring_.front().count) {
+  if (spilled_count() > 0 && want_start < ring_.front().count) {
+    const auto first = spilled_.begin() + anchor_only_;
     const auto past = std::upper_bound(
-        spilled_.begin(), spilled_.end(), want_start,
+        first, spilled_.end(), want_start,
         [](uint64_t value, const SpilledCheckpoint& cp) {
           return value < cp.count;
         });
-    const size_t meta_index =
-        past == spilled_.begin()
-            ? 0
-            : static_cast<size_t>(std::prev(past) - spilled_.begin());
-    rehydrated = Rehydrate(meta_index);
-    expired_ptr = &rehydrated;
-  } else {
+    size_t meta_index = static_cast<size_t>(
+        (past == first ? first : std::prev(past)) - spilled_.begin());
+    for (; meta_index < spilled_.size(); ++meta_index) {
+      if (Rehydrate(meta_index, &rehydrated).ok()) {
+        expired_ptr = &rehydrated;
+        break;
+      }
+    }
+  }
+  if (expired_ptr == nullptr) {
     const auto past = std::upper_bound(
         ring_.begin(), ring_.end(), want_start,
         [](uint64_t value, const Checkpoint& cp) { return value < cp.count; });

@@ -56,10 +56,18 @@
 // the nearest keyframe — so windowed queries are BIT-IDENTICAL to the
 // all-RAM ring for the exact-arithmetic families (the codec never
 // interprets the serialized bytes, so this holds for every kind).
-// max_checkpoints then bounds resident + spilled together: the oldest
-// SPILLED entries are dropped first (their records stay in the
-// append-only store but become unreachable). SpilledBytes() reports the
-// compressed on-disk footprint next to CheckpointBytes()'s resident one.
+// max_checkpoints then bounds the starts a window can select, resident +
+// spilled together, exactly as in the all-RAM ring (the oldest SPILLED
+// entries stop being selectable first). It does not bound which records
+// stay decodable: a selectable entry's chain back to its keyframe is
+// kept, and only entries in front of that keyframe are dropped (their
+// records stay in the append-only store, unreachable). When the store
+// fails, answers clamp rather than change: a failed append stops
+// spilling and forgets the spilled entries (the store is no longer
+// read), and a spilled record that can no longer be read or decoded
+// makes WindowSketch clamp to the oldest start it can still build, as
+// ring eviction does. SpilledBytes() reports the compressed on-disk
+// footprint next to CheckpointBytes()'s resident one.
 //
 // Thread-safety: none of its own — like the pipeline's producer side,
 // Push/Drive/Seal/WindowSketch must be externally serialized with any
@@ -139,25 +147,31 @@ class WindowManager {
   /// Materializes the sketch of (at least) the last `w` updates in
   /// O(sketch size): current state minus the newest checkpoint at or
   /// before the window start. w >= updates_seen() (or w reaching behind
-  /// an evicted checkpoint) clamps to the oldest retained boundary.
+  /// an evicted checkpoint) clamps to the oldest retained boundary; a
+  /// spilled checkpoint that cannot be read clamps to the next newer one
+  /// that can (the resident ring at the latest).
   Window WindowSketch(uint64_t w) const;
 
   /// Enables spill-to-store for checkpoints beyond the resident budget.
   /// Attach before ingesting (checkpoints already beyond the budget are
   /// spilled immediately). If a store append ever fails (e.g. disk
-  /// full), spilling is disabled, the checkpoint stays resident, and the
-  /// error is retained in last_spill_error().
+  /// full), spilling is disabled, the checkpoint stays resident, the
+  /// spilled checkpoints are forgotten, and the error is retained in
+  /// last_spill_error().
   void AttachSpill(SpillOptions spill);
 
   uint64_t updates_seen() const { return updates_seen_; }
   uint64_t checkpoint_interval() const { return interval_; }
-  /// Materializable checkpoints: resident + spilled.
-  size_t checkpoint_count() const { return ring_.size() + spilled_.size(); }
-  size_t spilled_count() const { return spilled_.size(); }
-  /// Earliest window start currently materializable (the oldest retained
+  /// Checkpoints a window can start at: resident + selectable spilled.
+  size_t checkpoint_count() const { return ring_.size() + spilled_count(); }
+  /// Spilled checkpoints a window can start at (not those kept only to
+  /// decode them).
+  size_t spilled_count() const { return spilled_.size() - anchor_only_; }
+  /// Earliest window start currently selectable (the oldest retained
   /// checkpoint's position, spilled or resident).
   uint64_t oldest_start() const {
-    return spilled_.empty() ? ring_.front().count : spilled_.front().count;
+    return spilled_count() == 0 ? ring_.front().count
+                                : spilled_[anchor_only_].count;
   }
   /// Serialized bytes held by the RESIDENT checkpoint ring — the memory
   /// the sliding-window capability costs on top of the live sketch.
@@ -185,10 +199,11 @@ class WindowManager {
   void SpillOldest();
   /// Applies ring / spill retention after a seal.
   void Trim();
-  /// Reconstructs the spilled checkpoint at spilled_[meta_index] by
-  /// decoding the delta chain from its nearest keyframe (reusing the
-  /// rehydrate cache when it lies on the chain).
-  Checkpoint Rehydrate(size_t meta_index) const;
+  /// Reconstructs the spilled checkpoint at spilled_[meta_index] into
+  /// `*out` by decoding the delta chain from its nearest keyframe (reusing
+  /// the rehydrate cache when it lies on the chain). A record that cannot
+  /// be read or decoded is an error.
+  Status Rehydrate(size_t meta_index, Checkpoint* out) const;
 
   LinearSketch* live_;
   uint64_t interval_;
@@ -199,6 +214,9 @@ class WindowManager {
 
   SpillOptions spill_;               // spill_.store == nullptr -> disabled
   std::deque<SpilledCheckpoint> spilled_;  // ascending; all older than ring_
+  // Leading spilled_ entries kept only as the chain a selectable entry
+  // decodes from: no window starts at them.
+  size_t anchor_only_ = 0;
   // Plaintext of the most recently spilled checkpoint — the predecessor
   // the next spilled record deltas against.
   std::vector<uint64_t> last_spilled_words_;

@@ -22,6 +22,35 @@ void BitWriter::WriteBits(uint64_t value, int bits) {
   bit_count_ += static_cast<size_t>(bits);
 }
 
+void BitWriter::Reserve(size_t bits) {
+  words_.reserve(size_t(WordsForBits(bits)));
+}
+
+void BitWriter::WriteWords(const void* src, size_t count) {
+  if (count == 0) return;
+  const uint8_t* in = static_cast<const uint8_t*>(src);
+  // words_ holds exactly WordsForBits(bit_count_) words, the last one
+  // partial unless the position is word-aligned.
+  const size_t index = bit_count_ >> 6;
+  const int offset = static_cast<int>(bit_count_ & 63);
+  bit_count_ += 64 * count;
+  if (offset == 0) {
+    words_.resize(index + count);
+    std::memcpy(words_.data() + index, in, 8 * count);
+    return;
+  }
+  words_.resize(index + 1 + count);
+  uint64_t* out = words_.data() + index;
+  uint64_t carry = out[0];
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t w;
+    std::memcpy(&w, in + 8 * i, 8);
+    out[i] = carry | (w << offset);
+    carry = w >> (64 - offset);
+  }
+  out[count] = carry;
+}
+
 void BitWriter::WriteDouble(double value) {
   uint64_t raw;
   std::memcpy(&raw, &value, sizeof(raw));
@@ -80,6 +109,31 @@ uint64_t BitReader::ReadBits(int bits) {
   if (bits < 64) value &= (1ULL << bits) - 1;
   position_ += static_cast<size_t>(bits);
   return value;
+}
+
+void BitReader::ReadWords(void* out, size_t count) {
+  uint8_t* dst = static_cast<uint8_t*>(out);
+  size_t fit = count;
+  if (count > bits_remaining() / 64) {
+    LPS_CHECK(permissive_);
+    fit = bits_remaining() / 64;
+  }
+  const uint64_t* in = words_->data() + (position_ >> 6);
+  const int offset = static_cast<int>(position_ & 63);
+  if (offset == 0) {
+    if (fit > 0) std::memcpy(dst, in, 8 * fit);
+  } else {
+    // The last word read ends inside the stream, so in[fit] exists.
+    for (size_t i = 0; i < fit; ++i) {
+      const uint64_t w = (in[i] >> offset) | (in[i + 1] << (64 - offset));
+      std::memcpy(dst + 8 * i, &w, 8);
+    }
+  }
+  position_ += 64 * fit;
+  if (fit < count) {
+    Fail();
+    std::memset(dst + 8 * fit, 0, 8 * (count - fit));
+  }
 }
 
 double BitReader::ReadDouble() {

@@ -25,12 +25,21 @@ class BitWriter {
   /// Writes a full 64-bit word.
   void WriteU64(uint64_t value) { WriteBits(value, 64); }
 
+  /// Writes `count` 64-bit words from `src`, the same bits as a WriteU64
+  /// loop: one memcpy at a word-aligned position, a shift-merge at any
+  /// other. `src` is read bytewise, so any array of 8-byte values
+  /// (uint64_t, int64_t, double) may be passed.
+  void WriteWords(const void* src, size_t count);
+
   /// Writes a double bit-for-bit (64 bits).
   void WriteDouble(double value);
 
   /// Writes a non-negative integer known to be < bound using
   /// ceil(log2(bound)) bits.
   void WriteBounded(uint64_t value, uint64_t bound);
+
+  /// Makes room for a stream of `bits` bits in one allocation.
+  void Reserve(size_t bits);
 
   /// Empties the stream, keeping its allocation for reuse.
   void Clear() {
@@ -42,6 +51,15 @@ class BitWriter {
   size_t bit_count() const { return bit_count_; }
 
   const std::vector<uint64_t>& words() const { return words_; }
+
+  /// Moves the words out and leaves the stream empty, for a caller that
+  /// keeps the state and drops the writer (read bit_count() first).
+  std::vector<uint64_t> TakeWords() {
+    std::vector<uint64_t> words;
+    words.swap(words_);
+    bit_count_ = 0;
+    return words;
+  }
 
   /// Same bits: equal bit counts and equal words.
   bool operator==(const BitWriter& other) const {
@@ -78,6 +96,9 @@ class BitReader {
 
   uint64_t ReadBits(int bits);
   uint64_t ReadU64() { return ReadBits(64); }
+  /// Reads `count` 64-bit words into `out`, the same values as a ReadU64
+  /// loop, overrun included: the words that fit, then Fail() and zeros.
+  void ReadWords(void* out, size_t count);
   double ReadDouble();
   uint64_t ReadBounded(uint64_t bound);
 

@@ -1,17 +1,21 @@
 // The durable checkpoint subsystem, end to end:
 //
-//   * delta codec: varint/zero-RLE byte layer edge cases, bit-exact
-//     round-trips for every SketchKind (keyframe, XOR and SUB deltas),
-//     malformed-payload and lying-size rejection, and the >= 4x
-//     compression the hot-set regime is built for;
-//   * checkpoint store: append/read/reopen index rebuild, a short read
-//     of a segment that shrank, segment rolling and a reopen over
-//     several sealed segments, torn-tail truncation and corrupt-record
-//     suffix drop at recovery;
+//   * delta codec: varint/zero-RLE byte layer edge cases, the word
+//     scanner's bytes against the byte loop it replaced (word and block
+//     straddles, long runs and literals, every kind's checkpoint
+//     stream), bit-exact round-trips for every SketchKind (keyframe, XOR
+//     and SUB deltas), malformed-payload and lying-size rejection, and
+//     the >= 4x compression the hot-set regime is built for;
+//   * checkpoint store: the slicing-by-8 CRC against the bytewise one,
+//     append/read/reopen index rebuild, a short read of a segment that
+//     shrank, segment rolling and a reopen over several sealed segments,
+//     torn-tail truncation and corrupt-record suffix drop at recovery;
 //   * WindowManager spill: windowed answers BIT-IDENTICAL to the
 //     all-RAM ring (including off-boundary starts that round into a
-//     rehydrated checkpoint), resident/spilled accounting, and
-//     max_checkpoints eviction of the oldest spilled entries;
+//     rehydrated checkpoint), resident/spilled accounting,
+//     max_checkpoints eviction of the oldest spilled entries with their
+//     chain back to a keyframe kept, and a store that vanishes under
+//     the ring (the window clamps, never aborts);
 //   * server persistence: clean-restart restore, idle eviction with
 //     lazy rehydration (STATS observability), a fork + SIGKILL crash of
 //     a live daemon over real sockets whose reboot answers identically,
@@ -31,6 +35,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,6 +104,141 @@ TEST(DeltaCodecBytes, RoundTripEdges) {
   std::vector<uint8_t> out;
   ASSERT_TRUE(persist::DecompressBytes(packed, mixed.size(), &out));
   EXPECT_EQ(out, mixed);
+}
+
+// The byte loop the word scanner replaced, kept as the reference for the
+// compressed bytes: a greedy zero run, then a literal up to the next run
+// of at least four zeros (or the end).
+void OraclePutVarint(uint64_t v, std::vector<uint8_t>* out) {
+  while (v >= 0x80) {
+    out->push_back(uint8_t(v) | 0x80);
+    v >>= 7;
+  }
+  out->push_back(uint8_t(v));
+}
+
+std::vector<uint8_t> OracleCompress(const std::vector<uint8_t>& plain) {
+  std::vector<uint8_t> out;
+  size_t pos = 0;
+  while (pos < plain.size()) {
+    size_t zeros = 0;
+    while (pos + zeros < plain.size() && plain[pos + zeros] == 0) ++zeros;
+    pos += zeros;
+    const size_t lit_start = pos;
+    size_t streak = 0;
+    while (pos < plain.size()) {
+      if (plain[pos] == 0) {
+        if (++streak == 4) {
+          pos -= 3;
+          break;
+        }
+      } else {
+        streak = 0;
+      }
+      ++pos;
+    }
+    OraclePutVarint(zeros, &out);
+    OraclePutVarint(pos - lit_start, &out);
+    out.insert(out.end(), plain.begin() + lit_start, plain.begin() + pos);
+  }
+  return out;
+}
+
+/// The difference stream's little-endian bytes, word by word.
+std::vector<uint8_t> OracleDifference(DeltaMode mode,
+                                      const std::vector<uint64_t>& cur,
+                                      size_t cur_bits,
+                                      const std::vector<uint64_t>& prev) {
+  std::vector<uint8_t> bytes(8 * WordsForBits(cur_bits));
+  for (size_t i = 0; i < bytes.size() / 8; ++i) {
+    const uint64_t p = i < prev.size() ? prev[i] : 0;
+    const uint64_t d = mode == DeltaMode::kKeyframe ? cur[i]
+                       : mode == DeltaMode::kXor    ? cur[i] ^ p
+                                                    : cur[i] - p;
+    for (int k = 0; k < 8; ++k) bytes[8 * i + k] = uint8_t(d >> (8 * k));
+  }
+  return bytes;
+}
+
+/// "a b c" from its parts, for failure messages.
+template <typename... Parts>
+std::string Say(const Parts&... parts) {
+  std::ostringstream out;
+  ((out << parts << ' '), ...);
+  return out.str();
+}
+
+void ExpectOracleBytes(const std::vector<uint8_t>& plain,
+                       const std::string& what) {
+  const std::vector<uint8_t> packed = persist::CompressBytes(plain);
+  ASSERT_EQ(packed, OracleCompress(plain)) << what;
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(persist::DecompressBytes(packed, plain.size(), &out)) << what;
+  EXPECT_EQ(out, plain) << what;
+}
+
+std::vector<uint8_t> Filled(size_t size, uint8_t value) {
+  return std::vector<uint8_t>(size, value);
+}
+
+// The scanner finds zero runs a word (and a 64-byte block) at a time;
+// every place where a run or a literal can begin or end relative to a
+// word must give the byte loop's bytes.
+TEST(DeltaCodecBytes, ScannerMatchesTheByteLoop) {
+  // Zero runs of 3, 4 and 5 starting at every byte of two words and two
+  // blocks, so some straddle a word or a block boundary.
+  for (const size_t size : {size_t(80), size_t(140)}) {
+    for (size_t start = 0; start + 5 <= size; ++start) {
+      for (const size_t run : {size_t(3), size_t(4), size_t(5)}) {
+        std::vector<uint8_t> plain = Filled(size, 0x5A);
+        std::fill(plain.begin() + start, plain.begin() + start + run, 0);
+        ExpectOracleBytes(plain, Say("run", run, "at", start, "of", size));
+      }
+    }
+  }
+  // Leading and trailing zeros, runs shorter than four included, on
+  // every stream length up to three blocks.
+  for (size_t size = 0; size <= 200; ++size) {
+    for (const size_t edge : {1, 2, 3, 4, 5, 8, 63, 64, 65}) {
+      if (edge > size) continue;
+      std::vector<uint8_t> leading = Filled(size, 0xC3);
+      std::fill(leading.begin(), leading.begin() + edge, 0);
+      ExpectOracleBytes(leading, Say("leading", edge, "of", size));
+      std::vector<uint8_t> trailing = Filled(size, 0xC3);
+      std::fill(trailing.end() - edge, trailing.end(), 0);
+      ExpectOracleBytes(trailing, Say("trailing", edge, "of", size));
+    }
+    ExpectOracleBytes(Filled(size, 0), Say("zeros", size));
+    ExpectOracleBytes(Filled(size, 1), Say("ones", size));
+  }
+  // Runs and literals whose lengths need two- and three-byte varints.
+  for (const size_t zeros : {127, 128, 129, 16383, 16384, 16385}) {
+    for (const size_t lit : {1, 127, 128, 129, 16383, 16384, 16385}) {
+      std::vector<uint8_t> plain = Filled(lit, 0x11);
+      plain.insert(plain.end(), zeros, 0);
+      plain.insert(plain.end(), lit, 0x22);
+      plain.insert(plain.end(), zeros, 0);
+      ExpectOracleBytes(plain, Say("zeros", zeros, "literal", lit));
+    }
+  }
+  ExpectOracleBytes(Filled(40000, 0), "40000 zeros");
+  // Random streams, sparse and dense in zeros, on odd lengths.
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t size = size_t(next() % 700);
+    const uint64_t zero_per_256 = next() % 256;
+    std::vector<uint8_t> plain(size);
+    for (uint8_t& b : plain) {
+      b = next() % 256 < zero_per_256 ? 0 : uint8_t(1 + next() % 255);
+    }
+    ExpectOracleBytes(plain, Say("trial", trial));
+  }
 }
 
 TEST(DeltaCodecBytes, RejectsMalformedStreams) {
@@ -186,6 +327,86 @@ TEST(DeltaCodec, RoundTripsEveryKindBitExactly) {
       ASSERT_TRUE(DecodeDelta(delta, prev_words, cur_bits, &out_words))
           << SketchKindName(kind);
       EXPECT_EQ(out_words, cur_words) << SketchKindName(kind);
+    }
+  }
+}
+
+void ExpectOracleDelta(const std::vector<uint64_t>& cur, size_t cur_bits,
+                       const std::vector<uint64_t>& prev, size_t prev_bits,
+                       const std::string& what) {
+  std::vector<uint8_t> want[3];
+  for (const DeltaMode mode :
+       {DeltaMode::kKeyframe, DeltaMode::kXor, DeltaMode::kSub}) {
+    const EncodedDelta delta =
+        EncodeDelta(mode, cur, cur_bits, prev, prev_bits);
+    want[int(mode)] =
+        OracleCompress(OracleDifference(mode, cur, cur_bits, prev));
+    ASSERT_EQ(delta.bytes, want[int(mode)]) << what << "mode " << int(mode);
+    EXPECT_EQ(delta.raw_bits, cur_bits) << what;
+  }
+  if (prev.empty()) return;
+  // The smaller of the two differences, ties to kXor.
+  const size_t xor_size = want[int(DeltaMode::kXor)].size();
+  const size_t sub_size = want[int(DeltaMode::kSub)].size();
+  const DeltaMode smaller =
+      sub_size < xor_size ? DeltaMode::kSub : DeltaMode::kXor;
+  const EncodedDelta best = EncodeBestDelta(cur, cur_bits, prev, prev_bits);
+  EXPECT_EQ(best.mode, smaller) << what;
+  EXPECT_EQ(best.bytes, want[int(smaller)]) << what;
+  std::vector<uint64_t> decoded;
+  ASSERT_TRUE(DecodeDelta(best, prev, cur_bits, &decoded)) << what;
+  EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(), cur.begin())) << what;
+}
+
+// Word streams the encoder reads without a byte buffer: predecessors
+// shorter than the state (zero-padded), a state whose last word is
+// partial, and differences of every density.
+TEST(DeltaCodec, EncoderMatchesTheByteLoop) {
+  uint64_t state = 0xD1B54A32D192ED03ull;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t words = 1 + size_t(next() % 90);
+    std::vector<uint64_t> prev(words);
+    for (uint64_t& w : prev) w = next() % 4 == 0 ? 0 : next() >> (next() % 64);
+    std::vector<uint64_t> cur = prev;
+    const uint64_t touch_per_16 = next() % 17;
+    for (uint64_t& w : cur) {
+      if (next() % 16 >= touch_per_16) continue;
+      w += next() % 3 == 0 ? -(next() % 5) : next() % 300;
+    }
+    const size_t cur_bits = 64 * words - size_t(next() % 64);
+    if (cur_bits % 64 != 0) cur.back() &= (uint64_t{1} << (cur_bits % 64)) - 1;
+    const size_t prev_words = size_t(next() % (words + 2));
+    std::vector<uint64_t> shorter(prev.begin(),
+                                  prev.begin() + std::min(prev_words, words));
+    ExpectOracleDelta(cur, cur_bits, shorter, 64 * shorter.size(),
+                      Say("trial", trial));
+  }
+}
+
+// Each kind's own checkpoint stream: three seals, a delta against each
+// predecessor, as the spill ring writes them.
+TEST(DeltaCodec, CheckpointStreamsOfEveryKindMatchTheByteLoop) {
+  for (uint32_t k = 1; k <= 21; ++k) {
+    const SketchKind kind = SketchKind(k);
+    const SketchSpec spec = SpecFor(kind);
+    auto sketch = MakeSketch(spec);
+    ASSERT_NE(sketch, nullptr) << SketchKindName(kind);
+    auto prev = StateOf(*sketch);
+    for (uint64_t seal = 0; seal < 3; ++seal) {
+      for (uint64_t i = 0; i < 12 * (seal + 1); ++i) {
+        sketch->Update((13 * i + 7 * seal) % spec.n,
+                       (i + seal) % 4 == 0 ? -1 : int64_t(1 + i % 3));
+      }
+      const auto cur = StateOf(*sketch);
+      ExpectOracleDelta(cur.first, cur.second, prev.first, prev.second,
+                        Say(SketchKindName(kind), "seal", seal));
+      prev = cur;
     }
   }
 }
@@ -287,6 +508,37 @@ TEST(DeltaCodec, HotSetCheckpointsCompressFourfold) {
 }
 
 // ------------------------------------------------------------- the store --
+
+// The record checksum reads eight bytes a step; its values are the
+// bytewise table's, which every sealed segment on disk was written with.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(CheckpointStoreTest, Crc32IsTheBytewiseCrc) {
+  const char check[] = "123456789";
+  EXPECT_EQ(persist::Crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(persist::Crc32(nullptr, 0), 0u);
+  std::vector<uint8_t> bytes(8 + 64);
+  for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = uint8_t(i * 37 + 11);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 64; ++size) {
+      EXPECT_EQ(persist::Crc32(bytes.data() + offset, size),
+                BytewiseCrc32(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
 
 TEST(CheckpointStoreTest, AppendReadReopen) {
   const std::string dir = MakeTempDir();
@@ -609,6 +861,133 @@ TEST(WindowSpill, MaxCheckpointsEvictsOldestSpilledFirst) {
   RemoveTree(dir);
 }
 
+// Retention used to drop spilled entries without regard to the chain a
+// retained entry decodes from: once the selectable front was not a
+// keyframe, Rehydrate walked back past the front of the deque and
+// CHECK-aborted. With the server's defaults (4 resident, a keyframe every
+// 16 records) and max_checkpoints 8, the sweep meets fronts that are
+// keyframes and fronts that are not.
+TEST(WindowSpill, RetentionKeepsTheChainBackToAKeyframe) {
+  const std::string dir = MakeTempDir();
+  auto opened = CheckpointStore::Open(dir);
+  ASSERT_TRUE(opened.ok());
+  SketchSpec spec;
+  spec.kind = SketchKind::kCountMin;
+  spec.n = 1 << 10;
+  spec.rows = 5;
+  spec.buckets = 64;
+  spec.seed = 17;
+  stream::WindowManager::Options options;
+  options.checkpoint_interval = 100;
+  options.max_checkpoints = 8;
+  const auto updates = stream::UniformTurnstile(spec.n, 3000, 50, 23);
+  size_t fronts_off_keyframe = 0;
+  for (size_t total = 100; total <= updates.size(); total += 100) {
+    auto ram_sketch = MakeSketch(spec);
+    auto spill_sketch = MakeSketch(spec);
+    stream::WindowManager all_ram(ram_sketch.get(), options);
+    stream::WindowManager spilling(spill_sketch.get(), options);
+    stream::WindowManager::SpillOptions spill;
+    spill.store = opened.value().get();
+    spill.stream_key = "w:chain" + std::to_string(total);
+    spill.resident_checkpoints = 4;
+    spill.keyframe_interval = 16;
+    spilling.AttachSpill(spill);
+    all_ram.PushBatch(updates.data(), total);
+    spilling.PushBatch(updates.data(), total);
+    ASSERT_TRUE(spilling.last_spill_error().ok());
+    EXPECT_EQ(spilling.checkpoint_count(), all_ram.checkpoint_count());
+    EXPECT_EQ(spilling.oldest_start(), all_ram.oldest_start());
+    // Spill record j is a keyframe when j % 16 == 0, and the selectable
+    // front is record seals - 8 (4 resident, 4 spilled selectable).
+    const size_t seals = total / 100 + 1;
+    if (seals > 8 && (seals - 8) % 16 != 0) ++fronts_off_keyframe;
+    const uint64_t widths[] = {0, 150, 650, 800, total, 99999};
+    for (const uint64_t w : widths) ExpectSameWindow(all_ram, spilling, w);
+  }
+  EXPECT_GT(fronts_off_keyframe, 0u);
+  RemoveTree(dir);
+}
+
+/// The spill probe of the durability contract: count_min 5x64,
+/// checkpoint interval 100, one resident checkpoint, 1-byte segments (a
+/// segment per record), 600 updates; then the store directory vanishes.
+struct VanishingStoreProbe {
+  std::string dir = MakeTempDir();
+  std::unique_ptr<CheckpointStore> store;
+  SketchSpec spec;
+  std::unique_ptr<LinearSketch> ram_sketch, spill_sketch;
+  std::unique_ptr<stream::WindowManager> all_ram, spilling;
+  std::vector<stream::Update> updates;
+
+  VanishingStoreProbe() {
+    CheckpointStore::Options store_options;
+    store_options.max_segment_bytes = 1;
+    auto opened = CheckpointStore::Open(dir, store_options);
+    EXPECT_TRUE(opened.ok());
+    store = std::move(opened.value());
+    spec.kind = SketchKind::kCountMin;
+    spec.n = 1 << 10;
+    spec.rows = 5;
+    spec.buckets = 64;
+    spec.seed = 29;
+    ram_sketch = MakeSketch(spec);
+    spill_sketch = MakeSketch(spec);
+    stream::WindowManager::Options options;
+    options.checkpoint_interval = 100;
+    all_ram =
+        std::make_unique<stream::WindowManager>(ram_sketch.get(), options);
+    spilling =
+        std::make_unique<stream::WindowManager>(spill_sketch.get(), options);
+    stream::WindowManager::SpillOptions spill;
+    spill.store = store.get();
+    spill.stream_key = "w:probe";
+    spill.resident_checkpoints = 1;
+    spilling->AttachSpill(spill);
+    updates = stream::UniformTurnstile(spec.n, 900, 50, 31);
+    Push(0, 600);
+    EXPECT_EQ(spilling->spilled_count(), 6u);
+    RemoveTree(dir);
+  }
+  void Push(size_t from, size_t to) {
+    all_ram->PushBatch(updates.data() + from, to - from);
+    spilling->PushBatch(updates.data() + from, to - from);
+  }
+};
+
+// After the directory went, the next seal's append failed: spilling
+// stopped and the store pointer was dropped, but the six spilled entries
+// stayed, and a window reaching them dereferenced the null store
+// (segfault). The failed append now forgets them, so the window clamps
+// to the resident ring.
+TEST(WindowSpill, FailedAppendForgetsTheSpilledEntries) {
+  VanishingStoreProbe probe;
+  probe.Push(600, 900);
+  EXPECT_FALSE(probe.spilling->last_spill_error().ok());
+  EXPECT_EQ(probe.spilling->spilled_count(), 0u);
+  EXPECT_EQ(probe.spilling->oldest_start(), 600u);
+  const auto window = probe.spilling->WindowSketch(850);
+  EXPECT_EQ(window.start, 600u);
+  EXPECT_EQ(window.length, 300u);
+  // The clamped answer is exactly the all-RAM ring's window from 600.
+  const auto want = probe.all_ram->WindowSketch(300);
+  ASSERT_EQ(want.start, 600u);
+  EXPECT_EQ(StateOf(*window.sketch), StateOf(*want.sketch));
+}
+
+// With no later seal, the query itself met the missing segments and
+// aborted on the failed read. A record that cannot be read now makes
+// the window clamp to the oldest checkpoint that can still be built.
+TEST(WindowSpill, UnreadableSpilledRecordClampsTheWindow) {
+  VanishingStoreProbe probe;
+  const auto window = probe.spilling->WindowSketch(850);
+  EXPECT_EQ(window.start, 600u);
+  EXPECT_EQ(window.length, 0u);
+  const auto want = probe.all_ram->WindowSketch(0);
+  ASSERT_EQ(want.start, 600u);
+  EXPECT_EQ(StateOf(*window.sketch), StateOf(*want.sketch));
+}
+
 // --------------------------------------------------- server persistence --
 
 server::SketchConfig WindowedConfig(uint64_t seed) {
@@ -692,6 +1071,57 @@ TEST(ServerPersist, CleanRestartRestoresEveryTenant) {
     ASSERT_TRUE(client.Ingest("acme", "clicks", TenantStream(7, 100)).ok());
     daemon.Stop();
   }
+  RemoveTree(dir);
+}
+
+// The retention repro through the daemon: the server's spill defaults
+// (4 resident checkpoints, a keyframe every 16 records) and a tenant
+// with window_checkpoint 100 and max_checkpoints 8. At 2000 updates,
+// WINDOW(650) aborted the process. Every answer must equal an all-RAM
+// ring's (a server without a data directory) with the same bound.
+TEST(ServerPersist, WindowAfterRetentionPassesAKeyframeMatchesAllRamRing) {
+  const std::string dir = MakeTempDir();
+  server::Server::Options durable_options;
+  durable_options.port = 0;
+  durable_options.data_dir = dir;
+  durable_options.snapshot_interval_ms = 0;
+  server::Server::Options ram_options;
+  ram_options.port = 0;
+  server::Server durable(durable_options), ram(ram_options);
+  ASSERT_TRUE(durable.Start().ok());
+  ASSERT_TRUE(ram.Start().ok());
+  server::Client to_durable = MustConnect(durable);
+  server::Client to_ram = MustConnect(ram);
+  server::SketchConfig config;
+  config.spec.kind = SketchKind::kCountMin;
+  config.spec.n = 1 << 10;
+  config.spec.rows = 5;
+  config.spec.buckets = 64;
+  config.spec.seed = 37;
+  config.window_checkpoint = 100;
+  config.max_checkpoints = 8;
+  ASSERT_TRUE(to_durable.Create("t", "w", config).ok());
+  ASSERT_TRUE(to_ram.Create("t", "w", config).ok());
+  const auto updates = stream::UniformTurnstile(config.spec.n, 3000, 50, 41);
+  for (size_t done = 0; done < updates.size(); done += 250) {
+    const std::vector<stream::Update> batch(updates.begin() + done,
+                                            updates.begin() + done + 250);
+    ASSERT_TRUE(to_durable.Ingest("t", "w", batch).ok());
+    ASSERT_TRUE(to_ram.Ingest("t", "w", batch).ok());
+    for (const uint64_t w : {uint64_t(650), uint64_t(99999)}) {
+      auto got = to_durable.Window("t", "w", w, /*want_state=*/true);
+      auto want = to_ram.Window("t", "w", w, /*want_state=*/true);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      const std::string at = Say("after", done + 250, "w", w);
+      EXPECT_EQ(got->start, want->start) << at;
+      EXPECT_EQ(got->length, want->length) << at;
+      EXPECT_EQ(got->result, want->result) << at;
+      EXPECT_EQ(got->state_words, want->state_words) << at;
+    }
+  }
+  durable.Stop();
+  ram.Stop();
   RemoveTree(dir);
 }
 

@@ -646,8 +646,12 @@ TEST(ServerTest, DeadSlowClientDoesNotWedgeTheServer) {
 #ifndef LPS_UNDER_SANITIZER
     // Sanitizers shadow every byte and ASan quarantines freed buffers, so
     // only a plain build's resident set measures what the server holds.
+    // The reply in flight holds its ~2 MiB frame alone: the snapshot blob
+    // and the reply body are freed before the send (while the body is
+    // being framed the two coexist, ~4 MiB). A server that holds all
+    // three until the send returns grows by ~8 MiB.
     ASSERT_GT(before, 0u);
-    EXPECT_LT(peak, before + (16u << 20))
+    EXPECT_LT(peak, before + (6u << 20))
         << "resident set grew by " << (peak - before) << " bytes";
 #endif
     // ...then die abruptly: linger(0) turns close() into a RST, which

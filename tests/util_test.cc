@@ -159,6 +159,86 @@ TEST(BitWriter, DoubleRoundTrip) {
   for (double v : values) EXPECT_EQ(reader.ReadDouble(), v);
 }
 
+std::vector<uint64_t> SomeWords(size_t count) {
+  std::vector<uint64_t> words(count);
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (uint64_t& w : words) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    w = x;
+  }
+  return words;
+}
+
+// WriteWords and ReadWords move whole words at any bit position: a
+// memcpy when the position is word-aligned, a shift-merge otherwise.
+// Their bits are a WriteU64 / ReadU64 loop's.
+TEST(BitWriter, WordRunsEqualU64LoopsAtEveryOffset) {
+  const std::vector<uint64_t> words = SomeWords(5);
+  for (int offset = 0; offset < 64; ++offset) {
+    for (const size_t count : {size_t(0), size_t(1), size_t(5)}) {
+      BitWriter bulk, loop;
+      bulk.WriteBits(0x5A5A5A5A5A5A5A5Aull, offset);
+      loop.WriteBits(0x5A5A5A5A5A5A5A5Aull, offset);
+      bulk.WriteWords(words.data(), count);
+      for (size_t i = 0; i < count; ++i) loop.WriteU64(words[i]);
+      bulk.WriteBits(0x3F, 7);
+      loop.WriteBits(0x3F, 7);
+      ASSERT_EQ(bulk, loop) << "offset " << offset << " count " << count;
+
+      BitReader reader(loop);
+      reader.ReadBits(offset);
+      std::vector<uint64_t> out(count);
+      reader.ReadWords(out.data(), count);
+      const std::vector<uint64_t> want(words.begin(), words.begin() + count);
+      EXPECT_EQ(out, want) << "offset " << offset << " count " << count;
+      EXPECT_EQ(reader.ReadBits(7), 0x3Fu);
+      EXPECT_EQ(reader.bits_remaining(), 0u);
+    }
+  }
+  // Any 8-byte values: doubles go bit for bit, as WriteDouble writes them.
+  const double reals[] = {0.0, -1.5, 3.14159, 1e300};
+  BitWriter bulk, loop;
+  bulk.WriteBits(1, 3);
+  loop.WriteBits(1, 3);
+  bulk.WriteWords(reals, 4);
+  for (const double r : reals) loop.WriteDouble(r);
+  EXPECT_EQ(bulk, loop);
+  // TakeWords hands the words over and leaves an empty stream.
+  const std::vector<uint64_t> taken = bulk.TakeWords();
+  EXPECT_EQ(taken, loop.words());
+  EXPECT_EQ(bulk.bit_count(), 0u);
+  EXPECT_TRUE(bulk.words().empty());
+}
+
+// A permissive reader asked for more words than the stream holds gives
+// what a ReadU64 loop gives: the words that fit, then zeros, and fails.
+TEST(BitWriter, ReadWordsOverrunIsTheU64Loop) {
+  const std::vector<uint64_t> words = SomeWords(3);
+  for (int offset = 0; offset < 64; ++offset) {
+    BitWriter writer;
+    writer.WriteBits(0x2B, offset);
+    writer.WriteWords(words.data(), words.size());
+    writer.WriteBits(0x1234, 20);
+    BitReader bulk(&writer.words(), writer.bit_count());
+    BitReader loop(&writer.words(), writer.bit_count());
+    bulk.set_permissive(true);
+    loop.set_permissive(true);
+    bulk.ReadBits(offset);
+    loop.ReadBits(offset);
+    std::vector<uint64_t> got(5, 0xFFFF), want(5);
+    bulk.ReadWords(got.data(), got.size());
+    for (uint64_t& w : want) w = loop.ReadU64();
+    EXPECT_EQ(got, want) << "offset " << offset;
+    EXPECT_EQ(got[3], 0u);
+    EXPECT_TRUE(bulk.failed());
+    EXPECT_EQ(bulk.failed(), loop.failed());
+    EXPECT_EQ(bulk.bits_remaining(), 0u);
+    EXPECT_EQ(bulk.ReadBits(8), 0u);
+  }
+}
+
 TEST(BitWriter, BoundedUsesMinimalBits) {
   BitWriter writer;
   writer.WriteBounded(5, 10);  // 4 bits
