@@ -29,18 +29,19 @@ L0Sampler::L0Sampler(L0SamplerParams params) : params_(params), n_(params.n) {
     source_ = std::make_unique<prg::OracleSource>(params.seed);
   }
   levels_.reserve(static_cast<size_t>(max_level) + 1);
+  rates_.reserve(static_cast<size_t>(max_level) + 1);
   for (int k = 0; k <= max_level; ++k) {
     levels_.emplace_back(n_, s_,
                          Mix64(params.seed ^ (0x10ca1ULL + static_cast<uint64_t>(k))));
+    rates_.push_back(std::pow(2.0, k) /
+                     static_cast<double>(n_));  // |I_k| = 2^k in expectation
   }
 }
 
 bool L0Sampler::InLevel(int k, uint64_t i) const {
   if (k == 0) return true;  // I_0 = [n]
-  const double rate =
-      std::pow(2.0, k) / static_cast<double>(n_);  // |I_k| = 2^k in expectation
   const uint64_t word_index = static_cast<uint64_t>(k) * (n_ + 1) + i;
-  return source_->Uniform01(word_index) < rate;
+  return source_->Uniform01(word_index) < rates_[static_cast<size_t>(k)];
 }
 
 void L0Sampler::Update(uint64_t i, int64_t delta) {
@@ -49,22 +50,29 @@ void L0Sampler::Update(uint64_t i, int64_t delta) {
 }
 
 void L0Sampler::UpdateBatch(const stream::Update* updates, size_t count) {
-  for (int k = 0; k < static_cast<int>(levels_.size()); ++k) {
-    auto& level = levels_[static_cast<size_t>(k)];
-    if (k == 0) {
-      // I_0 = [n]: every update survives, so the whole batch goes straight
-      // to the recovery's interleaved kernel (which validates indices).
-      level.UpdateBatch(updates, count);
-      continue;
-    }
-    // Filter the batch through this level's membership test, then hand the
-    // survivors to the batch kernel in one go.
-    survivors_.clear();
-    for (size_t t = 0; t < count; ++t) {
-      if (InLevel(k, updates[t].index)) survivors_.push_back(updates[t]);
-    }
-    if (!survivors_.empty()) {
-      level.UpdateBatch(survivors_.data(), survivors_.size());
+  // Batch scratch, chunk-sized and per thread: one level's survivors.
+  thread_local std::vector<stream::Update> survivors;
+  for (size_t start = 0; start < count; start += stream::kBatchChunk) {
+    const size_t chunk = std::min(stream::kBatchChunk, count - start);
+    const stream::Update* batch = updates + start;
+    for (int k = 0; k < static_cast<int>(levels_.size()); ++k) {
+      auto& level = levels_[static_cast<size_t>(k)];
+      if (k == 0) {
+        // I_0 = [n]: every update survives, so the whole chunk goes
+        // straight to the recovery's interleaved kernel (which validates
+        // indices).
+        level.UpdateBatch(batch, chunk);
+        continue;
+      }
+      // Filter the chunk through this level's membership test, then hand
+      // the survivors to the batch kernel in one go.
+      survivors.clear();
+      for (size_t t = 0; t < chunk; ++t) {
+        if (InLevel(k, batch[t].index)) survivors.push_back(batch[t]);
+      }
+      if (!survivors.empty()) {
+        level.UpdateBatch(survivors.data(), survivors.size());
+      }
     }
   }
 }

@@ -49,11 +49,12 @@ class L0Sampler : public LinearSketch {
   /// Single-update path; delegates to UpdateBatch with a batch of one.
   void Update(uint64_t i, int64_t delta);
 
-  /// Batched ingestion, level-major: each level filters the batch through
-  /// its membership test into a survivor buffer, then feeds the whole
-  /// buffer to its sparse recovery's interleaved batch kernel while that
-  /// level's measurements are hot. State is identical to per-update
-  /// processing (field arithmetic is exact).
+  /// Batched ingestion, a chunk at a time and level-major within it: each
+  /// level filters the chunk through its membership test into this
+  /// thread's survivor buffer, then feeds the whole buffer to its sparse
+  /// recovery's interleaved batch kernel while that level's measurements
+  /// are hot. State is identical to per-update processing (field
+  /// arithmetic is exact).
   void UpdateBatch(const stream::Update* updates, size_t count) override;
 
   /// A uniform non-zero coordinate and its exact value, or Status::Failed.
@@ -87,7 +88,7 @@ class L0Sampler : public LinearSketch {
   uint64_t s_;
   std::unique_ptr<prg::RandomSource> source_;
   std::vector<recovery::SparseRecovery> levels_;  // levels_[k] sketches I_k
-  std::vector<stream::Update> survivors_;         // batch scratch
+  std::vector<double> rates_;  // rates_[k]: the chance that i is in I_k
 };
 
 }  // namespace lps::core

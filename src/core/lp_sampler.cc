@@ -39,12 +39,7 @@ constexpr double kResidualInflation = 1.35;
 // the dyadic levels bounded.
 constexpr int kDefaultDyadicRows = 5;
 
-// LpSampler walks every batch in chunks of this many updates, so the
-// per-thread batch scratch of its rounds (and of the count-sketch and
-// dyadic levels below them) never outgrows one chunk, however large a
-// batch arrives. Each sketch still sees the updates in stream order, so
-// the state is unchanged wherever the batch kernels are bit-identical.
-constexpr size_t kBatchChunk = 4096;
+using stream::kBatchChunk;
 
 // Runs work(part) once for every part in [0, parts): on the calling thread
 // and on one helper per other CPU in its affinity mask, at most parts - 1

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/field/gf61.h"
 #include "src/util/bits.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
@@ -178,8 +179,20 @@ void CmHeavyHitters::UpdateBatch(const stream::ScaledUpdate* updates,
 }
 
 void CmHeavyHitters::UpdateBatch(const stream::Update* updates, size_t count) {
-  cm_.UpdateBatch(updates, count);
-  tree_.UpdateBatch(updates, count);
+  // Integer deltas: each chunk is combined once, and the flat count-min
+  // and the tree both take its distinct indices with their summed deltas.
+  thread_local std::vector<uint64_t> keys;
+  for (size_t start = 0; start < count; start += stream::kBatchChunk) {
+    const size_t chunk = std::min(stream::kBatchChunk, count - start);
+    const sketch::CombinedBatch batch =
+        sketch::CombineRepeats(updates + start, chunk, tree_.log_n());
+    keys.resize(batch.count);
+    for (size_t t = 0; t < batch.count; ++t) {
+      keys[t] = gf61::Reduce(batch.index[t]);
+    }
+    cm_.UpdateReduced(keys.data(), batch.sum, batch.count);
+    tree_.UpdateCombined(batch);
+  }
   for (size_t t = 0; t < count; ++t) {
     running_sum_ += static_cast<double>(updates[t].delta);
   }

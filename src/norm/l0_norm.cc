@@ -38,39 +38,49 @@ void L0Estimator::Update(uint64_t i, int64_t delta) {
 }
 
 void L0Estimator::UpdateBatch(const stream::Update* updates, size_t count) {
-  reduced_keys_.resize(count);
-  field_deltas_.resize(count);
-  for (size_t t = 0; t < count; ++t) {
-    LPS_CHECK(updates[t].index < n_);
-    reduced_keys_[t] = gf::Reduce(updates[t].index);
-    field_deltas_[t] = gf::FromInt64(updates[t].delta);
-  }
-  level_evals_.resize(count);
-  weighted_.resize(count);
+  // Batch scratch, chunk-sized and per thread: keys mod 2^61 - 1, deltas
+  // in the field, then per repetition the level hash and fingerprint
+  // weight of each key.
+  thread_local std::vector<uint64_t> reduced_keys;
+  thread_local std::vector<uint64_t> field_deltas;
+  thread_local std::vector<uint64_t> level_evals;
+  thread_local std::vector<uint64_t> weighted;
   const kernels::KernelTable& kernel = kernels::Active();
-  for (int r = 0; r < reps_; ++r) {
-    const size_t rr = static_cast<size_t>(r);
-    const auto& lc = level_hash_[rr].coefficients();
-    const auto& fc = fp_hash_[rr].coefficients();
-    uint64_t* fps = fingerprints_.data() + rr * static_cast<size_t>(levels_);
-    // Both hash sweeps and the delta weighting run on the dispatched
-    // kernels (exact field arithmetic, bit-identical on every backend);
-    // only the level-depth floor(-log2 u) and the nested fingerprint adds
-    // stay scalar.
-    kernel.kwise_horner_batch(lc.data(), lc.size(), reduced_keys_.data(),
-                              count, level_evals_.data());
-    kernel.kwise_horner_batch(fc.data(), fc.size(), reduced_keys_.data(),
-                              count, weighted_.data());
-    kernel.gf61_mul_batch(field_deltas_.data(), weighted_.data(), count,
-                          weighted_.data());
-    for (size_t t = 0; t < count; ++t) {
-      const double u = (static_cast<double>(level_evals_[t]) + 1.0) /
-                       static_cast<double>(gf::kP);
-      // Nested membership: i survives to levels 0 .. deepest.
-      const int deepest = std::min(
-          levels_ - 1, static_cast<int>(std::floor(-std::log2(u))));
-      for (int l = 0; l <= deepest; ++l) {
-        fps[l] = gf::Add(fps[l], weighted_[t]);
+  for (size_t start = 0; start < count; start += stream::kBatchChunk) {
+    const size_t chunk = std::min(stream::kBatchChunk, count - start);
+    reduced_keys.resize(chunk);
+    field_deltas.resize(chunk);
+    for (size_t t = 0; t < chunk; ++t) {
+      LPS_CHECK(updates[start + t].index < n_);
+      reduced_keys[t] = gf::Reduce(updates[start + t].index);
+      field_deltas[t] = gf::FromInt64(updates[start + t].delta);
+    }
+    level_evals.resize(chunk);
+    weighted.resize(chunk);
+    for (int r = 0; r < reps_; ++r) {
+      const size_t rr = static_cast<size_t>(r);
+      const auto& lc = level_hash_[rr].coefficients();
+      const auto& fc = fp_hash_[rr].coefficients();
+      uint64_t* fps = fingerprints_.data() + rr * static_cast<size_t>(levels_);
+      // Both hash sweeps and the delta weighting run on the dispatched
+      // kernels (exact field arithmetic, bit-identical on every backend);
+      // only the level-depth floor(-log2 u) and the nested fingerprint
+      // adds stay scalar.
+      kernel.kwise_horner_batch(lc.data(), lc.size(), reduced_keys.data(),
+                                chunk, level_evals.data());
+      kernel.kwise_horner_batch(fc.data(), fc.size(), reduced_keys.data(),
+                                chunk, weighted.data());
+      kernel.gf61_mul_batch(field_deltas.data(), weighted.data(), chunk,
+                            weighted.data());
+      for (size_t t = 0; t < chunk; ++t) {
+        const double u = (static_cast<double>(level_evals[t]) + 1.0) /
+                         static_cast<double>(gf::kP);
+        // Nested membership: i survives to levels 0 .. deepest.
+        const int deepest = std::min(
+            levels_ - 1, static_cast<int>(std::floor(-std::log2(u))));
+        for (int l = 0; l <= deepest; ++l) {
+          fps[l] = gf::Add(fps[l], weighted[t]);
+        }
       }
     }
   }

@@ -34,9 +34,10 @@ class L0Estimator : public LinearSketch {
   /// Single-update path; delegates to UpdateBatch with a batch of one.
   void Update(uint64_t i, int64_t delta);
 
-  /// Batched ingestion, repetition-major: per repetition, the subsampling
-  /// and fingerprint polynomials are hoisted and the batch is applied in
-  /// one pass. Bit-identical to per-update processing.
+  /// Batched ingestion, a chunk at a time and repetition-major within it:
+  /// per repetition, the subsampling and fingerprint polynomials are
+  /// hoisted and the chunk is applied in one pass. Bit-identical to
+  /// per-update processing.
   void UpdateBatch(const stream::Update* updates, size_t count) override;
 
   /// Constant-factor estimate of the number of non-zero coordinates;
@@ -67,10 +68,6 @@ class L0Estimator : public LinearSketch {
   std::vector<uint64_t> fingerprints_;   // reps_ x levels_, field elements
   std::vector<hash::KWiseHash> level_hash_;  // per rep: subsampling hash
   std::vector<hash::KWiseHash> fp_hash_;     // per rep: fingerprint weights
-  std::vector<uint64_t> reduced_keys_;       // batch scratch
-  std::vector<uint64_t> field_deltas_;       // batch scratch
-  std::vector<uint64_t> level_evals_;        // batch scratch per rep
-  std::vector<uint64_t> weighted_;           // batch scratch per rep
 };
 
 }  // namespace lps::norm

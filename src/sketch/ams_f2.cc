@@ -27,28 +27,35 @@ void AmsF2::Update(uint64_t i, double delta) {
 
 template <typename U>
 void AmsF2::ApplyBatch(const U* updates, size_t count) {
-  reduced_keys_.resize(count);
-  delta_scratch_.resize(count);
-  eval_scratch_.resize(count);
-  for (size_t t = 0; t < count; ++t) {
-    reduced_keys_[t] = gf61::Reduce(updates[t].index);
-    delta_scratch_[t] = static_cast<double>(updates[t].delta);
-  }
+  // Batch scratch, chunk-sized and per thread: keys mod 2^61 - 1, deltas
+  // widened, sign hash values.
+  thread_local std::vector<uint64_t> reduced_keys;
+  thread_local std::vector<double> deltas;
+  thread_local std::vector<uint64_t> evals;
   const kernels::KernelTable& kernel = kernels::Active();
-  for (size_t c = 0; c < counters_.size(); ++c) {
-    // The degree-3 sign hash dominates this loop; it runs on the
-    // dispatched Horner kernel. The +-1 accumulation stays scalar and in
-    // stream order, so counters are bit-identical on every backend.
-    const auto& coeffs = signs_[c].coefficients();
-    kernel.kwise_horner_batch(coeffs.data(), coeffs.size(),
-                              reduced_keys_.data(), count,
-                              eval_scratch_.data());
-    double acc = counters_[c];
-    for (size_t t = 0; t < count; ++t) {
-      const int64_t bit = static_cast<int64_t>(eval_scratch_[t] & 1);
-      acc += static_cast<double>(2 * bit - 1) * delta_scratch_[t];
+  for (size_t start = 0; start < count; start += stream::kBatchChunk) {
+    const size_t chunk = std::min(stream::kBatchChunk, count - start);
+    reduced_keys.resize(chunk);
+    deltas.resize(chunk);
+    evals.resize(chunk);
+    for (size_t t = 0; t < chunk; ++t) {
+      reduced_keys[t] = gf61::Reduce(updates[start + t].index);
+      deltas[t] = static_cast<double>(updates[start + t].delta);
     }
-    counters_[c] = acc;
+    for (size_t c = 0; c < counters_.size(); ++c) {
+      // The degree-3 sign hash dominates this loop; it runs on the
+      // dispatched Horner kernel. The +-1 accumulation stays scalar and in
+      // stream order, so counters are bit-identical on every backend.
+      const auto& coeffs = signs_[c].coefficients();
+      kernel.kwise_horner_batch(coeffs.data(), coeffs.size(),
+                                reduced_keys.data(), chunk, evals.data());
+      double acc = counters_[c];
+      for (size_t t = 0; t < chunk; ++t) {
+        const int64_t bit = static_cast<int64_t>(evals[t] & 1);
+        acc += static_cast<double>(2 * bit - 1) * deltas[t];
+      }
+      counters_[c] = acc;
+    }
   }
 }
 

@@ -68,9 +68,6 @@ class AmsF2 : public LinearSketch {
   uint64_t seed_;
   std::vector<double> counters_;        // groups_ x per_group_
   std::vector<hash::KWiseHash> signs_;  // one 4-wise sign hash per counter
-  std::vector<uint64_t> reduced_keys_;  // batch scratch
-  std::vector<uint64_t> eval_scratch_;  // batch scratch: sign hash values
-  std::vector<double> delta_scratch_;   // batch scratch: deltas widened
 };
 
 }  // namespace lps::sketch

@@ -25,13 +25,20 @@ void CountMin::Update(uint64_t i, double delta) {
 
 template <typename U>
 void CountMin::ApplyBatch(const U* updates, size_t count) {
-  reduced_keys_.resize(count);
-  delta_scratch_.resize(count);
-  for (size_t t = 0; t < count; ++t) {
-    reduced_keys_[t] = gf61::Reduce(updates[t].index);
-    delta_scratch_[t] = static_cast<double>(updates[t].delta);
+  // Batch scratch, one chunk-sized pair per thread: keys mod 2^61 - 1,
+  // deltas widened.
+  thread_local std::vector<uint64_t> reduced_keys;
+  thread_local std::vector<double> deltas;
+  for (size_t start = 0; start < count; start += stream::kBatchChunk) {
+    const size_t chunk = std::min(stream::kBatchChunk, count - start);
+    reduced_keys.resize(chunk);
+    deltas.resize(chunk);
+    for (size_t t = 0; t < chunk; ++t) {
+      reduced_keys[t] = gf61::Reduce(updates[start + t].index);
+      deltas[t] = static_cast<double>(updates[start + t].delta);
+    }
+    UpdateReduced(reduced_keys.data(), deltas.data(), chunk);
   }
-  UpdateReduced(reduced_keys_.data(), delta_scratch_.data(), count);
 }
 
 void CountMin::UpdateReduced(const uint64_t* keys, const double* deltas,

@@ -25,7 +25,8 @@ class CountMin : public LinearSketch {
   /// Single-update path; delegates to UpdateBatch with a batch of one.
   void Update(uint64_t i, double delta);
 
-  /// Batched ingestion, row-major; bit-identical to per-update processing.
+  /// Batched ingestion, row-major, a chunk at a time; bit-identical to
+  /// per-update processing.
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
 
@@ -63,8 +64,6 @@ class CountMin : public LinearSketch {
   uint64_t seed_;
   std::vector<double> table_;
   std::vector<hash::KWiseHash> bucket_;
-  std::vector<uint64_t> reduced_keys_;  // batch scratch
-  std::vector<double> delta_scratch_;   // batch scratch: deltas widened
 };
 
 }  // namespace lps::sketch

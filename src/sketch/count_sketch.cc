@@ -46,16 +46,20 @@ void CountSketch::Update(uint64_t i, double delta) {
 
 template <typename U>
 void CountSketch::ApplyBatch(const U* updates, size_t count) {
-  // Batch scratch, one pair per thread: keys mod 2^61 - 1, deltas widened.
+  // Batch scratch, one chunk-sized pair per thread: keys mod 2^61 - 1,
+  // deltas widened.
   thread_local std::vector<uint64_t> reduced_keys;
   thread_local std::vector<double> deltas;
-  reduced_keys.resize(count);
-  deltas.resize(count);
-  for (size_t t = 0; t < count; ++t) {
-    reduced_keys[t] = gf61::Reduce(updates[t].index);
-    deltas[t] = static_cast<double>(updates[t].delta);
+  for (size_t start = 0; start < count; start += stream::kBatchChunk) {
+    const size_t chunk = std::min(stream::kBatchChunk, count - start);
+    reduced_keys.resize(chunk);
+    deltas.resize(chunk);
+    for (size_t t = 0; t < chunk; ++t) {
+      reduced_keys[t] = gf61::Reduce(updates[start + t].index);
+      deltas[t] = static_cast<double>(updates[start + t].delta);
+    }
+    UpdateReduced(reduced_keys.data(), deltas.data(), chunk);
   }
-  UpdateReduced(reduced_keys.data(), deltas.data(), count);
 }
 
 void CountSketch::UpdateReduced(const uint64_t* keys, const double* deltas,

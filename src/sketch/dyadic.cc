@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/field/gf61.h"
+#include "src/util/bits.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
 
@@ -11,32 +12,131 @@ namespace lps::sketch {
 
 namespace {
 
-/// Feeds one batch to every level of a tree over [0, 2^log_n) from this
-/// thread's two buffers: the deltas are widened once, and per level the
-/// block ids index >> l, reduced into the field, overwrite one key buffer
-/// that the level's row sweep reads. Each level sees the same keys and
-/// deltas in stream order as UpdateBatch on block-id updates would give it,
-/// so its counters are bit-identical to that.
-template <typename Level, typename U>
-void FeedLevels(int log_n, const U* updates, size_t count,
+/// Feeds real-valued updates to every level of a tree over [0, 2^log_n)
+/// from this thread's two buffers, a chunk at a time: the deltas are
+/// copied out once, and per level the block ids index >> l, reduced into
+/// the field, overwrite one key buffer that the level's row sweep reads.
+/// Each level sees the same keys and deltas in stream order as
+/// UpdateBatch on block-id updates would give it, so its counters are
+/// bit-identical to that.
+template <typename Level>
+void FeedLevels(int log_n, const stream::ScaledUpdate* updates, size_t count,
                 std::vector<Level>* levels) {
   thread_local std::vector<uint64_t> keys;
   thread_local std::vector<double> deltas;
-  keys.resize(count);
-  deltas.resize(count);
-  for (size_t t = 0; t < count; ++t) {
-    LPS_CHECK(updates[t].index < (1ULL << log_n));
-    deltas[t] = static_cast<double>(updates[t].delta);
-  }
-  for (size_t l = 0; l < levels->size(); ++l) {
-    for (size_t t = 0; t < count; ++t) {
-      keys[t] = gf61::Reduce(updates[t].index >> l);
+  for (size_t start = 0; start < count; start += stream::kBatchChunk) {
+    const size_t chunk = std::min(stream::kBatchChunk, count - start);
+    const stream::ScaledUpdate* batch = updates + start;
+    keys.resize(chunk);
+    deltas.resize(chunk);
+    for (size_t t = 0; t < chunk; ++t) {
+      LPS_CHECK(batch[t].index < (1ULL << log_n));
+      deltas[t] = batch[t].delta;
     }
-    (*levels)[l].UpdateReduced(keys.data(), deltas.data(), count);
+    for (size_t l = 0; l < levels->size(); ++l) {
+      for (size_t t = 0; t < chunk; ++t) {
+        keys[t] = gf61::Reduce(batch[t].index >> l);
+      }
+      (*levels)[l].UpdateReduced(keys.data(), deltas.data(), chunk);
+    }
+  }
+}
+
+/// Feeds a combined batch to every level of a tree over [0, 2^log_n). The
+/// cascade starts at the first level with no more blocks than the batch
+/// has leaves: below it each level hashes the leaves' block ids; at it the
+/// leaf sums are added into one dense array of its blocks, and each level
+/// above takes pairwise sums of the one below, so none of those levels
+/// hashes to find a block. A block whose sum is zero is not swept.
+template <typename Level>
+void FeedCombined(int log_n, const CombinedBatch& batch,
+                  std::vector<Level>* levels) {
+  if (batch.count == 0) return;
+  thread_local std::vector<uint64_t> keys;
+  thread_local std::vector<double> block_sums;
+  thread_local std::vector<double> deltas;
+  keys.resize(batch.count);
+  const int top = static_cast<int>(levels->size()) - 1;
+  const int cascade = std::max(0, log_n - FloorLog2(batch.count));
+  for (int l = 0; l < cascade && l <= top; ++l) {
+    for (size_t t = 0; t < batch.count; ++t) {
+      keys[t] = gf61::Reduce(batch.index[t] >> l);
+    }
+    (*levels)[static_cast<size_t>(l)].UpdateReduced(keys.data(), batch.sum,
+                                                    batch.count);
+  }
+  if (cascade > top) return;
+  // At most batch.count blocks, so each block id is already reduced.
+  size_t width = size_t{1} << (log_n - cascade);
+  block_sums.assign(width, 0.0);
+  deltas.resize(width);
+  for (size_t t = 0; t < batch.count; ++t) {
+    block_sums[batch.index[t] >> cascade] += batch.sum[t];
+  }
+  for (int l = cascade;; ++l) {
+    size_t nonzero = 0;
+    for (size_t b = 0; b < width; ++b) {
+      if (block_sums[b] == 0) continue;
+      keys[nonzero] = b;
+      deltas[nonzero] = block_sums[b];
+      ++nonzero;
+    }
+    (*levels)[static_cast<size_t>(l)].UpdateReduced(keys.data(), deltas.data(),
+                                                    nonzero);
+    if (l == top) break;
+    width /= 2;
+    for (size_t b = 0; b < width; ++b) {
+      block_sums[b] = block_sums[2 * b] + block_sums[2 * b + 1];
+    }
   }
 }
 
 }  // namespace
+
+CombinedBatch CombineRepeats(const stream::Update* updates, size_t count,
+                             int log_n) {
+  LPS_CHECK(count <= stream::kBatchChunk);
+  thread_local std::vector<uint64_t> index;
+  thread_local std::vector<double> sum;
+  // Open addressing over at least twice as many slots as updates: each
+  // slot holds 1 + the position of its index in `index`, 0 when empty.
+  thread_local std::vector<uint32_t> slots;
+  index.resize(count);
+  sum.resize(count);
+  const int bits = CeilLog2(2 * std::max<size_t>(count, 1));
+  slots.assign(size_t{1} << bits, 0);
+  const size_t mask = slots.size() - 1;
+  const uint64_t universe = 1ULL << log_n;
+  size_t distinct = 0;
+  for (size_t t = 0; t < count; ++t) {
+    const uint64_t i = updates[t].index;
+    LPS_CHECK(i < universe);
+    const double delta = static_cast<double>(updates[t].delta);
+    size_t slot = static_cast<size_t>(
+        ((i ^ (i >> 32)) * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+    for (;; slot = (slot + 1) & mask) {
+      const uint32_t at = slots[slot];
+      if (at == 0) {
+        index[distinct] = i;
+        sum[distinct] = delta;
+        slots[slot] = static_cast<uint32_t>(++distinct);
+        break;
+      }
+      if (index[at - 1] == i) {
+        sum[at - 1] += delta;
+        break;
+      }
+    }
+  }
+  size_t kept = 0;
+  for (size_t d = 0; d < distinct; ++d) {
+    if (sum[d] == 0) continue;
+    index[kept] = index[d];
+    sum[kept] = sum[d];
+    ++kept;
+  }
+  return {index.data(), sum.data(), kept};
+}
 
 DyadicCountMin::DyadicCountMin(int log_n, int rows, int buckets, uint64_t seed)
     : log_n_(log_n), rows_(rows), buckets_(buckets), seed_(seed) {
@@ -59,7 +159,14 @@ void DyadicCountMin::UpdateBatch(const stream::ScaledUpdate* updates,
 }
 
 void DyadicCountMin::UpdateBatch(const stream::Update* updates, size_t count) {
-  FeedLevels(log_n_, updates, count, &levels_);
+  for (size_t start = 0; start < count; start += stream::kBatchChunk) {
+    const size_t chunk = std::min(stream::kBatchChunk, count - start);
+    UpdateCombined(CombineRepeats(updates + start, chunk, log_n_));
+  }
+}
+
+void DyadicCountMin::UpdateCombined(const CombinedBatch& batch) {
+  FeedCombined(log_n_, batch, &levels_);
 }
 
 double DyadicCountMin::Query(uint64_t i) const {
@@ -141,7 +248,11 @@ void DyadicCountSketch::UpdateBatch(const stream::ScaledUpdate* updates,
 
 void DyadicCountSketch::UpdateBatch(const stream::Update* updates,
                                     size_t count) {
-  FeedLevels(log_n_, updates, count, &levels_);
+  for (size_t start = 0; start < count; start += stream::kBatchChunk) {
+    const size_t chunk = std::min(stream::kBatchChunk, count - start);
+    FeedCombined(log_n_, CombineRepeats(updates + start, chunk, log_n_),
+                 &levels_);
+  }
 }
 
 double DyadicCountSketch::Query(uint64_t i) const {

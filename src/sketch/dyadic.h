@@ -11,14 +11,34 @@
 // rows) instead of O(n * rows).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/sketch/count_min.h"
 #include "src/sketch/count_sketch.h"
 #include "src/stream/linear_sketch.h"
+#include "src/stream/update.h"
 
 namespace lps::sketch {
+
+/// An integer batch with the deltas of each index summed: every distinct
+/// index once, in first-appearance order, with the sum of its deltas;
+/// indices whose deltas cancel are dropped. The arrays are this thread's
+/// scratch, valid until its next CombineRepeats.
+struct CombinedBatch {
+  const uint64_t* index;
+  const double* sum;
+  size_t count;
+};
+
+/// Combines at most stream::kBatchChunk updates, after checking that every
+/// index is below 2^log_n. The sums accumulate in double (an int64_t sum
+/// of wire deltas could overflow) and are exact while they stay below
+/// 2^53, so counters that only ever hold integers end bit-identical
+/// whether they are fed the batch or its combination.
+CombinedBatch CombineRepeats(const stream::Update* updates, size_t count,
+                             int log_n);
 
 class DyadicCountMin : public LinearSketch {
  public:
@@ -28,11 +48,20 @@ class DyadicCountMin : public LinearSketch {
   /// Single-update path; delegates to UpdateBatch with a batch of one.
   void Update(uint64_t i, double delta);
 
-  /// Batched ingestion: the deltas are widened once, then per level the
-  /// block ids are written into this thread's one key buffer and the level's
-  /// count-min sweeps the whole batch from it.
+  /// Batched ingestion, a chunk at a time. Real deltas go in stream order:
+  /// per level the block ids are written into this thread's one key buffer
+  /// and the level's count-min sweeps the chunk from it. Integer deltas are
+  /// combined first (CombineRepeats) and fed as UpdateCombined does.
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
+
+  /// Feeds a batch CombineRepeats made for this tree's log_n. The levels
+  /// below the first one with no more blocks than the batch has leaves
+  /// hash each leaf's block id; from that level up, each level's block
+  /// sums come from the level below without hashing, and only non-zero
+  /// blocks are swept. Integer sums add exactly in any order, so the
+  /// counters are bit-identical to the stream-order feed.
+  void UpdateCombined(const CombinedBatch& batch);
 
   /// Point estimate at the leaf level (strict turnstile overestimate).
   double Query(uint64_t i) const;
@@ -92,9 +121,9 @@ class DyadicCountSketch : public LinearSketch {
 
   void Update(uint64_t i, double delta);
 
-  /// Batched ingestion: the deltas are widened once, then per level the
-  /// block ids are written into this thread's one key buffer and the level's
-  /// count-sketch sweeps the whole batch from it.
+  /// Batched ingestion, as DyadicCountMin's: real deltas in stream order
+  /// (the Lp sampler rounds' path, whose rounding depends on order),
+  /// integer deltas combined first and summed up the upper levels.
   void UpdateBatch(const stream::ScaledUpdate* updates, size_t count);
   void UpdateBatch(const stream::Update* updates, size_t count) override;
 

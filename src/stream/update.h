@@ -5,6 +5,7 @@
 // model they may be arbitrary.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,5 +25,12 @@ struct ScaledUpdate {
   uint64_t index;
   double delta;
 };
+
+/// The sketches whose batch paths keep per-thread scratch walk every batch
+/// in chunks of this many updates, so that scratch never outgrows one
+/// chunk, however large a batch arrives (a served INGEST may carry
+/// millions). Each chunk goes in stream order, so the state is the one an
+/// unchunked batch would give wherever the batch kernels are bit-identical.
+inline constexpr size_t kBatchChunk = 4096;
 
 }  // namespace lps::stream

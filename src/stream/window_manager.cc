@@ -133,7 +133,8 @@ void WindowManager::SpillOldest() {
   ring_.pop_front();
 }
 
-Status WindowManager::Rehydrate(size_t meta_index, Checkpoint* out) const {
+Status WindowManager::Rehydrate(size_t meta_index, Checkpoint* out,
+                                size_t* failed) const {
   LPS_CHECK(meta_index < spilled_.size());
   // Walk back to the chain anchor: the nearest keyframe at or before the
   // target (Trim keeps it), or the cached plaintext if it lies on the
@@ -160,6 +161,7 @@ Status WindowManager::Rehydrate(size_t meta_index, Checkpoint* out) const {
   // The records come from disk: a read, unpack or decode that fails is
   // reported, never CHECKed.
   for (size_t i = next; i <= meta_index; ++i) {
+    *failed = i;
     const auto payload =
         spill_.store->ReadRecord(spill_.stream_key, spilled_[i].record_index);
     if (!payload.ok()) return payload.status();
@@ -178,6 +180,22 @@ Status WindowManager::Rehydrate(size_t meta_index, Checkpoint* out) const {
   cache_valid_ = true;
   *out = std::move(state);
   return Status::OK();
+}
+
+size_t WindowManager::ForgetUnreadable(size_t failed) const {
+  // The deltas chained on the unreadable record go with it, up to the
+  // next keyframe. Entries in front of it stay if a window can start at
+  // one of them; the anchor-only ones in front of the first selectable
+  // entry anchored nothing but the chain that goes.
+  size_t end = failed + 1;
+  while (end < spilled_.size() && !spilled_[end].keyframe) ++end;
+  const size_t from = failed <= anchor_only_ ? 0 : failed;
+  if (from == 0) anchor_only_ = 0;
+  spilled_.erase(spilled_.begin() + from, spilled_.begin() + end);
+  // A record spilled next must not delta against a forgotten one.
+  if (from == spilled_.size()) last_spilled_words_ = {};
+  cache_valid_ = false;
+  return from;
 }
 
 void WindowManager::PushBatch(const Update* updates, size_t count) {
@@ -234,11 +252,13 @@ WindowManager::Window WindowManager::WindowSketch(uint64_t w) const {
         });
     size_t meta_index = static_cast<size_t>(
         (past == first ? first : std::prev(past)) - spilled_.begin());
-    for (; meta_index < spilled_.size(); ++meta_index) {
-      if (Rehydrate(meta_index, &rehydrated).ok()) {
+    while (meta_index < spilled_.size()) {
+      size_t failed = 0;
+      if (Rehydrate(meta_index, &rehydrated, &failed).ok()) {
         expired_ptr = &rehydrated;
         break;
       }
+      meta_index = ForgetUnreadable(failed);
     }
   }
   if (expired_ptr == nullptr) {

@@ -202,8 +202,12 @@ class WindowManager {
   /// Reconstructs the spilled checkpoint at spilled_[meta_index] into
   /// `*out` by decoding the delta chain from its nearest keyframe (reusing
   /// the rehydrate cache when it lies on the chain). A record that cannot
-  /// be read or decoded is an error.
-  Status Rehydrate(size_t meta_index, Checkpoint* out) const;
+  /// be read or decoded is an error, and `*failed` is its spilled_ index.
+  Status Rehydrate(size_t meta_index, Checkpoint* out, size_t* failed) const;
+  /// Forgets the unreadable spilled_[failed] and the deltas chained on it,
+  /// so no count or later query lists them again; returns the index the
+  /// entry after them now has.
+  size_t ForgetUnreadable(size_t failed) const;
 
   LinearSketch* live_;
   uint64_t interval_;
@@ -213,13 +217,16 @@ class WindowManager {
   std::deque<Checkpoint> ring_;      // ascending by count; front = oldest
 
   SpillOptions spill_;               // spill_.store == nullptr -> disabled
-  std::deque<SpilledCheckpoint> spilled_;  // ascending; all older than ring_
+  // Ascending; all older than ring_. Mutable, as are the two fields
+  // below: a query that meets an unreadable record forgets it
+  // (ForgetUnreadable).
+  mutable std::deque<SpilledCheckpoint> spilled_;
   // Leading spilled_ entries kept only as the chain a selectable entry
   // decodes from: no window starts at them.
-  size_t anchor_only_ = 0;
+  mutable size_t anchor_only_ = 0;
   // Plaintext of the most recently spilled checkpoint — the predecessor
   // the next spilled record deltas against.
-  std::vector<uint64_t> last_spilled_words_;
+  mutable std::vector<uint64_t> last_spilled_words_;
   size_t last_spilled_bits_ = 0;
   size_t spill_records_ = 0;         // spilled by THIS manager (keyframe cadence)
   uint64_t spilled_bytes_ = 0;

@@ -911,7 +911,8 @@ TEST(WindowSpill, RetentionKeepsTheChainBackToAKeyframe) {
 
 /// The spill probe of the durability contract: count_min 5x64,
 /// checkpoint interval 100, one resident checkpoint, 1-byte segments (a
-/// segment per record), 600 updates; then the store directory vanishes.
+/// segment per record), 600 updates; then the store directory vanishes,
+/// or with `lost_record` >= 0 only that record's segment.
 struct VanishingStoreProbe {
   std::string dir = MakeTempDir();
   std::unique_ptr<CheckpointStore> store;
@@ -920,7 +921,7 @@ struct VanishingStoreProbe {
   std::unique_ptr<stream::WindowManager> all_ram, spilling;
   std::vector<stream::Update> updates;
 
-  VanishingStoreProbe() {
+  explicit VanishingStoreProbe(int lost_record = -1) {
     CheckpointStore::Options store_options;
     store_options.max_segment_bytes = 1;
     auto opened = CheckpointStore::Open(dir, store_options);
@@ -947,7 +948,14 @@ struct VanishingStoreProbe {
     updates = stream::UniformTurnstile(spec.n, 900, 50, 31);
     Push(0, 600);
     EXPECT_EQ(spilling->spilled_count(), 6u);
-    RemoveTree(dir);
+    if (lost_record < 0) {
+      RemoveTree(dir);
+      return;
+    }
+    char segment[32];
+    std::snprintf(segment, sizeof(segment), "/seg-%06d.log", lost_record);
+    EXPECT_TRUE(std::remove((dir + segment).c_str()) == 0 ||
+                std::remove((dir + segment + ".open").c_str()) == 0);
   }
   void Push(size_t from, size_t to) {
     all_ram->PushBatch(updates.data() + from, to - from);
@@ -977,15 +985,35 @@ TEST(WindowSpill, FailedAppendForgetsTheSpilledEntries) {
 
 // With no later seal, the query itself met the missing segments and
 // aborted on the failed read. A record that cannot be read now makes
-// the window clamp to the oldest checkpoint that can still be built.
+// the window clamp to the oldest checkpoint that can still be built, and
+// the unreadable entries are forgotten at that first failed read: they
+// were still counted and re-read by every later query.
 TEST(WindowSpill, UnreadableSpilledRecordClampsTheWindow) {
   VanishingStoreProbe probe;
   const auto window = probe.spilling->WindowSketch(850);
   EXPECT_EQ(window.start, 600u);
   EXPECT_EQ(window.length, 0u);
+  EXPECT_EQ(probe.spilling->oldest_start(), 600u);
+  EXPECT_EQ(probe.spilling->checkpoint_count(), 1u);
+  EXPECT_EQ(probe.spilling->spilled_count(), 0u);
   const auto want = probe.all_ram->WindowSketch(0);
   ASSERT_EQ(want.start, 600u);
   EXPECT_EQ(StateOf(*window.sketch), StateOf(*want.sketch));
+}
+
+// Forgetting the newest spilled record restarts the spill chain at a
+// keyframe: the next record must not be a delta against a checkpoint no
+// longer listed, or every window from it decodes against the wrong base.
+TEST(WindowSpill, ForgettingTheNewestRecordRestartsTheChain) {
+  VanishingStoreProbe probe(/*lost_record=*/5);
+  EXPECT_EQ(probe.spilling->WindowSketch(100).start, 600u);
+  EXPECT_EQ(probe.spilling->spilled_count(), 5u);
+  probe.Push(600, 900);
+  EXPECT_EQ(probe.spilling->spilled_count(), 8u);
+  for (const uint64_t w : {0, 100, 200, 300}) {
+    ExpectSameWindow(*probe.all_ram, *probe.spilling, w);
+  }
+  RemoveTree(probe.dir);
 }
 
 // --------------------------------------------------- server persistence --

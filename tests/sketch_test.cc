@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/heavy/heavy_hitters.h"
 #include "src/kernels/kernels.h"
 #include "src/sketch/ams_f2.h"
 #include "src/sketch/count_min.h"
@@ -557,8 +560,12 @@ stream::UpdateStream WideStream(int log_n, uint64_t seed) {
   return s;
 }
 
-// Per-update ingest against batches of 1, 3, 4 and 4096, under every
-// available kernel backend: all land on the same counters.
+// Per-update ingest against batches of 1, 3, 4, 4096 and the sizes around
+// the first cascade level of a tree fed combined batches (63 to 65, 1023
+// and 1025 leaves), under every available kernel backend: all land on the
+// same counters. The per-update path is the real-valued one, in stream
+// order, so for the integer-exact trees this also pins the combined
+// integer path to it.
 template <typename Sink, typename MakeFn>
 void ExpectBatchesMatchPerUpdateOnEveryBackend(
     const stream::UpdateStream& stream, MakeFn make) {
@@ -574,7 +581,9 @@ void ExpectBatchesMatchPerUpdateOnEveryBackend(
     const std::vector<uint64_t> words = CounterWords(per_update);
     if (reference.empty()) reference = words;
     EXPECT_EQ(words, reference) << name;
-    for (size_t batch : {size_t{1}, size_t{3}, size_t{4}, size_t{4096}}) {
+    for (size_t batch : {size_t{1}, size_t{3}, size_t{4}, size_t{63},
+                         size_t{64}, size_t{65}, size_t{1023}, size_t{1025},
+                         size_t{4096}}) {
       Sink batched = make();
       for (size_t pos = 0; pos < stream.size(); pos += batch) {
         batched.UpdateBatch(stream.data() + pos,
@@ -604,6 +613,77 @@ TEST(DyadicCountSketch, BatchMatchesPerUpdateAtLogN40) {
 TEST(DyadicCountMin, BatchMatchesPerUpdateAtLogN40) {
   ExpectBatchesMatchPerUpdateOnEveryBackend<DyadicCountMin>(
       WideStream(40, 97), [] { return DyadicCountMin(40, 5, 24, 34); });
+}
+
+// Integer streams whose batches repeat keys, over [0, 2^12), for the
+// combined path of the trees and the heavy hitters built on them: Zipf(1)
+// keys, one key 4096 times over, +d/-d pairs that cancel inside a batch on
+// one leaf or across the two leaves of a block, and negative deltas.
+TEST(DyadicCountMin, CombinedBatchesMatchPerUpdate) {
+  constexpr int kLogN = 12;
+  constexpr uint64_t kN = uint64_t{1} << kLogN;
+  // Odd multiplier: a bijection of [0, kN) that spreads the heavy ranks
+  // over the tree's blocks.
+  const auto spread = [](uint64_t rank) {
+    return (rank * 0x9E3779B97F4A7C15ULL) & (kN - 1);
+  };
+  Rng rng(98);
+  stream::UpdateStream zipf(5000), one_key(4096, {kN - 1, 3}), cancelling,
+      negative(3000);
+  for (auto& u : zipf) {
+    const double rank = std::exp(rng.NextDouble() * std::log(double{kN}));
+    u = {spread(static_cast<uint64_t>(rank) - 1),
+         static_cast<int64_t>(1 + rng.Below(3))};
+  }
+  for (int j = 0; j < 1500; ++j) {
+    const uint64_t leaf = rng.Below(kN);
+    const int64_t d = static_cast<int64_t>(1 + rng.Below(50));
+    cancelling.push_back({leaf, d});
+    cancelling.push_back({rng.Below(kN), 1});
+    cancelling.push_back({j % 2 == 0 ? leaf : leaf ^ 1, -d});
+  }
+  for (auto& u : negative) {
+    u = {rng.Below(kN), -static_cast<int64_t>(1 + rng.Below(100))};
+  }
+  for (const auto& stream : {zipf, one_key, cancelling, negative}) {
+    ExpectBatchesMatchPerUpdateOnEveryBackend<DyadicCountMin>(
+        stream, [] { return DyadicCountMin(kLogN, 5, 24, 35); });
+    ExpectBatchesMatchPerUpdateOnEveryBackend<DyadicCountSketch>(
+        stream, [] { return DyadicCountSketch(kLogN, 5, 24, 36); });
+    ExpectBatchesMatchPerUpdateOnEveryBackend<heavy::CmHeavyHitters>(
+        stream, [] {
+          heavy::CmHeavyHitters::Params params;
+          params.n = kN;
+          params.phi = 0.05;
+          params.seed = 37;
+          return heavy::CmHeavyHitters(params);
+        });
+    ExpectBatchesMatchPerUpdateOnEveryBackend<heavy::DyadicHeavyHitters>(
+        stream, [] { return heavy::DyadicHeavyHitters(kLogN, 0.05, 38); });
+  }
+}
+
+// Wire deltas reach the combine unchecked. Two INT64_MAX deltas on one key
+// would overflow an int64_t sum; summed in double the batch lands where
+// the stream-order feed does (2^63 + 2^63 - 2^63, all exact).
+TEST(DyadicCountMin, ExtremeDeltasOnOneKeyCombineWithoutOverflow) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const stream::UpdateStream batch = {{5, kMax}, {5, kMax}, {5, kMin}};
+  heavy::CmHeavyHitters::Params params;
+  params.n = 64;
+  params.seed = 39;
+  heavy::CmHeavyHitters per_update(params), combined(params);
+  DyadicCountMin tree_per_update(6, 5, 24, 40), tree_combined(6, 5, 24, 40);
+  for (const auto& u : batch) {
+    per_update.Update(u.index, static_cast<double>(u.delta));
+    tree_per_update.Update(u.index, static_cast<double>(u.delta));
+  }
+  combined.UpdateBatch(batch.data(), batch.size());
+  tree_combined.UpdateBatch(batch.data(), batch.size());
+  EXPECT_EQ(CounterWords(combined), CounterWords(per_update));
+  EXPECT_EQ(CounterWords(tree_combined), CounterWords(tree_per_update));
+  EXPECT_EQ(tree_combined.Query(5), std::ldexp(1.0, 63));
 }
 
 TEST(DyadicCountMin, PointQueriesAndHeavyLeaves) {

@@ -3,13 +3,15 @@
 // push chunking, ingestion topology and windowing must land on the same
 // sketch state and the same window checkpoints as a solo WindowManager,
 // with pipeline epochs (and the epoch hook) closing at exactly the
-// multiples of the interval. count_min is all-integer arithmetic, so
-// "the same" means bit-identical serialized state.
+// multiples of the interval. count_min and cm_heavy_hitters (which sums
+// each batch's repeated keys before hashing) are all-integer arithmetic,
+// so "the same" means bit-identical serialized state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,6 +48,15 @@ SketchSpec CountMinSpec() {
   spec.rows = 4;
   spec.buckets = 64;
   spec.seed = 31;
+  return spec;
+}
+
+SketchSpec CmHeavyHittersSpec() {
+  SketchSpec spec;
+  spec.kind = SketchKind::kCmHeavyHitters;
+  spec.n = kN;
+  spec.phi = 0.05;
+  spec.seed = 37;
   return spec;
 }
 
@@ -91,8 +102,10 @@ StreamState::Options OptionsFor(const Topology& topology, bool windowed) {
   return options;
 }
 
-std::unique_ptr<StreamState> MustCreate(const StreamState::Options& options) {
-  auto built = StreamState::Create(CountMinSpec(), options);
+std::unique_ptr<StreamState> MustCreate(
+    const StreamState::Options& options,
+    const SketchSpec& spec = CountMinSpec()) {
+  auto built = StreamState::Create(spec, options);
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   return built.ok() ? std::move(built.value()) : nullptr;
 }
@@ -110,78 +123,125 @@ Status PushChunked(StreamState* state, const UpdateStream& updates,
 TEST(StreamState, EveryChunkingAndTopologyMatchesSolo) {
   const UpdateStream updates =
       stream::UniformTurnstile(kN, kUpdates, /*max_abs_delta=*/50, 32);
-  // Solo reference: one sketch, one WindowManager, and the prefix state
-  // at every epoch boundary.
-  auto solo = MakeSketch(CountMinSpec());
-  WindowManager solo_wm(solo.get(), {kInterval, 0});
-  std::vector<State> solo_prefix;
-  for (size_t done = 0; done < updates.size(); done += kInterval) {
-    const size_t take = std::min<size_t>(kInterval, updates.size() - done);
-    solo_wm.PushBatch(updates.data() + done, take);
-    if (take == kInterval) solo_prefix.push_back(StateOf(*solo));
-  }
-  const State solo_state = StateOf(*solo);
-  const std::vector<uint64_t> solo_positions = CheckpointPositions(solo_wm);
-  ASSERT_EQ(solo_positions.size(), kUpdates / kInterval + 1);
+  for (const SketchSpec& spec : {CountMinSpec(), CmHeavyHittersSpec()}) {
+    SCOPED_TRACE(SketchKindName(spec.kind));
+    // Solo reference: one sketch, one WindowManager, and the prefix state
+    // at every epoch boundary.
+    auto solo = MakeSketch(spec);
+    WindowManager solo_wm(solo.get(), {kInterval, 0});
+    std::vector<State> solo_prefix;
+    for (size_t done = 0; done < updates.size(); done += kInterval) {
+      const size_t take = std::min<size_t>(kInterval, updates.size() - done);
+      solo_wm.PushBatch(updates.data() + done, take);
+      if (take == kInterval) solo_prefix.push_back(StateOf(*solo));
+    }
+    const State solo_state = StateOf(*solo);
+    const std::vector<uint64_t> solo_positions = CheckpointPositions(solo_wm);
+    ASSERT_EQ(solo_positions.size(), kUpdates / kInterval + 1);
 
-  for (const size_t chunk : {size_t{1}, size_t{7}, size_t{4096}, kUpdates}) {
-    for (const Topology& topology : kTopologies) {
-      for (const bool windowed : {false, true}) {
-        for (const bool hooked : {false, true}) {
-          SCOPED_TRACE(std::string(topology.name) + " chunk " +
-                       std::to_string(chunk) +
-                       (windowed ? " windowed" : " whole-stream") +
-                       (hooked ? " hooked" : ""));
-          auto state = MustCreate(OptionsFor(topology, windowed));
-          ASSERT_NE(state, nullptr);
-          std::vector<uint64_t> fired_at;
-          if (hooked) {
-            // At each boundary replica 0 must already hold the prefix.
-            state->set_epoch_hook([&](uint64_t count) {
-              EXPECT_EQ(count, kInterval);
-              const uint64_t at = state->updates_seen();
-              fired_at.push_back(at);
-              const size_t epoch = size_t(at / kInterval) - 1;
-              EXPECT_TRUE(epoch < solo_prefix.size() &&
-                          StateOf(state->sketch()) == solo_prefix[epoch])
-                  << "at " << at;
-              return Status::OK();
-            });
-          }
-          ASSERT_TRUE(PushChunked(state.get(), updates, chunk).ok());
-          EXPECT_EQ(state->updates_seen(), kUpdates);
-          state->Quiesce();
-          EXPECT_TRUE(StateOf(state->sketch()) == solo_state);
-          if (hooked) {
-            EXPECT_EQ(state->epoch_fill(), kUpdates % kInterval);
-            std::vector<uint64_t> want;
-            for (uint64_t at = kInterval; at <= kUpdates; at += kInterval) {
-              want.push_back(at);
+    for (const size_t chunk : {size_t{1}, size_t{7}, size_t{4096}, kUpdates}) {
+      for (const Topology& topology : kTopologies) {
+        for (const bool windowed : {false, true}) {
+          for (const bool hooked : {false, true}) {
+            SCOPED_TRACE(std::string(topology.name) + " chunk " +
+                         std::to_string(chunk) +
+                         (windowed ? " windowed" : " whole-stream") +
+                         (hooked ? " hooked" : ""));
+            auto state = MustCreate(OptionsFor(topology, windowed), spec);
+            ASSERT_NE(state, nullptr);
+            std::vector<uint64_t> fired_at;
+            if (hooked) {
+              // At each boundary replica 0 must already hold the prefix.
+              state->set_epoch_hook([&](uint64_t count) {
+                EXPECT_EQ(count, kInterval);
+                const uint64_t at = state->updates_seen();
+                fired_at.push_back(at);
+                const size_t epoch = size_t(at / kInterval) - 1;
+                EXPECT_TRUE(epoch < solo_prefix.size() &&
+                            StateOf(state->sketch()) == solo_prefix[epoch])
+                    << "at " << at;
+                return Status::OK();
+              });
             }
-            EXPECT_EQ(fired_at, want);
-          }
-          if (!windowed) {
-            EXPECT_EQ(state->window(), nullptr);
-            continue;
-          }
-          // A sharded stream closes its partial tail on Quiesce, adding
-          // one unaligned checkpoint at the end; inline adds none.
-          std::vector<uint64_t> want = solo_positions;
-          if (topology.shards > 1) want.push_back(kUpdates);
-          EXPECT_EQ(CheckpointPositions(*state->window()), want);
-          for (const uint64_t w : {uint64_t{1}, uint64_t{136}, uint64_t{137},
-                                   uint64_t{1000}, uint64_t{4096},
-                                   uint64_t{kUpdates}}) {
-            const auto got = state->window()->WindowSketch(w);
-            const auto local = solo_wm.WindowSketch(w);
-            EXPECT_EQ(got.start, local.start) << "w=" << w;
-            EXPECT_EQ(got.length, local.length) << "w=" << w;
-            EXPECT_TRUE(StateOf(*got.sketch) == StateOf(*local.sketch))
-                << "w=" << w;
+            ASSERT_TRUE(PushChunked(state.get(), updates, chunk).ok());
+            EXPECT_EQ(state->updates_seen(), kUpdates);
+            state->Quiesce();
+            EXPECT_TRUE(StateOf(state->sketch()) == solo_state);
+            if (hooked) {
+              EXPECT_EQ(state->epoch_fill(), kUpdates % kInterval);
+              std::vector<uint64_t> want;
+              for (uint64_t at = kInterval; at <= kUpdates; at += kInterval) {
+                want.push_back(at);
+              }
+              EXPECT_EQ(fired_at, want);
+            }
+            if (!windowed) {
+              EXPECT_EQ(state->window(), nullptr);
+              continue;
+            }
+            // A sharded stream closes its partial tail on Quiesce, adding
+            // one unaligned checkpoint at the end; inline adds none.
+            std::vector<uint64_t> want = solo_positions;
+            if (topology.shards > 1) want.push_back(kUpdates);
+            EXPECT_EQ(CheckpointPositions(*state->window()), want);
+            for (const uint64_t w :
+                 {uint64_t{1}, uint64_t{136}, uint64_t{137}, uint64_t{1000},
+                  uint64_t{4096}, uint64_t{kUpdates}}) {
+              const auto got = state->window()->WindowSketch(w);
+              const auto local = solo_wm.WindowSketch(w);
+              EXPECT_EQ(got.start, local.start) << "w=" << w;
+              EXPECT_EQ(got.length, local.length) << "w=" << w;
+              EXPECT_TRUE(StateOf(*got.sketch) == StateOf(*local.sketch))
+                  << "w=" << w;
+            }
           }
         }
       }
     }
+  }
+}
+
+// Resident set size of this process in KiB, or -1 without procfs.
+long ResidentKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(StreamState, LargeBatchRetainsBoundedScratch) {
+  // A stream without a window or pipeline hands its sketch the whole
+  // pushed batch. Each kind walks it in stream::kBatchChunk chunks through
+  // per-thread scratch, so one 2^22-update batch leaves well under 2 MiB
+  // behind; scratch sized to the batch kept 64-128 MiB.
+  const UpdateStream batch =
+      stream::UniformTurnstile(kN, uint64_t{1} << 22, 50, 38);
+  SketchSpec count_sketch = CountMinSpec();
+  count_sketch.kind = SketchKind::kCountSketch;
+  SketchSpec ams;
+  ams.kind = SketchKind::kAmsF2;
+  ams.rows = 3;
+  ams.buckets = 4;
+  SketchSpec l0_estimator;
+  l0_estimator.kind = SketchKind::kL0Estimator;
+  l0_estimator.n = kN;
+  l0_estimator.repetitions = 3;
+  SketchSpec l0_sampler;
+  l0_sampler.kind = SketchKind::kL0Sampler;
+  l0_sampler.n = kN;
+  for (const SketchSpec& spec :
+       {CmHeavyHittersSpec(), CountMinSpec(), count_sketch, ams, l0_estimator,
+        l0_sampler}) {
+    SCOPED_TRACE(SketchKindName(spec.kind));
+    auto state = MustCreate(StreamState::Options{}, spec);
+    ASSERT_NE(state, nullptr);
+    const long before = ResidentKiB();
+    if (before < 0) GTEST_SKIP() << "VmRSS unavailable without procfs";
+    ASSERT_TRUE(state->Push(batch.data(), batch.size()).ok());
+    const long growth_mib = (ResidentKiB() - before) / 1024;
+    EXPECT_LT(growth_mib, 2) << "retained batch scratch, MiB";
   }
 }
 

@@ -15,9 +15,11 @@
 //
 // --smoke runs a single functional cycle instead (create, ingest,
 // query, window, snapshot, restore, equivalence check, drop, stats,
-// duplicate-create and unknown-key error paths) and exits non-zero on
-// any deviation; the CI serve smoke drives it against a daemon started
-// with --port 0 and then checks clean SIGTERM shutdown.
+// duplicate-create and unknown-key error paths, and byte-equal
+// cm_heavy_hitters state for one stream sent in large and in small
+// INGESTs) and exits non-zero on any deviation; the CI serve smoke drives
+// it against a daemon started with --port 0 and then checks clean SIGTERM
+// shutdown.
 //
 // --crash-prepare / --crash-verify bracket the crash-recovery smoke
 // against a daemon running with --data-dir: prepare creates tenants,
@@ -50,6 +52,7 @@
 //                    [--total n] [--tenant t] [--key k]
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -69,6 +72,7 @@
 #include "src/server/client.h"
 #include "src/server/server.h"
 #include "src/stream/generators.h"
+#include "src/util/random.h"
 
 namespace {
 
@@ -213,6 +217,46 @@ int RunSmoke(const std::string& host, int port) {
     return 1;
   }
 
+  // cm_heavy_hitters sums each INGEST's repeated keys before hashing.
+  // One Zipf(1) stream sent in 4096-update and in 7-update INGESTs must
+  // leave the two tenants' states byte-equal.
+  SketchConfig cm_config;
+  cm_config.spec.kind = lps::SketchKind::kCmHeavyHitters;
+  cm_config.spec.n = n;
+  cm_config.spec.phi = 0.05;
+  cm_config.spec.seed = 17;
+  lps::Rng rng(18);
+  std::vector<lps::stream::Update> zipf(20000);
+  for (auto& u : zipf) {
+    const double rank = std::exp(rng.NextDouble() * std::log(double(n)));
+    u = {(uint64_t(rank) - 1) * 0x9E3779B97F4A7C15ull % n, +1};
+  }
+  for (const size_t batch : {size_t{4096}, size_t{7}}) {
+    const std::string key = "cm" + std::to_string(batch);
+    status = client.Create("smoke", key, cm_config);
+    if (!status.ok()) return Fail("create cm_heavy_hitters", status);
+    for (size_t done = 0; done < zipf.size(); done += batch) {
+      const size_t take = std::min(batch, zipf.size() - done);
+      auto acked = client.Ingest(
+          "smoke", key,
+          std::vector<lps::stream::Update>(zipf.begin() + done,
+                                           zipf.begin() + done + take));
+      if (!acked.ok()) return Fail("ingest cm_heavy_hitters", acked.status());
+    }
+  }
+  auto large = client.Snapshot("smoke", "cm4096");
+  if (!large.ok()) return Fail("snapshot cm4096", large.status());
+  auto small = client.Snapshot("smoke", "cm7");
+  if (!small.ok()) return Fail("snapshot cm7", small.status());
+  if (large->updates_seen != zipf.size() ||
+      large->updates_seen != small->updates_seen ||
+      large->state_bits != small->state_bits ||
+      large->state_words != small->state_words) {
+    std::fprintf(stderr, "lps_bench_client: cm_heavy_hitters state differs "
+                         "between 4096- and 7-update INGESTs\n");
+    return 1;
+  }
+
   auto stats = client.Stats();
   if (!stats.ok()) return Fail("stats", stats.status());
   if (stats->tenants < 1 || stats->updates < updates.size()) {
@@ -224,7 +268,8 @@ int RunSmoke(const std::string& host, int port) {
   }
 
   std::printf("serve smoke OK (%llu updates, window [%llu, +%llu), "
-              "restored answer matches)\n",
+              "restored answer matches, cm_heavy_hitters state independent "
+              "of INGEST size)\n",
               static_cast<unsigned long long>(stats->updates),
               static_cast<unsigned long long>(window->start),
               static_cast<unsigned long long>(window->length));
